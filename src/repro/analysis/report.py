@@ -21,9 +21,8 @@ Version history:
 - **2** — findings gain ``witness``, the concurrency rules'
   step-by-step evidence trail (empty list for single-site rules).
 
-:func:`findings_from_payload` reads both versions (the audit-log
-v1/v2 precedent): a missing ``witness`` field defaults to empty, so a
-consumer upgraded to v2 still digests archived v1 reports.
+:func:`findings_from_payload` reads the current version only; any
+other version raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ __all__ = [
 JSON_VERSION = 2
 
 #: Versions :func:`findings_from_payload` understands.
-READABLE_VERSIONS = (1, 2)
+READABLE_VERSIONS = (JSON_VERSION,)
 
 
 def render_human(result: LintResult, verbose: bool = False) -> str:
@@ -81,10 +80,9 @@ def findings_from_payload(
 ) -> List[Finding]:
     """Reconstruct the active findings from a parsed JSON report.
 
-    Accepts every version in :data:`READABLE_VERSIONS`; v1 findings
-    (no ``witness`` field) come back with an empty witness tuple.
-    Unknown future versions raise ``ValueError`` rather than silently
-    dropping fields the caller might depend on.
+    Any version outside :data:`READABLE_VERSIONS` raises
+    ``ValueError`` rather than silently dropping fields the caller
+    might depend on.
     """
     version = payload.get("version")
     if version not in READABLE_VERSIONS:
@@ -101,6 +99,6 @@ def findings_from_payload(
             line=raw["line"],
             col=raw["col"],
             message=raw["message"],
-            witness=tuple(raw.get("witness", ())),
+            witness=tuple(raw["witness"]),
         ))
     return out

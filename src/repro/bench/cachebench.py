@@ -21,12 +21,11 @@ GIL, so the pool buys overlap only on the cache layer and any I/O).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 from repro.bench.harness import BenchResult, timed_trimmed_mean
 from repro.perf.batch import execute_batch
 from repro.perf.querycache import QueryCache
-from repro.resilience.guard import NullGuard
 from repro.resilience.run import run_query_guarded
 from repro.workload.benchspec import TermRow
 from repro.xmldb.store import XMLStore
@@ -62,22 +61,20 @@ def run_cache_experiment(store: XMLStore, rows: Sequence[TermRow],
         "the result cache; warm_speedup = cold / warm_result"
     )
     store.index, store.structure  # build outside the timings
-    for row in rows:
-        source = row_query(row)
-        cold = timed_trimmed_mean(
-            lambda s=source: run_query_guarded(store, s, NullGuard()),
+
+    def timed(source: str, cache: Optional[QueryCache]) -> float:
+        # untimed first run: fills the cache's tiers, if there is one
+        run_query_guarded(store, source, cache=cache)
+        return timed_trimmed_mean(
+            lambda: run_query_guarded(store, source, cache=cache),
             runs=runs,
         )
-        plan_cache = QueryCache(store, results=False)
-        plan_cache.run_query(source)  # warm
-        warm_plan = timed_trimmed_mean(
-            lambda s=source, c=plan_cache: c.run_query(s), runs=runs
-        )
-        full_cache = QueryCache(store)
-        full_cache.run_query(source)  # warm
-        warm_result = timed_trimmed_mean(
-            lambda s=source, c=full_cache: c.run_query(s), runs=runs
-        )
+
+    for row in rows:
+        source = row_query(row)
+        cold = timed(source, None)
+        warm_plan = timed(source, QueryCache(store, results=False))
+        warm_result = timed(source, QueryCache(store))
         result.add_row(
             row.label, cold, warm_plan, warm_result,
             cold / warm_result if warm_result else float("inf"),
@@ -108,7 +105,7 @@ def run_batch_experiment(store: XMLStore, rows: Sequence[TermRow],
 
     def sequential() -> None:
         for s in sources:
-            run_query_guarded(store, s, NullGuard())
+            run_query_guarded(store, s)
 
     def batched() -> None:
         res = execute_batch(store, sources, max_workers=max_workers,

@@ -223,126 +223,89 @@ def _planner_opts(args: argparse.Namespace) -> dict:
     return opts
 
 
+def _print_results(results, with_scores: bool, truncated: bool = False,
+                   reason: str = "") -> None:
+    for i, tree in enumerate(results, 1):
+        score = f" score={tree.score:g}" if tree.score is not None else ""
+        print(f"-- result {i}{score}")
+        print(tree.to_xml(with_scores=with_scores))
+    if truncated:
+        print(f"({len(results)} results, truncated: {reason})")
+    else:
+        print(f"({len(results)} results)")
+
+
 def _cmd_query(args: argparse.Namespace) -> int:
+    """Two modes (docs/performance.md, "Execution pipeline"): with no
+    flag the reference evaluator answers — the oracle, and the only
+    path that honours ``Return``; any guard, ``--analyze`` or planner
+    flag runs the served pipeline."""
     from repro.errors import PlannerHintError
     from repro.query import run_query
 
     store = _load_store(args.doc or [], args.store,
                         partial=args.store_partial)
+    guarded = (args.timeout is not None or args.max_rows is not None
+               or args.degrade)
     try:
         opts = _planner_opts(args)
-        if args.timeout is not None or args.max_rows is not None \
-                or args.degrade:
-            return _query_guarded(store, _read_query(args), args, opts)
-        if args.analyze:
-            return _query_analyze(store, _read_query(args), args, opts)
-        if opts:
-            return _query_planned(store, _read_query(args), args, opts)
+        if guarded or args.analyze or opts:
+            return _query_pipeline(store, _read_query(args), args,
+                                   guarded, opts)
     except PlannerHintError as exc:
         print(f"planner: {exc}", file=sys.stderr)
         return 2
-    results = run_query(store, _read_query(args))
-    for i, tree in enumerate(results, 1):
-        score = f" score={tree.score:g}" if tree.score is not None else ""
-        print(f"-- result {i}{score}")
-        print(tree.to_xml(with_scores=args.scores))
-    print(f"({len(results)} results)")
+    _print_results(run_query(store, _read_query(args)), args.scores)
     return 0
 
 
-def _query_planned(store, source: str, args: argparse.Namespace,
-                   opts: dict) -> int:
-    """``tix query`` with explicit planner options: run the compiled
-    plan.  Non-compilable queries fall back to the evaluator with a
-    notice (the planner options cannot apply there); bad hints
-    propagate as :class:`~repro.errors.PlannerHintError`."""
-    from repro.errors import PlannerHintError, QueryCompileError
-    from repro.query import parse_query, run_query
-    from repro.query.compiler import run_compiled
+def _query_pipeline(store, source: str, args: argparse.Namespace,
+                    guarded: bool, opts: dict) -> int:
+    """``tix query`` through :func:`~repro.resilience.run_query_guarded`.
 
-    try:
-        results = run_compiled(store, parse_query(source), **opts)
-    except PlannerHintError:
-        raise
-    except QueryCompileError as exc:
-        print(f"planner: query not compilable ({exc}); "
-              "evaluator fallback", file=sys.stderr)
-        results = run_query(store, source)
-    for i, tree in enumerate(results, 1):
-        score = f" score={tree.score:g}" if tree.score is not None else ""
-        print(f"-- result {i}{score}")
-        print(tree.to_xml(with_scores=args.scores))
-    print(f"({len(results)} results)")
-    return 0
+    Strict mode exits with status 3 on a guard trip; degrade mode
+    prints the partial results with a truncation notice.  ``--analyze``
+    runs under a collector and appends the EXPLAIN ANALYZE tree (phase
+    timings when the query is not compilable), plus the metrics report
+    — where the ``guard.*`` counters land — on a guarded run.  Planner
+    options cannot apply to a non-compilable query: it falls back to
+    the evaluator with a notice."""
+    from contextlib import nullcontext
 
-
-def _query_guarded(store, source: str, args: argparse.Namespace,
-                   planner_opts: Optional[dict] = None) -> int:
-    """``tix query --timeout/--max-rows/--degrade``: run under a
-    :class:`~repro.resilience.QueryGuard`.  Strict mode exits with status
-    3 on a guard trip; degrade mode prints the partial results with a
-    truncation notice."""
     from repro import obs
+    from repro.engine.base import explain
     from repro.errors import QueryAbortedError
-    from repro.resilience import QueryGuard, run_query_guarded
+    from repro.resilience import NullGuard, QueryGuard, run_query_guarded
 
     guard = QueryGuard(
-        timeout_ms=args.timeout,
-        max_rows=args.max_rows,
+        timeout_ms=args.timeout, max_rows=args.max_rows,
         degrade=args.degrade,
-    )
-    opts = planner_opts or {}
-    collector = None
+    ) if guarded else NullGuard()
     try:
-        if args.analyze:
-            # --analyze composes with the guard: run under a collector so
-            # the guard.* counters (checks, rows, trips) land in the
-            # metrics report alongside the operator counters.
-            with obs.collecting() as collector:
-                res = run_query_guarded(store, source, guard, **opts)
-        else:
+        with (obs.collecting() if args.analyze
+              else nullcontext()) as collector:
             res = run_query_guarded(store, source, guard, **opts)
     except QueryAbortedError as exc:
         print(f"query aborted: {exc}", file=sys.stderr)
         if collector is not None:
             print(collector.metrics.render(), file=sys.stderr)
         return 3
-    for i, tree in enumerate(res.results, 1):
-        score = f" score={tree.score:g}" if tree.score is not None else ""
-        print(f"-- result {i}{score}")
-        print(tree.to_xml(with_scores=args.scores))
-    if res.truncated:
-        print(f"({res.n_results} results, truncated: {res.reason})")
-    else:
-        print(f"({res.n_results} results)")
+    if opts and res.plan is None:
+        print(f"planner: query not compilable ({res.compile_error}); "
+              "evaluator fallback", file=sys.stderr)
+    _print_results(res.results, args.scores, res.truncated, res.reason)
     if collector is not None:
         print()
-        print(collector.metrics.render())
-    return 0
-
-
-def _query_analyze(store, source: str, args: argparse.Namespace,
-                   planner_opts: Optional[dict] = None) -> int:
-    """``tix query --analyze``: results first, then the EXPLAIN ANALYZE
-    tree (or phase timings when the query is not compilable)."""
-    from repro.engine.base import explain
-    from repro.obs.profile import profile_query
-
-    report = profile_query(store, source, **(planner_opts or {}))
-    for i, tree in enumerate(report.results, 1):
-        score = f" score={tree.score:g}" if tree.score is not None else ""
-        print(f"-- result {i}{score}")
-        print(tree.to_xml(with_scores=args.scores))
-    print(f"({report.n_results} results)")
-    print()
-    if report.plan is not None:
-        print("EXPLAIN ANALYZE")
-        print(explain(report.plan, analyze=True))
-    else:
-        print("plan: not compilable (evaluator fallback)")
-        for span in report.collector.tracer.roots:
-            for child in span.children:
-                print(f"  {child.name}: {child.duration_ms:.3f}ms")
+        if res.plan is not None:
+            print("EXPLAIN ANALYZE")
+            print(explain(res.plan, analyze=True))
+        else:
+            print("plan: not compilable (evaluator fallback)")
+            for span in collector.tracer.roots:
+                print(f"  {span.name}: {span.duration_ms:.3f}ms")
+        if guarded:
+            print()
+            print(collector.metrics.render())
     return 0
 
 

@@ -4,10 +4,9 @@ query.
 Metrics (:mod:`repro.obs.metrics`) answer *how much* the engine is
 doing; the audit log answers *what happened to each query* — the
 record a production operator greps when a user reports a slow or
-failing request.  Every top-level query execution that flows through
-:func:`repro.resilience.run.run_query_guarded`,
-:class:`repro.perf.querycache.QueryCache`, or
-:func:`repro.perf.batch.execute_batch` emits one event carrying
+failing request.  Every query that runs the execution pipeline
+(:func:`repro.resilience.run.run_query_guarded`; stages in
+``docs/performance.md``) emits one event carrying
 
 - a stable hash of the query text (never the text itself — query
   strings may embed user data),
@@ -22,10 +21,10 @@ The sink follows the recorder's **zero-overhead contract**: the
 module-level :data:`SINK` is a :class:`NullSink` by default, and
 :func:`observe_query` returns a shared no-op context manager when no
 sink is installed — instrumented entry points pay one attribute test
-and one call per *query* (never per tuple).  Nested entry points
-(``execute_batch`` → ``QueryCache`` → ``run_query_guarded``) share one
-event per query: the outermost ``observe_query`` owns emission, inner
-layers annotate via :func:`current_event`.
+and one call per *query* (never per tuple).  Nested observations
+(``execute_batch`` around ``run_query_guarded``) share one event per
+query: the outermost ``observe_query`` owns emission, inner layers
+annotate via :func:`current_event`.
 
 :class:`JsonlSink` adds production controls: a **sampling rate**
 (deterministic under a fixed ``seed``) bounds log volume, and a
@@ -70,8 +69,8 @@ __all__ = [
 #: - v2: per-operator ``est_rows``/``q_error`` in ``ops`` (``None`` on
 #:   plans the estimator never annotated);
 #: - v3: ``trace_id`` joins the record to the server's retained
-#:   distributed trace ("" for untraced executions).  Readers
-#:   (``tix events``, ``tix feedback``) accept all versions.
+#:   distributed trace ("" for untraced executions).  ``tix feedback``
+#:   aggregates this version only (others count as skipped).
 SCHEMA_VERSION = 3
 
 

@@ -1,8 +1,7 @@
-"""Profiled query execution: the machinery behind ``tix profile`` and
-``tix query --analyze``.
+"""Profiled query execution: the machinery behind ``tix profile``.
 
-:func:`profile_query` parses, compiles, and executes a query under a
-fresh :class:`~repro.obs.Collector` and returns a
+:func:`profile_query` runs a query through the execution pipeline under
+a fresh :class:`~repro.obs.Collector` and returns a
 :class:`ProfileReport` bundling
 
 - the executed plan (for :func:`repro.engine.base.explain` /
@@ -24,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro import obs
-from repro.errors import PlannerHintError, QueryCompileError
 from repro.obs.metrics import MetricsRegistry
 
 if TYPE_CHECKING:
@@ -117,46 +115,27 @@ def profile_query(store: "XMLStore", source: str,
                   **planner_opts: object) -> ProfileReport:
     """Execute ``source`` against ``store`` under a fresh collector.
 
-    Prefers the compiled pipelined plan (per-operator EXPLAIN ANALYZE);
-    non-compilable queries run on the reference evaluator instead.
-    Keyword options (``planner=``, ``force_ops=``, ``corrections=``)
-    are forwarded to :func:`~repro.query.compiler.compile_query`.
+    Runs the one execution pipeline
+    (:func:`~repro.resilience.run.run_query_guarded`, unguarded and
+    uncached) and reads the plan back from its result.  Keyword options
+    (``planner=``, ``force_ops=``, ``corrections=``) are forwarded to
+    :func:`~repro.query.compiler.compile_query`.
     """
-    from repro.engine.base import execute
-    from repro.query import parse_query
-    from repro.query.compiler import compile_query
-    from repro.query.evaluator import evaluate_query
+    from repro.resilience.run import run_query_guarded
 
     before = store.counters.snapshot()
-    plan = None
-    compile_error = None
     with obs.collecting() as col:
         with col.span("query"):
-            with col.span("parse"):
-                query = parse_query(source)
-            try:
-                plan = compile_query(store, query, registry,
-                                     **planner_opts)  # type: ignore[arg-type]
-            except PlannerHintError:
-                raise  # a bad hint must surface, not change strategy
-            except QueryCompileError as exc:
-                compile_error = str(exc)
-                results = evaluate_query(store, query, registry)
-            else:
-                with col.span("execute"):
-                    results = execute(plan)
-                from repro.plan.estimate import publish_qerrors
-
-                publish_qerrors(plan)
+            res = run_query_guarded(store, source, registry=registry,
+                                    **planner_opts)
         store.counters.publish(col)
     after = store.counters.snapshot()
-    deltas = {k: after[k] - before[k] for k in after}
     return ProfileReport(
         query=source,
-        compiled=plan is not None,
-        results=results,
+        compiled=res.plan is not None,
+        results=res.results,
         collector=col,
-        plan=plan,
-        store_counters=deltas,
-        compile_error=compile_error,
+        plan=res.plan,
+        store_counters={k: after[k] - before[k] for k in after},
+        compile_error=res.compile_error or None,
     )

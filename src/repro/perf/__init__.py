@@ -20,16 +20,18 @@ document add/remove:
   keyed on *normalized* query text (parse → unparse) + store
   generation, with a per-entry pool so concurrent callers never share a
   stateful operator tree;
-- :class:`~repro.perf.querycache.ResultCache` — full ``run_query``
+- :class:`~repro.perf.querycache.ResultCache` — full query
   answers for the same key (only complete, un-truncated runs are ever
   stored).
 
-:class:`~repro.perf.querycache.QueryCache` composes the plan and result
-tiers behind one ``run_query``-shaped call; ``repro.perf.batch`` runs
-many queries over a shared read-only store on a thread pool
-(:func:`~repro.perf.batch.execute_batch`, ``tix batch``), composing the
-per-query :class:`~repro.resilience.QueryGuard` envelope and returning
-results in submission order regardless of completion order.
+:class:`~repro.perf.querycache.QueryCache` holds the plan and result
+tiers; :func:`repro.resilience.run.run_query_guarded` (``cache=``) is
+the one function that probes and fills them — "Execution pipeline" in
+``docs/performance.md``.  ``repro.perf.batch`` runs many queries
+through it over a shared read-only store on a thread pool
+(:func:`~repro.perf.batch.execute_batch`, ``tix batch``), each under
+its own :class:`~repro.resilience.QueryGuard`, returning results in
+submission order regardless of completion order.
 
 Everything reports ``cache.*`` / ``batch.*`` metrics through
 :mod:`repro.obs` and honours the null-recorder zero-overhead contract.

@@ -37,7 +37,8 @@ from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence
 
 from repro import obs as _obs
 from repro.obs import events as _events
-from repro.resilience.guard import QueryGuard
+from repro.resilience.guard import NullGuard, QueryGuard
+from repro.resilience.run import run_query_guarded
 
 if TYPE_CHECKING:
     from repro.obs.metrics import MetricsRegistry
@@ -107,46 +108,27 @@ def _run_one(store: "XMLStore", outcome: BatchOutcome, *,
              degrade: bool, cache: "Optional[QueryCache]",
              registry: "Optional[MetricsRegistry]") -> BatchOutcome:
     """Execute one query into its pre-slotted outcome (worker body)."""
-    from repro.errors import TIXError
-    from repro.query.evaluator import run_query
-    from repro.resilience.run import run_query_guarded
-
     t0 = perf_counter()
     guard = (
         QueryGuard(timeout_ms=timeout_ms, max_rows=max_rows,
                    degrade=degrade)
-        if (timeout_ms is not None or max_rows is not None) else None
+        if (timeout_ms is not None or max_rows is not None)
+        else NullGuard()
     )
     with _events.observe_query(outcome.source, kind="batch") as ev:
         try:
-            if guard is not None:
-                if cache is not None:
-                    res = cache.run_query_guarded(outcome.source, guard,
-                                                  registry)
-                else:
-                    res = run_query_guarded(store, outcome.source, guard,
-                                            registry)
-                outcome.results = res.results
-                outcome.truncated = res.truncated
-                outcome.reason = res.reason
-            elif cache is not None:
-                outcome.results = cache.run_query(outcome.source, registry)
-            else:
-                outcome.results = run_query(store, outcome.source, registry)
-        except TIXError as exc:
+            res = run_query_guarded(store, outcome.source, guard,
+                                    cache=cache, registry=registry)
+            outcome.results = res.results
+            outcome.truncated = res.truncated
+            outcome.reason = res.reason
+        except Exception as exc:  # never lose the batch to one query
             outcome.error = str(exc)
             outcome.error_type = type(exc).__name__
-        except Exception as exc:  # defensive: never lose the batch
-            outcome.error = str(exc)
-            outcome.error_type = type(exc).__name__
-        if ev is not None:
-            # Captured failures never propagate, so stamp the audit
-            # record from the outcome before emission.
-            if outcome.error:
+            if ev is not None:
+                # Captured failures never propagate, so stamp the
+                # audit record here before emission.
                 ev.note_error(outcome.error_type, outcome.error)
-            else:
-                ev.note_result(outcome.n_results, outcome.truncated,
-                               outcome.reason)
     outcome.elapsed_ms = (perf_counter() - t0) * 1000.0
     return outcome
 
@@ -174,8 +156,8 @@ def execute_batch(store: "XMLStore", sources: Sequence[str], *,
         QueryCache` — duplicate queries in the batch (and across
         batches) are answered from it;
     :param registry: custom score-function registry, passed through to
-        every query (disables the cache tiers, see
-        :class:`QueryCache`).
+        every query (bypasses the cache tiers, see
+        :func:`~repro.resilience.run.run_query_guarded`).
 
     Returns a :class:`BatchResult` in submission order.  Emits
     ``batch.queries`` / ``batch.errors`` / ``batch.truncated`` counters

@@ -12,7 +12,7 @@ Three tiers, cheapest first:
 
 - a small normalization cache (raw source → parsed/normalized query)
   so warm lookups skip the parser entirely;
-- :class:`ResultCache` — complete ``run_query`` answers.  Only
+- :class:`ResultCache` — complete query answers.  Only
   complete, un-truncated executions are ever stored; a guarded run that
   tripped never pollutes the cache;
 - :class:`PlanCache` — compiled engine plans.  Compiled plans are
@@ -22,11 +22,11 @@ Three tiers, cheapest first:
   the compilable shape cache their ``QueryCompileError`` verdict so the
   compiler is consulted once, not per call.
 
-:class:`QueryCache` composes the tiers behind ``run_query`` /
-``run_query_guarded`` entry points with the same dispatch as
-:func:`repro.resilience.run.run_query_guarded`: compilable queries run
-on the pipelined engine, everything else on the reference evaluator.
-Caching is transparent to scores, node identity, and result order —
+:class:`QueryCache` only *holds* the tiers; the one function that
+probes, fills and bypasses them is
+:func:`repro.resilience.run.run_query_guarded` (pass ``cache=``; see
+"Execution pipeline" in ``docs/performance.md``).  Caching is
+transparent to scores, node identity, and result order —
 ``tests/differential/`` locks that equivalence down.
 """
 
@@ -45,8 +45,6 @@ from repro.query.unparse import unparse
 
 if TYPE_CHECKING:
     from repro.obs.metrics import MetricsRegistry
-    from repro.resilience.guard import QueryGuard
-    from repro.resilience.run import GuardedResult
     from repro.xmldb.store import XMLStore
 
 __all__ = [
@@ -179,7 +177,7 @@ class PlanCache:
 # ----------------------------------------------------------------------
 
 class ResultCache:
-    """Full-answer cache for ``run_query``-shaped executions.
+    """Full-answer cache for one store's queries.
 
     Values are the result lists themselves; hits return a fresh *list*
     (so callers may sort/slice freely) over shared trees — results are
@@ -215,20 +213,16 @@ class ResultCache:
 
 
 # ----------------------------------------------------------------------
-# The composed front door
+# The tiers together
 # ----------------------------------------------------------------------
 
 class QueryCache:
-    """Plan + result caches behind one ``run_query``-shaped call.
+    """The normalization, plan and result tiers of one store.
 
     One instance serves one store; share it across queries (and across
     the batch executor's threads) to share the warm state.  Pass
     ``results=False`` to keep only the plan tier (e.g. when answers are
     too large to retain).
-
-    Caching is bypassed when a custom function ``registry`` is supplied
-    — user functions may close over arbitrary state, which the key
-    cannot see.
     """
 
     def __init__(self, store: "XMLStore", *, plan_capacity: int = 128,
@@ -243,138 +237,11 @@ class QueryCache:
         self._norm = LRUCache(norm_capacity, metric_prefix="cache.norm",
                               record=False)
 
-    # ------------------------------------------------------------------
-
     def normalize(self, source: str) -> NormalizedQuery:
         """Cached :func:`normalize_query` (keyed on the raw source)."""
         return self._norm.get_or_create(
             source, lambda: (normalize_query(source), 1)
         )
-
-    def run_query(self, source: str,
-                  registry: "Optional[MetricsRegistry]" = None) -> List:
-        """Parse/compile/execute with every tier engaged.
-
-        Dispatch matches :func:`repro.resilience.run.run_query_guarded`:
-        compilable queries return the engine's ranked scored subtrees,
-        the rest the evaluator's constructed results.
-        """
-        from repro.engine.base import execute
-        from repro.query.evaluator import evaluate_query
-
-        with _events.observe_query(source) as ev:
-            if registry is not None:
-                from repro.query.evaluator import run_query as _run_query
-
-                out = _run_query(self.store, source, registry)
-                if ev is not None:
-                    ev.note_result(len(out))
-                return out
-
-            norm = self.normalize(source)
-            if self.results is not None:
-                cached = self.results.get(norm)
-                if cached is not None:
-                    if ev is not None:
-                        ev.cache = "hit"
-                        ev.note_result(len(cached))
-                    return cached
-            if ev is not None and self.results is not None:
-                ev.cache = "miss"
-            plan = self.plans.acquire(norm)
-            if plan is not None:
-                try:
-                    out = execute(plan)
-                finally:
-                    self.plans.release(norm, plan)
-                if ev is not None:
-                    ev.note_plan(plan)
-            else:
-                out = evaluate_query(self.store, norm.query)
-            if self.results is not None:
-                self.results.put(norm, out)
-            if ev is not None:
-                ev.note_result(len(out))
-            return out
-
-    def run_query_guarded(self, source: str, guard: "QueryGuard",
-                          registry: "Optional[MetricsRegistry]" = None,
-                          ) -> "GuardedResult":
-        """Guarded variant returning a
-        :class:`~repro.resilience.run.GuardedResult`.
-
-        Cache interaction rules:
-
-        - a result-cache **hit** is re-checked against the guard's row
-          budget (a cached complete answer larger than ``max_rows``
-          behaves exactly like an uncached over-budget run: strict mode
-          raises, degrade mode trims and flags truncated);
-        - only complete, un-truncated executions are **stored**;
-        - the plan tier is budget-independent (budgets live in the
-          guard, not the plan), so it is always engaged.
-        """
-        from repro.errors import ResourceExhaustedError
-        from repro.resilience.run import (
-            GuardedResult,
-            evaluate_guarded,
-            execute_guarded,
-        )
-
-        with _events.observe_query(source) as ev:
-            if registry is not None:
-                from repro.resilience.run import run_query_guarded
-
-                return run_query_guarded(self.store, source, guard,
-                                         registry)
-
-            norm = self.normalize(source)
-            max_rows = getattr(guard, "max_rows", None)
-            rec = _obs.RECORDER
-            if self.results is not None:
-                cspan = (rec.begin_span("cache.lookup")
-                         if rec.enabled else None)
-                cached = self.results.get(norm)
-                if cspan is not None:
-                    cspan.attrs["hit"] = cached is not None
-                rec.end_span(cspan)
-                if cached is not None:
-                    if ev is not None:
-                        ev.cache = "hit"
-                        ev.note_guard(guard)
-                    if max_rows is not None and len(cached) > max_rows:
-                        exc = ResourceExhaustedError(
-                            f"query exceeded its row budget of {max_rows}"
-                        )
-                        if not guard.degrade:
-                            raise exc
-                        if ev is not None:
-                            ev.note_result(max_rows, truncated=True,
-                                           reason=str(exc))
-                        return GuardedResult(
-                            cached[:max_rows], truncated=True,
-                            reason=str(exc), error=exc,
-                        )
-                    if ev is not None:
-                        ev.note_result(len(cached))
-                    return GuardedResult(cached)
-            if ev is not None and self.results is not None:
-                ev.cache = "miss"
-            # Plan-tier span: a first miss compiles inside acquire, so
-            # compile time shows up nested under it in the trace.
-            with rec.span("plan.acquire"):
-                plan = self.plans.acquire(norm)
-            if plan is not None:
-                try:
-                    res = execute_guarded(plan, guard)
-                finally:
-                    self.plans.release(norm, plan)
-            else:
-                res = evaluate_guarded(self.store, norm.query, guard)
-            if self.results is not None and not res.truncated:
-                self.results.put(norm, res.results)
-            if ev is not None:
-                ev.note_result(res.n_results, res.truncated, res.reason)
-            return res
 
     def stats(self) -> dict:
         """Hit/miss tallies for every tier (reports and tests)."""

@@ -1,18 +1,17 @@
 """Misestimation feedback from the query audit log (``tix feedback``).
 
 The audit log (:mod:`repro.obs.events`) records, per query, the top
-plan operators with their actual row counts — and, from schema
-version 2 on, the estimator's ``est_rows`` for each.  This module
+plan operators with their actual row counts and the estimator's
+``est_rows`` for each.  This module
 closes the observe-then-adapt loop: it aggregates those records into a
 report of the **worst-misestimated operators and query shapes** —
 occurrence count, median / max q-error, mean estimated vs actual rows —
 the adaptive re-costing input a cost-based planner consumes.
 
-Both record versions are read: version-1 records (pre-estimator) carry
-no estimates and are tallied as ``n_without_estimates`` instead of
-being dropped silently; records from schema versions this build does
-not understand are counted in ``n_skipped``.  A mixed-version JSONL
-file therefore aggregates exactly its estimating subset.
+Only the current audit schema is read: records of any other version
+(older logs included) are counted in ``n_skipped``, never a crash.
+Current records without estimates (evaluator-fallback queries) are
+tallied as ``n_without_estimates`` instead of being dropped silently.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ from dataclasses import dataclass, field
 from statistics import median
 from typing import Dict, Iterable, List, Tuple
 
+from repro.obs.events import SCHEMA_VERSION
 from repro.plan.estimate import qerror
 
 __all__ = [
@@ -28,9 +28,8 @@ __all__ = [
     "feedback_report",
 ]
 
-#: Audit-log schema versions this reader understands (v3 only adds
-#: ``trace_id``, which this aggregation ignores).
-SUPPORTED_EVENT_VERSIONS = (1, 2, 3)
+#: Audit-log schema versions this reader understands.
+SUPPORTED_EVENT_VERSIONS = (SCHEMA_VERSION,)
 
 
 @dataclass
@@ -100,9 +99,8 @@ class FeedbackReport:
         if not self.operators:
             lines.append("")
             lines.append(
-                "no per-operator estimates found — the log predates "
-                "the estimator (schema v1) or holds evaluator-fallback "
-                "queries only"
+                "no per-operator estimates found — the log holds "
+                "evaluator-fallback queries only"
             )
         return "\n".join(lines)
 

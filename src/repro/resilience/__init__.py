@@ -7,9 +7,10 @@ Three cooperating pieces (see ``docs/robustness.md``):
   :class:`CancellationToken`), installed per-thread (so the batch
   executor's workers don't cross-contaminate) and ticked by the engine
   and the access-method merge loops;
-- :mod:`repro.resilience.run` — :func:`execute_guarded` /
-  :func:`run_query_guarded` / :func:`evaluate_guarded`, the executors
-  that enforce budgets at the sink and implement *degrade* mode (partial
+- :mod:`repro.resilience.run` — :func:`run_query_guarded`, the one
+  execution pipeline every served query goes through, and its two
+  executors :func:`execute_guarded` / :func:`evaluate_guarded`, which
+  enforce budgets at the sink and implement *degrade* mode (partial
   results flagged truncated instead of an exception);
 - :mod:`repro.resilience.faultinject` — deterministic, seed-driven fault
   injection at named points in the store/index/persistence paths, plus

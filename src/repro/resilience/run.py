@@ -1,7 +1,10 @@
-"""Guarded query execution: drain a plan (or run a query string) under a
-:class:`~repro.resilience.guard.QueryGuard`.
+"""The execution pipeline: :func:`run_query_guarded` stages every served
+query (normalize → cache lookup → plan acquire → run → store → record),
+running it under a :class:`~repro.resilience.guard.QueryGuard` with
+:func:`execute_guarded` (compiled plan) or :func:`evaluate_guarded`
+(reference evaluator).  Nothing else in ``repro`` calls those two.
 
-This is the layer that gives the guard's ``degrade`` flag its meaning:
+This is also the layer that gives the guard's ``degrade`` flag its meaning:
 trip exceptions raised deep inside operators or access-method merge
 loops are caught here, the pipeline is closed cleanly, and the rows
 already produced come back as a :class:`GuardedResult` flagged
@@ -31,6 +34,7 @@ from repro.resilience.guard import (
 
 if TYPE_CHECKING:
     from repro.obs.metrics import MetricsRegistry
+    from repro.perf.querycache import QueryCache
     from repro.xmldb.store import XMLStore
 
 __all__ = [
@@ -49,12 +53,20 @@ class GuardedResult:
     exception instance.  The results of a truncated run are exactly the
     prefix the pipeline emitted before the trip — for ranked plans
     (Sort/TopK sinks) that prefix is correctly ranked.
+
+    :func:`run_query_guarded` also reports what ran: ``plan`` is the
+    executed engine plan (``None`` on the evaluator fallback and on a
+    result-cache hit) and ``compile_error`` the compiler's reason for
+    declining.  With a cache the plan is already back in its pool —
+    read its stats before the next query checks it out.
     """
 
     results: List[object] = field(default_factory=list)
     truncated: bool = False
     reason: str = ""
     error: Optional[QueryAbortedError] = None
+    plan: Optional[Any] = None
+    compile_error: str = ""
 
     @property
     def n_results(self) -> int:
@@ -125,46 +137,91 @@ def execute_guarded(plan: Any, guard: NullGuard) -> GuardedResult:
     return GuardedResult(out)
 
 
-def run_query_guarded(store: "XMLStore", source: str, guard: NullGuard,
+def run_query_guarded(store: "XMLStore", source: str,
+                      guard: NullGuard = NullGuard(), *,
+                      cache: "Optional[QueryCache]" = None,
                       registry: "Optional[MetricsRegistry]" = None,
                       **planner_opts: Any) -> GuardedResult:
-    """Parse, compile, and execute a query string under ``guard``.
+    """Run a query string under ``guard``: the one execution pipeline
+    (stage list and span names in ``docs/performance.md``).
 
-    Compilable queries run on the pipelined engine via
-    :func:`execute_guarded` (streaming enforcement).  Queries outside the
-    compilable shape fall back to the reference evaluator with the guard
-    installed — access-method ticks still bound its runtime, but the row
-    budget can only be applied to the finished result list (the evaluator
-    is not streaming): over-budget results raise in strict mode and are
-    trimmed + flagged truncated in degrade mode.
+    normalize → ``cache.lookup`` → ``plan.acquire`` → run → store →
+    record.  Compilable queries run on the pipelined engine via
+    :func:`execute_guarded` (streaming enforcement); the rest fall back
+    to the reference evaluator via :func:`evaluate_guarded`.  A bad
+    planner hint (:class:`~repro.errors.PlannerHintError`) surfaces
+    instead of changing strategy.
 
-    Keyword options (``planner=``, ``force_ops=``, ``corrections=``)
-    are forwarded to :func:`~repro.query.compiler.compile_query`.
+    ``cache`` engages a shared :class:`~repro.perf.querycache.
+    QueryCache`: a result-tier hit is re-checked against the guard's
+    row budget exactly like a finished evaluator run, the plan tier
+    pools compiled plans, and only complete, un-truncated answers are
+    stored.  The cache is bypassed when ``registry`` or any planner
+    option (``planner=``, ``force_ops=``, ``corrections=`` — forwarded
+    to :func:`~repro.query.compiler.compile_query`) is passed: the
+    cache key cannot see them.
     """
     from repro.errors import PlannerHintError, QueryCompileError
-    from repro.query import parse_query
-    from repro.query.compiler import compile_query
+    from repro.query import compile_query, parse_query
 
+    if registry is not None or planner_opts:
+        cache = None  # the cache key cannot see them
+    tier = None if cache is None else cache.results
     rec = _obs.RECORDER
     with _events.observe_query(source) as ev:
         with rec.span("parse"):
-            query = parse_query(source)
-        try:
-            # compile_query opens its own "compile" span.
-            plan = compile_query(store, query, registry, **planner_opts)
-        except PlannerHintError:
-            raise  # a bad hint must surface, not change strategy
-        except QueryCompileError:
-            plan = None
-        if plan is not None:
-            res = execute_guarded(plan, guard)
+            if cache is None:
+                query = parse_query(source)
+            else:
+                norm = cache.normalize(source)
+                query = norm.query
+        cached = None
+        if tier is not None:
+            cspan = rec.begin_span("cache.lookup") if rec.enabled else None
+            cached = tier.get(norm)
+            if cspan is not None:
+                cspan.attrs["hit"] = cached is not None
+                rec.end_span(cspan)
+            if ev is not None:
+                ev.cache = "miss" if cached is None else "hit"
+        if cached is not None:
+            if ev is not None:
+                ev.note_guard(guard)
+            res = _within_row_budget(cached, guard)
         else:
-            res = evaluate_guarded(store, query, guard, registry)
+            compile_error = ""
+            # A first sighting compiles inside the acquire span
+            # (compile_query opens its own "compile" span under it).
+            with rec.span("plan.acquire"):
+                if cache is not None:
+                    plan = cache.plans.acquire(norm)
+                else:
+                    try:
+                        plan = compile_query(store, query, registry,
+                                             **planner_opts)
+                    except PlannerHintError:
+                        raise  # a bad hint must surface
+                    except QueryCompileError as exc:
+                        plan = None
+                        compile_error = str(exc)
+            if plan is None:
+                res = evaluate_guarded(store, query, guard, registry)
+            else:
+                try:
+                    res = execute_guarded(plan, guard)
+                finally:
+                    if cache is not None:
+                        cache.plans.release(norm, plan)
+            res.plan = plan
+            res.compile_error = compile_error
+            if tier is not None and not res.truncated:
+                tier.put(norm, res.results)
         if ev is not None:
             ev.note_result(res.n_results, res.truncated, res.reason)
             if res.error is not None and not ev.guard_trip:
-                # Evaluator-fallback trims never fire guard._trip, so
-                # the verdict comes from the result's error instead.
+                # Trims of a finished list (evaluator fallback, cache
+                # hit) never fire guard._trip, so the verdict comes
+                # from the result's error instead.
                 ev.guard_trip = type(res.error).__name__
         return res
 
@@ -174,10 +231,9 @@ def evaluate_guarded(store: "XMLStore", query: Any, guard: NullGuard,
                      ) -> GuardedResult:
     """Run a *parsed* query on the reference evaluator under ``guard``.
 
-    The fallback half of :func:`run_query_guarded`, split out so callers
-    that cache parsed queries (:class:`repro.perf.querycache.QueryCache`)
-    can reuse it without re-parsing.  The evaluator is not streaming, so
-    the row budget applies to the finished result list: over-budget
+    The fallback half of :func:`run_query_guarded`.  Access-method
+    ticks still bound the runtime, but the evaluator is not streaming,
+    so the row budget applies to the finished result list: over-budget
     results raise in strict mode and are trimmed + flagged truncated in
     degrade mode.
     """
@@ -213,6 +269,14 @@ def evaluate_guarded(store: "XMLStore", query: Any, guard: NullGuard,
     finally:
         uninstall_guard()
         _obs.RECORDER.end_span(span)
+    return _within_row_budget(results, guard)
+
+
+def _within_row_budget(results: List[object],
+                       guard: NullGuard) -> GuardedResult:
+    """Apply the row budget to a *finished* result list (evaluator
+    output or a result-cache hit): over budget raises in strict mode
+    and is trimmed + flagged truncated in degrade mode."""
     max_rows = getattr(guard, "max_rows", None)
     if max_rows is not None and len(results) > max_rows:
         exc = ResourceExhaustedError(

@@ -66,6 +66,7 @@ from repro.obs import events as _events
 from repro.obs.tracestore import RetentionPolicy, TraceStore
 from repro.resilience import faultinject as _faults
 from repro.resilience.guard import CancellationToken, QueryGuard
+from repro.resilience.run import GuardedResult, run_query_guarded
 from repro.server.admission import AdmissionController, StoreGate
 from repro.server.protocol import (
     MAX_FRAME_BYTES,
@@ -80,14 +81,13 @@ from repro.server.protocol import (
 
 if TYPE_CHECKING:
     from repro.perf.querycache import QueryCache
-    from repro.resilience.run import GuardedResult
     from repro.xmldb.document import Document
     from repro.xmldb.store import XMLStore
 
 __all__ = ["QueryServer"]
 
 #: Signature of a pluggable query runner: ``(source, guard) -> result``.
-Runner = Callable[[str, QueryGuard], "GuardedResult"]
+Runner = Callable[[str, QueryGuard], GuardedResult]
 
 _KNOWN_OPS = ("query", "ping", "stats", "traces")
 
@@ -117,7 +117,7 @@ class QueryServer:
     :param cache: optional shared
         :class:`~repro.perf.querycache.QueryCache`;
     :param runner: pluggable execution hook for tests/chaos — defaults
-        to the cache (if any) or ``run_query_guarded``;
+        to ``run_query_guarded`` with the cache (if any);
     :param trace_store: the distributed-trace registry (defaults to a
         fresh :class:`~repro.obs.tracestore.TraceStore` with the
         default tail-retention policy — pass one built with a custom
@@ -548,14 +548,11 @@ class QueryServer:
             degrade = True
         return timeout_ms, max_rows, degrade
 
-    def _run(self, source: str, guard: QueryGuard) -> "GuardedResult":
+    def _run(self, source: str, guard: QueryGuard) -> GuardedResult:
         if self._runner is not None:
             return self._runner(source, guard)
-        if self.cache is not None:
-            return self.cache.run_query_guarded(source, guard)
-        from repro.resilience.run import run_query_guarded
-
-        return run_query_guarded(self.store, source, guard)
+        return run_query_guarded(self.store, source, guard,
+                                 cache=self.cache)
 
     @staticmethod
     def _row(tree: object, with_scores: bool) -> Dict[str, Any]:

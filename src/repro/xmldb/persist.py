@@ -31,8 +31,9 @@ Fault tolerance (format version 2, see ``docs/robustness.md``):
   every I/O step is a named fault point for the chaos suite
   (``persist.read_manifest`` … ``persist.replace``).
 
-Version-1 stores (no checksums) still load; checksum verification is
-simply skipped for manifest entries without a ``sha256`` field.
+Format 2 is the only version read: a version-1 manifest (no
+checksums) is an unsupported-version error, and a format-2 entry
+without its ``sha256`` is a corrupt entry — nothing loads unverified.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ from repro.xmldb.store import XMLStore
 
 MANIFEST_NAME = "store.json"
 FORMAT_VERSION = 2
-#: Versions :func:`load_store` accepts (v1 = no checksums).
-SUPPORTED_VERSIONS = (1, 2)
+#: Versions :func:`load_store` accepts.
+SUPPORTED_VERSIONS = (FORMAT_VERSION,)
 
 #: Retry policy for transient I/O (module-level so tests can tune it).
 IO_ATTEMPTS = 3
@@ -203,13 +204,12 @@ def _load_manifest(directory: str) -> Dict:
 def _load_document(store: XMLStore, directory: str, entry: Dict,
                    manifest_path: str) -> None:
     """Read, verify, and parse one manifest entry into ``store``."""
-    if not isinstance(entry, dict) or "name" not in entry \
-            or "file" not in entry:
-        missing = [k for k in ("name", "file")
-                   if not isinstance(entry, dict) or k not in entry]
+    missing = [k for k in ("name", "file", "sha256")
+               if not isinstance(entry, dict) or k not in entry]
+    if missing:
         raise PersistError(
             f"malformed manifest entry in {manifest_path}: missing "
-            f"{', '.join(missing) or 'fields'} in {entry!r}",
+            f"{', '.join(missing)} in {entry!r}",
             path=manifest_path,
         )
     path = os.path.join(directory, entry["file"])
@@ -224,16 +224,15 @@ def _load_document(store: XMLStore, directory: str, entry: Dict,
         raise PersistError(
             f"cannot read document file {path}: {exc}", path=path
         ) from exc
-    expected = entry.get("sha256")
-    if expected is not None:
-        actual = _sha256(source)
-        if actual != expected:
-            raise PersistError(
-                f"checksum mismatch in {path}: manifest says "
-                f"{expected[:12]}…, file hashes to {actual[:12]}… — "
-                "the document is corrupt",
-                path=path,
-            )
+    expected = str(entry["sha256"])
+    actual = _sha256(source)
+    if actual != expected:
+        raise PersistError(
+            f"checksum mismatch in {path}: manifest says "
+            f"{expected[:12]}…, file hashes to {actual[:12]}… — "
+            "the document is corrupt",
+            path=path,
+        )
     try:
         _fi.INJECTOR.fire("store.parse_doc", path=path)
         # ValueError covers catalog conflicts (duplicate document names);

@@ -10,6 +10,7 @@ import pytest
 
 from repro import obs
 from repro.perf import QueryCache, execute_batch
+from repro.resilience import run_query_guarded
 from repro.xmldb.store import XMLStore
 
 
@@ -49,15 +50,15 @@ class TestBatchBasics:
                 == [t.score for t in result[4].results])
 
     def test_results_match_sequential_runs(self):
-        from repro.query.evaluator import run_query
-
+        # A budget-less, cache-less batch runs the same pipeline as
+        # every other batch (it used to answer from the evaluator).
         store = make_store()
         sources = [query_for(d) for d in range(3)]
         batch = execute_batch(store, sources, max_workers=3)
         for src, outcome in zip(sources, batch):
-            expected = run_query(store, src)
-            assert [t.score for t in outcome.results] == \
-                [t.score for t in expected]
+            expected = run_query_guarded(store, src).results
+            assert [(t.root.tag, t.score) for t in outcome.results] == \
+                [(t.root.tag, t.score) for t in expected]
 
     def test_empty_batch(self):
         result = execute_batch(make_store(), [])
@@ -145,7 +146,8 @@ class TestConcurrencySmoke:
         store.index  # pre-build once; workers then only read
         store.structure
         reference = {
-            d: [t.score for t in cache.run_query(query_for(d))]
+            d: [t.score for t in run_query_guarded(
+                store, query_for(d), cache=cache).results]
             for d in range(3)
         }
         errors = []

@@ -145,7 +145,7 @@ class TestCLI:
 
         log = tmp_path / "audit.jsonl"
         log.write_text(_json.dumps({
-            "v": 2, "query_sha256": "ab", "ops": [
+            "v": 3, "query_sha256": "ab", "ops": [
                 {"operator": "sort", "rows": 2, "est_rows": 8.0,
                  "q_error": 4.0, "time_ms": 0.1},
             ],
@@ -180,6 +180,29 @@ class TestCLI:
         ]) == 0
         forced = capsys.readouterr().out
         assert forced == plain  # same answer, different physical plan
+
+    def test_query_analyze_composes_with_the_guard(self, tmp_path, capsys):
+        # Regression: --analyze + a guard flag printed the metrics but
+        # silently dropped the EXPLAIN ANALYZE tree.
+        doc = tmp_path / "a.xml"
+        doc.write_text("<a><b>hello queries</b><c>more queries</c></a>")
+        base = ["query", "--doc", f"a.xml={doc}", "-q", self.EXPLAINABLE,
+                "--analyze"]
+        assert main(base) == 0
+        plain = capsys.readouterr().out
+        assert "EXPLAIN ANALYZE" in plain and "guard." not in plain
+        assert main(base + ["--max-rows", "1", "--degrade"]) == 0
+        out = capsys.readouterr().out
+        assert "(1 results, truncated:" in out
+        assert "EXPLAIN ANALYZE" in out and "termjoin-scan" in out
+        assert "q_error=" in out
+        assert "guard.checks" in out and "guard.trips.rows: 1" in out
+        assert out.index("EXPLAIN ANALYZE") < out.index("guard.checks")
+        # strict trip: status 3, metrics still reported (stderr)
+        assert main(base + ["--max-rows", "1"]) == 3
+        captured = capsys.readouterr()
+        assert "query aborted" in captured.err
+        assert "guard.trips.rows: 1" in captured.err
 
     def test_query_bad_force_op_is_rc2(self, tmp_path, capsys):
         doc = tmp_path / "a.xml"
@@ -218,7 +241,7 @@ class TestCLI:
         assert "source=forced" in forced
 
     AUDIT_RECORD = {
-        "v": 2, "query_sha256": "ab", "ops": [
+        "v": 3, "query_sha256": "ab", "ops": [
             {"operator": "termjoin-scan", "rows": 2, "est_rows": 8.0,
              "q_error": 4.0, "time_ms": 0.1},
         ],

@@ -28,7 +28,8 @@ from repro.plan.estimate import (
     structural_join_estimate,
     term_estimate,
 )
-from repro.plan.feedback import feedback_report
+from repro.obs.events import SCHEMA_VERSION
+from repro.plan.feedback import SUPPORTED_EVENT_VERSIONS, feedback_report
 from repro.query import parse_query
 from repro.query.compiler import compile_query
 from repro.xmldb.stats import StoreStatistics
@@ -302,9 +303,9 @@ class TestEstimateMetrics:
         assert snap["estimate.qerror"]["count"] > 0
 
 
-def _v2_record(sha: str, ops):
+def _record(sha: str, ops):
     return {
-        "v": 2, "ts": 0.0, "kind": "query", "query_sha256": sha,
+        "v": SCHEMA_VERSION, "trace_id": "", "ts": 0.0, "kind": "query", "query_sha256": sha,
         "outcome": "ok", "wall_ms": 1.0, "rows": 1, "truncated": False,
         "reason": "", "error_type": "", "cache": "", "plan_cache": "",
         "guard": {"active": False, "degraded": False, "trip": ""},
@@ -312,23 +313,24 @@ def _v2_record(sha: str, ops):
     }
 
 
-def _v1_record(sha: str):
-    r = _v2_record(sha, [{"operator": "sort", "rows": 3,
-                          "time_ms": 0.1}])
-    r["v"] = 1
+def _old_record(sha: str, version: int):
+    r = _record(sha, [{"operator": "sort", "rows": 3, "est_rows": 3.0,
+                       "q_error": 1.0, "time_ms": 0.1}])
+    r["v"] = version
+    del r["trace_id"]
     return r
 
 
 class TestFeedbackReport:
     def test_ranks_by_median_qerror(self):
         records = [
-            _v2_record("aa", [
+            _record("aa", [
                 {"operator": "sort", "rows": 10, "est_rows": 10.0,
                  "q_error": 1.0, "time_ms": 0.1},
                 {"operator": "termjoin-scan(x)", "rows": 1,
                  "est_rows": 50.0, "q_error": 50.0, "time_ms": 0.2},
             ]),
-            _v2_record("bb", [
+            _record("bb", [
                 {"operator": "termjoin-scan(x)", "rows": 2,
                  "est_rows": 40.0, "q_error": 20.0, "time_ms": 0.2},
             ]),
@@ -344,31 +346,37 @@ class TestFeedbackReport:
         assert report.shapes[0].key == "aa"
 
     def test_qerror_derived_when_absent(self):
-        records = [_v2_record("aa", [
+        records = [_record("aa", [
             {"operator": "sort", "rows": 5, "est_rows": 10.0,
              "time_ms": 0.1},  # no q_error field
         ])]
         report = feedback_report(records)
         assert report.operators[0].median_qerror == pytest.approx(2.0)
 
-    def test_mixed_version_log(self):
+    def test_other_versions_are_skipped_never_crash(self):
+        assert SUPPORTED_EVENT_VERSIONS == (SCHEMA_VERSION,)
         records = [
-            _v1_record("aa"),  # pre-estimator: counted, not aggregated
-            _v2_record("bb", [
-                {"operator": "sort", "rows": 4, "est_rows": 8.0,
-                 "q_error": 2.0, "time_ms": 0.1},
+            _old_record("aa", 1),
+            _old_record("aa", 2),
+            _record("bb", [
+                {"operator": "termjoin-scan(x)", "rows": 4,
+                 "est_rows": 8.0, "q_error": 2.0, "time_ms": 0.1},
             ]),
-            {"v": 99, "ops": []},  # future version: skipped
+            _record("cc", [{"operator": "sort", "rows": 3,
+                            "time_ms": 0.1}]),  # evaluator-style: no est
+            {"v": 99, "ops": []},  # future version
+            {"ops": "garbage"},    # no version at all
         ]
         report = feedback_report(records)
-        assert report.n_records == 2  # v1 + v2 both read
+        assert report.n_records == 2  # current-schema records only
+        assert report.n_skipped == 4
         assert report.n_without_estimates == 1
-        assert report.n_skipped == 1
-        assert len(report.operators) == 1
+        # the old records' operators never reach the aggregation
+        assert [o.key for o in report.operators] == ["termjoin-scan(x)"]
 
     def test_min_count_filters_singletons(self):
         records = [
-            _v2_record("aa", [
+            _record("aa", [
                 {"operator": "sort", "rows": 4, "est_rows": 8.0,
                  "q_error": 2.0, "time_ms": 0.1},
             ]),
@@ -377,7 +385,7 @@ class TestFeedbackReport:
         assert report.operators == []
 
     def test_render_and_to_dict(self):
-        records = [_v2_record("aa", [
+        records = [_record("aa", [
             {"operator": "sort", "rows": 4, "est_rows": 8.0,
              "q_error": 2.0, "time_ms": 0.1},
         ])]
@@ -394,7 +402,7 @@ class TestFeedbackReport:
         assert "no per-operator estimates" in report.render()
 
     def test_end_to_end_from_audit_log(self):
-        """A real guarded run writes a v2 log tix feedback can read."""
+        """A real guarded run writes a log tix feedback can read."""
         from repro.obs import events
         from repro.resilience import QueryGuard, run_query_guarded
 

@@ -117,22 +117,22 @@ def test_json_report_schema(tmp_path):
     assert finding["witness"] == []
 
 
-def test_report_reader_is_version_tolerant(tmp_path):
-    # The v2 reader digests archived v1 reports (no witness field)
-    # next to v2 ones — the audit-log v1/v2 precedent.
+def test_report_reader_reads_the_current_version_only(tmp_path):
     root = write_tree(tmp_path, _BAD_TREE)
     result = lint(root=root, rules=["resource-safety"])
-    v2 = json.loads(render_json(result))
+    current = json.loads(render_json(result))
+    (finding,) = findings_from_payload(current)
+    assert finding.rule == "resource-safety"
+    assert finding.witness == ()
+    # An archived v1 report (no witness field) and a future one are
+    # both rejected with the same typed error.
     v1 = json.loads(render_json(result))
     v1["version"] = 1
     for f in v1["findings"]:
         del f["witness"]
-    for payload in (v1, v2):
-        (finding,) = findings_from_payload(payload)
-        assert finding.rule == "resource-safety"
-        assert finding.witness == ()
-    with pytest.raises(ValueError, match="unsupported"):
-        findings_from_payload({"version": 99, "findings": []})
+    for payload in (v1, {"version": 99, "findings": []}):
+        with pytest.raises(ValueError, match="unsupported"):
+            findings_from_payload(payload)
 
 
 def test_human_report_summary_line(tmp_path):

@@ -15,7 +15,7 @@ from repro.perf import (
 )
 from repro.perf.lru import LRUCache as _LRU
 from repro.query.parser import parse_query
-from repro.resilience import QueryGuard
+from repro.resilience import QueryGuard, run_query_guarded
 from repro.xmldb.parser import parse_document
 from repro.xmldb.store import XMLStore
 
@@ -25,6 +25,12 @@ def make_store(extra_terms=""):
     store.load("a.xml", f"<article><t>alpha beta</t>"
                         f"<sec>alpha gamma {extra_terms}</sec></article>")
     return store
+
+
+def run(cache, source, **kwargs):
+    """One pipeline run through ``cache``; returns the result list."""
+    return run_query_guarded(cache.store, source, cache=cache,
+                             **kwargs).results
 
 
 COMPILABLE = (
@@ -169,8 +175,8 @@ class TestQueryCache:
     def test_result_tier_hits(self):
         store = make_store()
         cache = QueryCache(store)
-        a = cache.run_query(COMPILABLE)
-        b = cache.run_query(COMPILABLE)
+        a = run(cache, COMPILABLE)
+        b = run(cache, COMPILABLE)
         assert [t.score for t in a] == [t.score for t in b]
         assert cache.results.hits == 1
         assert b is not a  # callers get their own list
@@ -178,9 +184,9 @@ class TestQueryCache:
     def test_plan_tier_pools_and_reuses(self):
         store = make_store()
         cache = QueryCache(store, results=False)
-        cache.run_query(COMPILABLE)
-        cache.run_query(COMPILABLE)
-        cache.run_query(COMPILABLE)
+        run(cache, COMPILABLE)
+        run(cache, COMPILABLE)
+        run(cache, COMPILABLE)
         assert cache.plans.misses == 1  # one compile
         assert cache.plans.hits == 2
 
@@ -191,14 +197,14 @@ class TestQueryCache:
 
         store = make_store()
         cache = QueryCache(store, results=False)
-        cache.run_query(COMPILABLE)  # prime: one compile
+        run(cache, COMPILABLE)  # prime: one compile
         per_thread, n_threads = 25, 4
         barrier = threading.Barrier(n_threads)
 
         def worker():
             barrier.wait()
             for _ in range(per_thread):
-                cache.run_query(COMPILABLE)
+                run(cache, COMPILABLE)
 
         threads = [threading.Thread(target=worker)
                    for _ in range(n_threads)]
@@ -212,8 +218,8 @@ class TestQueryCache:
     def test_non_compilable_verdict_is_cached(self):
         store = make_store()
         cache = QueryCache(store, results=False)
-        cache.run_query(EVALUATOR_ONLY)
-        cache.run_query(EVALUATOR_ONLY)
+        run(cache, EVALUATOR_ONLY)
+        run(cache, EVALUATOR_ONLY)
         assert cache.plans.misses == 1  # the compiler ran once
         assert cache.plans.hits == 1    # the "no plan" verdict hit
 
@@ -223,34 +229,37 @@ class TestQueryCache:
         store = make_store()
         cache = QueryCache(store)
         reg = default_registry()
-        a = cache.run_query(COMPILABLE, registry=reg)
-        cache.run_query(COMPILABLE, registry=reg)
+        a = run(cache, COMPILABLE, registry=reg)
+        run(cache, COMPILABLE, registry=reg)
         assert a
         assert cache.results.hits == 0 and cache.plans.misses == 0
 
     def test_guarded_hit_enforces_row_budget(self):
         store = make_store()
         cache = QueryCache(store)
-        full = cache.run_query(COMPILABLE)
+        full = run(cache, COMPILABLE)
         assert len(full) > 1
-        res = cache.run_query_guarded(
-            COMPILABLE, QueryGuard(max_rows=1, degrade=True)
+        res = run_query_guarded(
+            store, COMPILABLE, QueryGuard(max_rows=1, degrade=True),
+            cache=cache,
         )
         assert res.truncated and len(res.results) == 1
         with pytest.raises(ResourceExhaustedError):
-            cache.run_query_guarded(
-                COMPILABLE, QueryGuard(max_rows=1, degrade=False)
+            run_query_guarded(
+                store, COMPILABLE, QueryGuard(max_rows=1, degrade=False),
+                cache=cache,
             )
 
     def test_truncated_run_is_never_cached(self):
         store = make_store()
         cache = QueryCache(store)
-        res = cache.run_query_guarded(
-            COMPILABLE, QueryGuard(max_rows=1, degrade=True)
+        res = run_query_guarded(
+            store, COMPILABLE, QueryGuard(max_rows=1, degrade=True),
+            cache=cache,
         )
         assert res.truncated
         assert len(cache.results._lru) == 0
-        full = cache.run_query(COMPILABLE)
+        full = run(cache, COMPILABLE)
         assert len(full) > 1
 
 
@@ -302,40 +311,36 @@ class TestGenerationInvalidation:
     def test_result_cache_cannot_serve_stale(self):
         store = make_store()
         cache = QueryCache(store)
-        warm = cache.run_query(COMPILABLE)
+        warm = run(cache, COMPILABLE)
         assert cache.results.hits == 0
-        cache.run_query(COMPILABLE)
+        run(cache, COMPILABLE)
         assert cache.results.hits == 1  # the warm path really is warm
         self.replace_queried_doc(store)
-        fresh = cache.run_query(COMPILABLE)
+        fresh = run(cache, COMPILABLE)
         assert len(fresh) > len(warm)
 
     def test_plan_cache_cannot_serve_stale(self):
         store = make_store()
         cache = QueryCache(store, results=False)
-        warm = cache.run_query(COMPILABLE)
+        warm = run(cache, COMPILABLE)
         self.replace_queried_doc(store)
-        fresh = cache.run_query(COMPILABLE)
+        fresh = run(cache, COMPILABLE)
         assert len(fresh) > len(warm)
         assert cache.plans.misses == 2  # recompiled for the new key
 
     def test_evaluator_path_cannot_serve_stale(self):
         store = make_store()
         cache = QueryCache(store)
-        warm = cache.run_query(EVALUATOR_ONLY)
+        warm = run(cache, EVALUATOR_ONLY)
         self.replace_queried_doc(store)
-        fresh = cache.run_query(EVALUATOR_ONLY)
+        fresh = run(cache, EVALUATOR_ONLY)
         assert len(fresh) > len(warm)
 
     def test_reference_results_match_after_invalidation(self):
-        from repro.resilience import NullGuard, run_query_guarded
-
         store = make_store()
         cache = QueryCache(store)
-        cache.run_query(COMPILABLE)
+        run(cache, COMPILABLE)
         self.replace_queried_doc(store)
-        cached = cache.run_query(COMPILABLE)
-        reference = run_query_guarded(
-            store, COMPILABLE, NullGuard()
-        ).results
+        cached = run(cache, COMPILABLE)
+        reference = run_query_guarded(store, COMPILABLE).results
         assert [t.score for t in cached] == [t.score for t in reference]

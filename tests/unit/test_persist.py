@@ -76,7 +76,8 @@ class TestErrors:
     def test_missing_document_file(self, tmp_path):
         (tmp_path / "store.json").write_text(json.dumps({
             "format_version": FORMAT_VERSION,
-            "documents": [{"name": "a.xml", "file": "gone.xml"}],
+            "documents": [{"name": "a.xml", "file": "gone.xml",
+                           "sha256": "0" * 64}],
         }))
         with pytest.raises(TIXError, match="missing document"):
             load_store(str(tmp_path))

@@ -47,17 +47,33 @@ class TestFormatV2:
         assert not [f for f in os.listdir(directory)
                     if f.endswith(".tmp")]
 
-    def test_v1_manifest_without_checksums_loads(self, saved):
-        store, directory = saved
+    def _strip_checksums(self, directory, version):
         manifest = _manifest(directory)
-        manifest["format_version"] = 1
+        manifest["format_version"] = version
         for entry in manifest["documents"]:
             del entry["sha256"]
             del entry["bytes"]
         with open(os.path.join(directory, "store.json"), "w") as f:
             json.dump(manifest, f)
-        loaded = load_store(directory)
-        assert loaded.n_documents == store.n_documents
+
+    def test_v1_manifest_is_an_unsupported_version(self, saved):
+        _, directory = saved
+        self._strip_checksums(directory, version=1)
+        with pytest.raises(PersistError,
+                           match="unsupported store format version 1"):
+            load_store(directory)
+        with pytest.raises(PersistError, match="unsupported"):
+            load_store(directory, partial=True)  # manifest-level: raises
+
+    def test_v2_entry_without_checksum_never_loads_unverified(self, saved):
+        _, directory = saved
+        self._strip_checksums(directory, version=FORMAT_VERSION)
+        with pytest.raises(PersistError,
+                           match="malformed manifest entry.*sha256"):
+            load_store(directory)
+        report = load_store_report(directory, partial=True)
+        assert report.store.n_documents == 0
+        assert len(report.skipped) == len(_manifest(directory)["documents"])
 
 
 class TestCorruption:

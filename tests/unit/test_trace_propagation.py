@@ -249,8 +249,10 @@ def _v2_record():
 
 
 class TestAuditV3RoundTrip:
-    """Satellite (f): mixed v1/v2/v3 audit files read without loss and
-    the v3 ``trace_id`` joins records to retained traces."""
+    """Mixed v1/v2/v3 audit files list without loss in ``tix events``
+    (it renders whatever JSON it is given), ``tix feedback`` aggregates
+    the current version only, and the v3 ``trace_id`` joins records to
+    retained traces."""
 
     def _mixed_file(self, tmp_path, v3_extra=None):
         ev = events.QueryEvent("query text")
@@ -280,11 +282,12 @@ class TestAuditV3RoundTrip:
         out = capsys.readouterr().out
         assert "(3 of 3 events)" in out
 
-    def test_tix_feedback_aggregates_mixed_file(self, tmp_path, capsys):
+    def test_tix_feedback_skips_the_old_versions(self, tmp_path, capsys):
         path, _ = self._mixed_file(tmp_path)
         assert cli.main(["feedback", str(path), "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["n_records"] == 3
+        assert report["n_records"] == 1  # the v3 line
+        assert report["n_skipped"] == 2  # v1 + v2: counted, not read
 
     def test_served_query_trace_id_joins_audit_to_trace(
             self, server, client, tmp_path):
