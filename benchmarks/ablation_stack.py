@@ -14,7 +14,6 @@ import pytest
 from repro.access.results import ScoredElement
 from repro.access.termjoin import TermJoin
 from repro.core.scoring import WeightedCountScorer
-from repro.index.inverted import P_DOC, P_NODE
 from repro.xmldb.store import XMLStore
 
 
@@ -31,11 +30,11 @@ class NoStackTermJoin:
     def run(self, terms: Sequence[str]) -> List[ScoredElement]:
         counts: Dict[Tuple[int, int], Dict[str, int]] = {}
         for term in terms:
-            for p in self.store.index.postings(term):
-                doc = self.store.document(p[P_DOC])
-                cur = p[P_NODE]
+            cols = self.store.index.postings(term).postings
+            for doc_id, cur in zip(cols.doc, cols.node):
+                doc = self.store.document(doc_id)
                 while cur != -1:
-                    node_counts = counts.setdefault((p[P_DOC], cur), {})
+                    node_counts = counts.setdefault((doc_id, cur), {})
                     node_counts[term] = node_counts.get(term, 0) + 1
                     cur = doc.parents[cur]
         return [

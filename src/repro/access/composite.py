@@ -34,7 +34,6 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.access.results import PhraseMatch, ScoredElement
 from repro.core.scoring import count_phrase
-from repro.index.inverted import P_DOC, P_NODE, P_OFFSET
 from repro.joins.structural import stack_tree_join
 from repro.resilience import guard as _resguard
 from repro.xmldb.store import XMLStore
@@ -64,9 +63,10 @@ class Comp1:
         for term in terms:
             if guard_active:
                 guard.tick()
-            postings = index.postings(term)
+            fetched = index.postings(term)
+            cols = fetched.postings
             counters.index_lookups += 1
-            counters.postings_read += len(postings)
+            counters.postings_read += len(cols)
             # Selection: the direct implementation materializes one
             # witness tree per (occurrence, ancestor) embedding, exactly
             # as the algebra-level scored selection does — the record
@@ -76,26 +76,24 @@ class Comp1:
             witnesses: List[
                 Tuple[int, int, Tuple[str, int, int], SNode]
             ] = []
-            for p in postings:
+            for doc_id, node, offset in zip(cols.doc, cols.node,
+                                            cols.offset):
                 if guard_active:
                     gi += 1
                     if not (gi & 255):
                         guard.tick(256)
-                doc = self.store.document(p[P_DOC])
-                node = p[P_NODE]
-                occ = (term, node, p[P_OFFSET])
-                leaf = SNode(
-                    doc.tags[node], source=(p[P_DOC], node)
-                )
+                doc = self.store.document(doc_id)
+                occ = (fetched.term, node, offset)
+                leaf = SNode(doc.tags[node], source=(doc_id, node))
                 cur = node
                 while cur != -1:
                     counters.navigations += 1
                     witness_root = SNode(
-                        doc.tags[cur], source=(p[P_DOC], cur)
+                        doc.tags[cur], source=(doc_id, cur)
                     )
                     if cur != node:
                         witness_root.add_child(leaf.shallow_copy())
-                    witnesses.append((p[P_DOC], cur, occ, witness_root))
+                    witnesses.append((doc_id, cur, occ, witness_root))
                     cur = doc.parents[cur]
             # Grouping on node id: sort then linear group.
             witnesses.sort(key=lambda w: (w[0], w[1]))
@@ -180,21 +178,22 @@ class Comp2(Comp1):
         for term in terms:
             if guard_active:
                 guard.tick()
-            postings = index.postings(term)
+            fetched = index.postings(term)
             counters.index_lookups += 1
-            counters.postings_read += len(postings)
+            counters.postings_read += len(fetched)
             counters.nodes_fetched += len(all_elements)  # full scan
             # stack_tree_join ticks internally; the containment output
             # it returns can still dwarf its inputs, so the pair loop
-            # checks on its own stride too.
-            pairs = stack_tree_join(all_elements, postings.postings)
-            for anc, posting in pairs:
+            # checks on its own stride too.  The join is the generic
+            # record-at-a-time operator, so it is fed posting rows.
+            pairs = stack_tree_join(all_elements, fetched.postings)
+            for anc, (_doc, _pos, node, offset) in pairs:
                 if guard_active:
                     gi += 1
                     if not (gi & 255):
                         guard.tick(256)
                 key = (anc[0], anc[4])
-                occ = (term, posting[P_NODE], posting[P_OFFSET])
+                occ = (fetched.term, node, offset)
                 if key in merged:
                     merged[key].append(occ)
                 else:
@@ -223,13 +222,16 @@ class Comp3:
         candidate_sets: List[set] = []
         guard = _resguard.GUARD
         guard_active = guard.active
+        terms: List[str] = []
         for term in phrase_terms:
             if guard_active:
                 guard.tick()
-            postings = index.postings(term)
+            fetched = index.postings(term)
+            cols = fetched.postings
             counters.index_lookups += 1
-            counters.postings_read += len(postings)
-            candidate_sets.append({(p[P_DOC], p[P_NODE]) for p in postings})
+            counters.postings_read += len(cols)
+            candidate_sets.append(set(zip(cols.doc, cols.node)))
+            terms.append(fetched.term)
         if not candidate_sets:
             return []
         candidates = set.intersection(*candidate_sets)
@@ -237,7 +239,6 @@ class Comp3:
         # Filter: fetch each candidate's text from the database and scan
         # it for the exact phrase.
         out: List[PhraseMatch] = []
-        terms = [t.lower() for t in phrase_terms]
         for doc_id, node_id in sorted(candidates):
             # One check per candidate: each iteration refetches and
             # rescans an element's full text, heavy enough that strides

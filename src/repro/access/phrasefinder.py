@@ -18,7 +18,6 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 from repro import obs as _obs
 from repro.resilience import guard as _resguard
 from repro.access.results import PhraseMatch
-from repro.index.inverted import P_DOC, P_NODE, P_OFFSET, P_POS
 from repro.xmldb.store import XMLStore
 
 
@@ -82,7 +81,6 @@ class PhraseFinder:
             return []
         index = self.store.index
         counters = self.store.counters
-        terms = [t.lower() for t in phrase_terms]
         scanned = 0
         comparisons = 0
         rejected = 0
@@ -96,43 +94,41 @@ class PhraseFinder:
         # Offsets per (doc, node) for each term, gathered in one pass per
         # posting list.  Intersection and offset verification are fused:
         # a node survives only while every prefix term has a matching
-        # offset chain.  Each chain remembers where it started.
-        first = index.postings(terms[0], strict=self.strict)
+        # offset chain.  Each chain remembers where it started.  Only
+        # the first term's ``pos`` column is read (a phrase is *at* its
+        # first word); later terms are checked on doc/node/offset alone.
+        first = index.postings(phrase_terms[0], strict=self.strict).postings
         counters.index_lookups += 1
         counters.postings_read += len(first)
         scanned += len(first)
         # chains: (doc, node) -> {end_offset: (start_pos, start_offset)}
         chains: Dict[Tuple[int, int], Dict[int, Tuple[int, int]]] = {}
-        for p in first:
+        for doc_id, pos, node_id, offset in first:
             if guard_active:
                 gi += 1
                 if not (gi & 255):
                     guard.tick(256)
-            chains.setdefault((p[P_DOC], p[P_NODE]), {})[p[P_OFFSET]] = (
-                p[P_POS], p[P_OFFSET]
-            )
+            chains.setdefault((doc_id, node_id), {})[offset] = (pos, offset)
 
-        for term in terms[1:]:
+        for term in phrase_terms[1:]:
             if not chains:
                 break
             if guard_active:
                 guard.tick()
-            postings = index.postings(term, strict=self.strict)
+            cols = index.postings(term, strict=self.strict).postings
             counters.index_lookups += 1
-            counters.postings_read += len(postings)
-            scanned += len(postings)
-            comparisons += len(postings)  # one offset check per posting
+            counters.postings_read += len(cols)
+            scanned += len(cols)
+            comparisons += len(cols)  # one offset check per posting
             nxt: Dict[Tuple[int, int], Dict[int, Tuple[int, int]]] = {}
-            for p in postings:
+            for key, offset in zip(zip(cols.doc, cols.node), cols.offset):
                 if guard_active:
                     gi += 1
                     if not (gi & 255):
                         guard.tick(256)
-                key = (p[P_DOC], p[P_NODE])
                 prev = chains.get(key)
-                if prev is not None and p[P_OFFSET] - 1 in prev:
-                    nxt.setdefault(key, {})[p[P_OFFSET]] = \
-                        prev[p[P_OFFSET] - 1]
+                if prev is not None and offset - 1 in prev:
+                    nxt.setdefault(key, {})[offset] = prev[offset - 1]
             # candidate (doc, node) chains that no posting of this term
             # could extend are rejected here, never re-examined
             rejected += len(chains) - len(nxt)

@@ -20,32 +20,41 @@ Modes, matching the ``s`` flag of Fig. 11:
   *navigating* the stored document (first-child / next-sibling walks, each
   step a data access); :class:`EnhancedTermJoin` instead reads it from the
   structure index in O(1) — the §6.1 variant that wins by a few times.
+
+**The pass, over posting columns.**  The per-term columns are
+concatenated and brought into ``(doc, pos)`` order by one sort of row
+numbers on a packed key — the k-way run merge of the paper's "single
+merge pass", done by Timsort over ints.  In the merged stream the
+occurrences under an element are one *contiguous span* ``[lo, i)``:
+``lo`` is the posting that pushed the element, ``i`` the posting that
+pops it.  So a stacked ancestor is three ints in three parallel lists —
+its node id, its ``lo``, and (complex mode) its relevant-child count —
+and a pop reads the element's counters from per-term prefix sums
+(``cum[i] - cum[lo]``) or its occurrence buffer from one slice;
+nothing is merged or copied a level up.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import sys
+from array import array
+from bisect import bisect_left
+from itertools import accumulate, chain
+from operator import itemgetter
+from typing import Dict, List, Optional, Sequence
 
 from repro import obs as _obs
 from repro.resilience import guard as _resguard
 from repro.access.results import ScoredElement
-from repro.index.inverted import P_DOC, P_NODE, P_OFFSET, P_POS
+from repro.index.inverted import INT
 from repro.xmldb.document import Document
 from repro.xmldb.store import XMLStore
 
+#: ``top_end`` of an empty stack: no position is beyond it.
+_OPEN = sys.maxsize
 
-class _StackEntry:
-    """One stacked ancestor: counters plus (complex mode) buffer/stats."""
-
-    __slots__ = ("node_id", "counts", "occs", "relevant_children")
-
-    def __init__(self, node_id: int, track_occurrences: bool):
-        self.node_id = node_id
-        self.counts: Dict[str, int] = {}
-        self.occs: Optional[List[Tuple[str, int, int]]] = (
-            [] if track_occurrences else None
-        )
-        self.relevant_children = 0
+#: Canonical order of an occurrence buffer ``(term, node, offset)``.
+_BY_NODE_OFFSET = itemgetter(1, 2)
 
 
 class TermJoin:
@@ -79,14 +88,18 @@ class TermJoin:
     # ------------------------------------------------------------------
 
     def _child_count(self, doc: Document, node_id: int) -> int:
-        counters = self.store.counters
+        # First child, then next sibling until the subtree is left: a
+        # node's next sibling is the first node starting past its end.
+        starts = doc.starts
+        ends = doc.ends
+        last = bisect_left(starts, ends[node_id]) - 1
         count = 0
-        last = doc.last_descendant(node_id)
         child = node_id + 1
         while child <= last:
             count += 1
-            counters.navigations += 1
-            child = doc.last_descendant(child) + 1
+            child = bisect_left(starts, ends[child])
+        counters = self.store.counters
+        counters.navigations += count
         counters.nodes_fetched += 1
         return count
 
@@ -98,106 +111,152 @@ class TermJoin:
         """Score every element whose subtree contains at least one
         occurrence of any term in ``terms``.  Output order is pop order =
         ascending end key (children before parents)."""
-        index = self.store.index
-        counters = self.store.counters
+        store = self.store
+        index = store.index
+        counters = store.counters
         track = self.complex_scoring
-
-        # Merge the per-term posting lists into one document-ordered
-        # stream.  Each list is already sorted by (doc, pos); Timsort on
-        # the concatenation performs exactly the k-way run merge of the
-        # paper's "single merge pass".
-        merged: List[Tuple[int, int, int, int, str]] = []
         guard = _resguard.GUARD
         guard_active = guard.active
+
+        # Fetch: the per-term columns end to end, each posting labelled
+        # with its (normalised) term.
+        docs = array(INT)
+        poss = array(INT)
+        nodes = array(INT)
+        offsets = array(INT)
+        labels: List[str] = []
+        runs = 0
         for term in terms:
             if guard_active:
                 guard.tick()
-            postings = index.postings(term, strict=self.strict)
+            fetched = index.postings(term, strict=self.strict)
+            cols = fetched.postings
             counters.index_lookups += 1
-            counters.postings_read += len(postings)
-            merged.extend(
-                (p[P_DOC], p[P_POS], p[P_NODE], p[P_OFFSET], term)
-                for p in postings
-            )
-        merged.sort()
+            counters.postings_read += len(cols)
+            if len(cols):
+                runs += 1
+                docs += cols.doc
+                poss += cols.pos
+                nodes += cols.node
+                offsets += cols.offset
+                labels += [fetched.term] * len(cols)
+        n = len(docs)
+
+        # Merge: each run is already in (doc, pos) order, so sorting the
+        # row numbers by the packed key is the k-way run merge; the
+        # columns the pass reads are then gathered in that order.
+        if runs > 1:
+            keys = [d << 32 | p for d, p in zip(docs, poss)]
+            merged = itemgetter(*sorted(range(n), key=keys.__getitem__))
+            docs, poss, nodes, labels = (
+                merged(docs), merged(poss), merged(nodes), merged(labels))
+            if track:
+                offsets = merged(offsets)
+
+        scorer = self.scorer
+        if track:
+            occurrences = list(zip(labels, nodes, offsets))
+            score_occurrences = scorer.score_from_occurrences
+            child_count = self._child_count
+        else:
+            # cum[i] = occurrences of the term among postings [0, i).
+            cums = [
+                (term, list(accumulate(map(term.__eq__, labels), initial=0)))
+                for term in dict.fromkeys(labels)
+            ]
+            score_counts = scorer.score_from_counts
 
         out: List[ScoredElement] = []
-        stack: List[_StackEntry] = []
+        emit = out.append
+        # The stack of ancestors, root first, as parallel int lists.
+        st_node: List[int] = []
+        st_lo: List[int] = []    # first posting of the element's span
+        st_rel: List[int] = []   # relevant children popped so far (complex)
+        top = -1                 # st_node[-1], or -1
+        top_end = _OPEN          # its end key
         cur_doc: Optional[Document] = None
         cur_doc_id = -1
         parents: List[int] = []
         ends: List[int] = []
-
-        def pop_and_emit() -> None:
-            popped = stack.pop()
-            if stack:
-                top = stack[-1]
-                for t, c in popped.counts.items():
-                    top.counts[t] = top.counts.get(t, 0) + c
-                if track:
-                    assert top.occs is not None and popped.occs is not None
-                    top.occs.extend(popped.occs)
-                top.relevant_children += 1
-            assert cur_doc is not None
-            if track:
-                n_children = self._child_count(cur_doc, popped.node_id)
-                # Canonical occurrence order is (text node id, offset):
-                # a node's direct text counts as appearing at the node's
-                # start.  The merge stream orders trailing mixed content
-                # by true position instead, so normalize before scoring —
-                # every implementation (algebra oracle, Generalized Meet,
-                # composites) uses this same convention.
-                assert popped.occs is not None
-                popped.occs.sort(key=lambda o: (o[1], o[2]))
-                score = self.scorer.score_from_occurrences(
-                    popped.occs, n_children, popped.relevant_children
-                )
-            else:
-                score = self.scorer.score_from_counts(popped.counts)
-            out.append(ScoredElement(cur_doc_id, popped.node_id, score))
+        # Canonical occurrence order is (text node id, offset): a node's
+        # direct text counts as appearing at the node's start.  The
+        # merged stream orders trailing mixed content by true position
+        # instead, which shows as a node id *dropping* from one posting
+        # to the next; a span needs sorting only if the latest such drop
+        # lies inside it.
+        last_drop = 0
+        prev_node = -1
 
         # Guard hook: one hoisted boolean test per posting when inactive,
         # a deadline/cancellation check every 256 postings when active.
         gi = 0
 
-        for doc_id, pos, node_id, offset, term in merged:
+        # One closing posting of document -1 pops whatever is left.
+        stream = chain(zip(docs, poss, nodes), ((-1, 0, -1),))
+        for i, (doc_id, pos, node_id) in enumerate(stream):
             if guard_active:
                 gi += 1
                 if not (gi & 255):
                     guard.tick(256)
-            if doc_id != cur_doc_id:
-                while stack:
-                    pop_and_emit()
-                cur_doc = self.store.document(doc_id)
+            # Pop every stacked element whose region ended before this
+            # posting — all of them when the document changes.
+            limit = pos if doc_id == cur_doc_id else _OPEN
+            while top_end < limit:
+                node = st_node.pop()
+                lo = st_lo.pop()
+                if track:
+                    relevant = st_rel.pop()
+                    if st_rel:
+                        st_rel[-1] += 1
+                    span = occurrences[lo:i]
+                    if last_drop > lo:
+                        span.sort(key=_BY_NODE_OFFSET)
+                    score = score_occurrences(
+                        span, child_count(cur_doc, node), relevant)
+                else:
+                    counts = {}
+                    for term, cum in cums:
+                        count = cum[i] - cum[lo]
+                        if count:
+                            counts[term] = count
+                    score = score_counts(counts)
+                emit(ScoredElement(cur_doc_id, node, score))
+                if st_node:
+                    top = st_node[-1]
+                    top_end = ends[top]
+                else:
+                    top = -1
+                    top_end = _OPEN
+            if limit != pos:
+                if doc_id < 0:
+                    break
+                cur_doc = store.document(doc_id)
                 cur_doc_id = doc_id
                 parents = cur_doc.parents
                 ends = cur_doc.ends
-            # Pop every stacked element whose region ended before pos.
-            while stack and ends[stack[-1].node_id] < pos:
-                pop_and_emit()
-            # Push the not-yet-stacked ancestors of this occurrence.
-            top_node = stack[-1].node_id if stack else -1
-            chain: List[int] = []
-            cur = node_id
-            while cur != -1 and cur != top_node:
-                chain.append(cur)
-                cur = parents[cur]
-            for nid in reversed(chain):
-                stack.append(_StackEntry(nid, track))
-            # Credit the occurrence to its directly-containing element.
-            top = stack[-1]
-            top.counts[term] = top.counts.get(term, 0) + 1
-            if track:
-                assert top.occs is not None
-                top.occs.append((term, node_id, offset))
+            elif node_id < prev_node:
+                last_drop = i
+            prev_node = node_id
+            # Push the not-yet-stacked ancestors of this occurrence; all
+            # of their spans start here.
+            if node_id != top:
+                depth = len(st_node)
+                cur = node_id
+                while cur != top:
+                    st_node.insert(depth, cur)
+                    cur = parents[cur]
+                pushed = len(st_node) - depth
+                st_lo += [i] * pushed
+                if track:
+                    st_rel += [0] * pushed
+                top = node_id
+                top_end = ends[top]
 
-        while stack:
-            pop_and_emit()
         # Every pushed entry is popped exactly once and every pop emits
         # exactly one element, so pushes == pops == len(out): the stack
         # counters cost nothing in the merge loop.
         self.last_stats = {
-            "postings_scanned": len(merged),
+            "postings_scanned": n,
             "stack_pushes": len(out),
             "stack_pops": len(out),
             "elements_scored": len(out),

@@ -100,6 +100,12 @@ class WeightedCountScorer(ScoringFunction):
             self._phrases.append((self._prep(phrase), primary_weight))
         for phrase in secondary:
             self._phrases.append((self._prep(phrase), secondary_weight))
+        # Fixed at construction: TermJoin scores once per popped element.
+        self._term_weights: Dict[str, float] = {
+            terms[0]: weight
+            for terms, weight in self._phrases
+            if len(terms) == 1
+        }
 
     def _prep(self, phrase: str) -> List[str]:
         terms = tokenize_phrase(phrase)
@@ -115,11 +121,7 @@ class WeightedCountScorer(ScoringFunction):
     def term_weights(self) -> Dict[str, float]:
         """``{term: weight}`` for single-term phrases — the interface the
         TermJoin access method consumes (it scores per-term counters)."""
-        return {
-            terms[0]: weight
-            for terms, weight in self._phrases
-            if len(terms) == 1
-        }
+        return dict(self._term_weights)
 
     def score_words(self, words: Sequence[str]) -> float:
         if self.stem:
@@ -135,8 +137,12 @@ class WeightedCountScorer(ScoringFunction):
     def score_from_counts(self, counts: Mapping[str, int]) -> float:
         """Score from per-term counters (simple-mode TermJoin).  Only
         meaningful when every phrase is a single term."""
-        weights = self.term_weights()
-        return sum(weights[t] * c for t, c in counts.items() if t in weights)
+        weights = self._term_weights
+        score = 0.0
+        for term, count in counts.items():
+            if term in weights:
+                score += weights[term] * count
+        return score
 
 
 class TfIdfScorer(ScoringFunction):
@@ -218,16 +224,17 @@ class ProximityScorer(ScoringFunction):
         relevance statistics."""
         base = self.term_weight * len(occurrences)
         bonus = 0.0
-        for i in range(1, len(occurrences)):
-            t1, n1, o1 = occurrences[i - 1]
-            t2, n2, o2 = occurrences[i]
-            if t1 == t2:
-                continue
-            if n1 == n2:
-                d = abs(o2 - o1)
-            else:
-                d = self.node_distance * abs(n2 - n1)
-            bonus += 1.0 / (1.0 + d)
+        node_distance = self.node_distance
+        rest = iter(occurrences)
+        t1, n1, o1 = next(rest, (None, 0, 0))
+        for t2, n2, o2 in rest:
+            if t1 != t2:
+                if n1 == n2:
+                    d = abs(o2 - o1)
+                else:
+                    d = node_distance * abs(n2 - n1)
+                bonus += 1.0 / (1.0 + d)
+            t1, n1, o1 = t2, n2, o2
         score = base + bonus
         if n_children > 0:
             score *= n_relevant_children / n_children

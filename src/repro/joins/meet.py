@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.access.results import ScoredElement
-from repro.index.inverted import P_DOC, P_NODE, P_OFFSET
 from repro.xmldb.store import XMLStore
 
 #: Per-node accumulator: (per-term counts, occurrence list or None,
@@ -47,8 +46,8 @@ def generalized_meet(
     index = store.index
     structure = store.structure
     counters = store.counters
-    term_list = list(terms)
-    n_terms = len(term_list)
+    n_terms = len(terms)
+    term_list: List[str] = []  # as the index normalised them
 
     # Level pools: level -> {(doc, node): entry}.  Seed with the elements
     # whose direct text holds an occurrence.
@@ -57,12 +56,14 @@ def generalized_meet(
     for doc in store.documents():
         level_of[doc.doc_id] = doc.levels
 
-    for ti, term in enumerate(term_list):
-        postings = index.postings(term)
+    for ti, query_term in enumerate(terms):
+        fetched = index.postings(query_term)
+        cols = fetched.postings
+        term = fetched.term
+        term_list.append(term)
         counters.index_lookups += 1
-        counters.postings_read += len(postings)
-        for p in postings:
-            doc_id, node_id = p[P_DOC], p[P_NODE]
+        counters.postings_read += len(cols)
+        for doc_id, node_id, offset in zip(cols.doc, cols.node, cols.offset):
             lvl = level_of[doc_id][node_id]
             pool = pools.setdefault(lvl, {})
             entry = pool.get((doc_id, node_id))
@@ -76,7 +77,7 @@ def generalized_meet(
             entry[0][ti] += 1
             if complex_scoring:
                 assert entry[1] is not None
-                entry[1].append((term, node_id, p[P_OFFSET]))
+                entry[1].append((term, node_id, offset))
 
     results: List[ScoredElement] = []
     if not pools:

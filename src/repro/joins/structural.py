@@ -7,11 +7,13 @@ or term postings), both sorted by ``(doc, start)``, produce every
 (ancestor, descendant) pair in one merge pass with a stack of nested
 ancestors.
 
-Inputs use the flat tuple encodings of :mod:`repro.index`:
+Inputs are flat records, any iterable of them:
 
 - ancestors: ``ElementRef = (doc, start, end, level, node)``;
-- descendants: either element refs or postings
-  ``(doc, pos, node, offset)`` — for a posting, containment means
+- descendants: either element refs or posting rows
+  ``(doc, pos, node, offset)`` (what iterating a
+  :class:`~repro.index.inverted.PostingColumns` yields) — for a
+  posting, containment means
   ``a.start < pos <= a.end`` (word positions are drawn from the same
   counter as element keys, so the strict/inclusive mix is exact).
 """

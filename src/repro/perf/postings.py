@@ -21,34 +21,37 @@ Accounting contract (the fix for the old double-count):
 - ``index.cache_hits`` and ``cache.postings.hits/misses/evictions``
   count the warm path.
 
-Posting lists are immutable once built (documents are append-only until
-the store's generation bumps, which discards the index and this wrapper
-with it), so cached lists are shared, never copied.
+The cache holds :class:`~repro.index.inverted.PostingList` objects as
+the wrapped index returned them — the same posting columns every reader
+slices, not a second representation.  They are immutable once built
+(documents are append-only until the store's generation bumps, which
+discards the index and this wrapper with it), so cached lists are
+shared, never copied.  Over the compressed index a hit saves the varint
+decode; the plain index keeps a fetched term's columns itself.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, KeysView, Optional
 
 from repro import obs as _obs
-from repro.index.inverted import PostingList
+from repro.index.inverted import PostingList, TermIndex
 from repro.perf.lru import LRUCache
 
 __all__ = ["CachingIndex", "DEFAULT_POSTINGS_CAPACITY"]
 
-#: Default capacity in *postings* (tuples), not terms: ~200k postings is
-#: a few MB of tuples — generous for the synthetic corpora, tiny next to
-#: the store itself.
+#: Default capacity in *postings*, not terms: 200k postings are 3.2 MB
+#: of posting columns (four 4-byte ints each) — generous for the
+#: synthetic corpora, tiny next to the store itself.
 DEFAULT_POSTINGS_CAPACITY = 200_000
 
 
-class CachingIndex:
+class CachingIndex(TermIndex):
     """Caching proxy over an inverted index (see module docstring).
 
-    Implements the full lookup API of the wrapped index; anything else
-    (e.g. ``compressed_bytes`` on the compressed index) is forwarded via
-    ``__getattr__``.
+    The lookup API is :class:`~repro.index.inverted.TermIndex`'s, over
+    the cached fetch; anything else (e.g. ``compressed_bytes`` on the
+    compressed index) is forwarded via ``__getattr__``.
     """
 
     def __init__(self, inner: Any,
@@ -56,9 +59,7 @@ class CachingIndex:
         self.inner = inner
         self.cache = LRUCache(capacity, metric_prefix="cache.postings")
 
-    # -- the cached hot path ---------------------------------------------
-
-    def postings(self, term: str, strict: bool = False) -> PostingList:
+    def _fetch(self, term: str) -> Optional[PostingList]:
         cached = self.cache.get(term)
         if cached is not None:
             rec = _obs.RECORDER
@@ -66,52 +67,22 @@ class CachingIndex:
                 rec.count("index.posting_fetches")
                 rec.count("index.cache_hits")
             return cached
-        pl = self.inner.postings(term, strict=strict)
-        # Cache known terms only: a non-strict miss on an unknown term
-        # returns an empty list, and caching it would let a later
-        # strict=True call silently skip the UnknownTermError path.
-        if len(pl) or term in self.inner:
+        pl = self.inner._fetch(term)
+        # Known terms only: an unknown term stays a miss, so a later
+        # strict=True call still reaches the UnknownTermError path.
+        if pl is not None:
             self.cache.put(term, pl, weight=max(1, len(pl)))
         return pl
 
-    # -- lookup API parity -------------------------------------------------
+    def _count(self, term: str) -> int:
+        return self.inner._count(term)
 
-    def __contains__(self, term: str) -> bool:
-        return term in self.inner
+    def vocabulary(self) -> KeysView[str]:
+        return self.inner.vocabulary()
 
     @property
     def n_documents(self) -> int:
         return self.inner.n_documents
-
-    @property
-    def n_terms(self) -> int:
-        return self.inner.n_terms
-
-    def frequency(self, term: str) -> int:
-        return len(self.postings(term))
-
-    def document_frequency(self, term: str) -> int:
-        return self.postings(term).document_frequency
-
-    def idf(self, term: str) -> float:
-        df = self.document_frequency(term)
-        return math.log((self.n_documents + 1) / (df + 1)) + 1.0
-
-    def vocabulary(self) -> Iterable[str]:
-        return self.inner.vocabulary()
-
-    def element_counts(self, term: str) -> Dict[Tuple[int, int], int]:
-        from collections import Counter
-
-        from repro.index.inverted import P_DOC, P_NODE
-
-        counts: Counter = Counter()
-        for p in self.postings(term):
-            counts[(p[P_DOC], p[P_NODE])] += 1
-        return dict(counts)
-
-    def terms_sorted_by_frequency(self) -> List[Tuple[str, int]]:
-        return self.inner.terms_sorted_by_frequency()
 
     def __getattr__(self, name: str) -> Any:
         # Anything not overridden (compression stats, future additions)

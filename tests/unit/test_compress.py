@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import UnknownTermError
+from repro.index.inverted import PostingColumns
 from repro.index.compress import (
     CompressedInvertedIndex,
     decode_postings,
@@ -41,13 +42,27 @@ class TestVarint:
         assert zigzag(v) >= 0
 
 
+def columns(rows):
+    """Posting rows ``(doc, pos, node, offset)`` as columns."""
+    return PostingColumns(*zip(*rows)) if rows else PostingColumns()
+
+
 class TestPostingCodec:
     def test_roundtrip_simple(self):
-        postings = [(0, 3, 1, 0), (0, 7, 2, 1), (1, 2, 0, 0)]
-        assert decode_postings(encode_postings(postings)) == postings
+        postings = columns([(0, 3, 1, 0), (0, 7, 2, 1), (1, 2, 0, 0)])
+        decoded = decode_postings(encode_postings(postings))
+        assert isinstance(decoded, PostingColumns)
+        assert decoded == postings
+        assert list(decoded.node) == [1, 2, 0]
 
     def test_empty(self):
-        assert decode_postings(encode_postings([])) == []
+        decoded = decode_postings(encode_postings(PostingColumns()))
+        assert decoded == PostingColumns() and len(decoded) == 0
+
+    def test_truncated_blob_rejected(self):
+        blob = encode_postings(columns([(0, 3, 1, 0), (0, 7, 2, 1)]))
+        with pytest.raises(ValueError):
+            decode_postings(blob[:-1])
 
     @given(st.lists(st.tuples(
         st.integers(min_value=0, max_value=5),     # doc
@@ -65,7 +80,8 @@ class TestPostingCodec:
                 continue
             seen.add((doc, pos))
             postings.append((doc, pos, node, offset))
-        assert decode_postings(encode_postings(postings)) == postings
+        decoded = decode_postings(encode_postings(columns(postings)))
+        assert list(decoded) == postings
 
     def test_compresses_real_lists(self, small_corpus):
         idx = small_corpus.index
@@ -90,6 +106,27 @@ class TestCompressedIndex:
         assert comp.element_counts("alpha") == plain.element_counts("alpha")
         assert comp.terms_sorted_by_frequency()[:5] == \
             plain.terms_sorted_by_frequency()[:5]
+
+    def test_counts_come_from_the_blob_header(self, small_corpus,
+                                              monkeypatch):
+        """``frequency`` / ``uncompressed_bytes`` /
+        ``terms_sorted_by_frequency`` read each blob's count header;
+        none of them decodes a posting."""
+        import repro.index.compress as compress
+
+        plain = small_corpus.index
+        comp = CompressedInvertedIndex.from_index(plain)
+
+        def no_decode(blob):
+            raise AssertionError("decoded a list to count it")
+
+        monkeypatch.setattr(compress, "decode_postings", no_decode)
+        assert comp.frequency("alpha") == plain.frequency("alpha") == 40
+        assert comp.frequency("zz-missing") == 0
+        assert comp.uncompressed_bytes() == 16 * sum(
+            plain.frequency(t) for t in plain.vocabulary())
+        assert comp.terms_sorted_by_frequency() == \
+            plain.terms_sorted_by_frequency()
 
     def test_strict_unknown_term(self, small_corpus):
         comp = CompressedInvertedIndex.from_index(small_corpus.index)

@@ -178,15 +178,24 @@ class TestOpenErrorPath:
         assert not col.tracer._local.stack
 
 
+class _StackEntry:
+    """The seed kernel's stacked ancestor."""
+
+    def __init__(self, node_id, track_occurrences):
+        self.node_id = node_id
+        self.counts = {}
+        self.occs = [] if track_occurrences else None
+        self.relevant_children = 0
+
+
 class _SeedTermJoin(TermJoin):
-    """``TermJoin.run`` exactly as it was before the observability layer
-    landed (copied from the seed commit): the baseline against which the
-    disabled-instrumentation overhead is asserted."""
+    """``TermJoin.run`` as it was before the observability layer landed
+    (the seed commit's record-at-a-time kernel, reading posting rows):
+    the baseline against which the disabled-instrumentation overhead is
+    asserted."""
 
     def run(self, terms):
         from repro.access.results import ScoredElement
-        from repro.access.termjoin import _StackEntry
-        from repro.index.inverted import P_DOC, P_NODE, P_OFFSET, P_POS
 
         index = self.store.index
         counters = self.store.counters
@@ -197,10 +206,7 @@ class _SeedTermJoin(TermJoin):
             postings = index.postings(term)
             counters.index_lookups += 1
             counters.postings_read += len(postings)
-            merged.extend(
-                (p[P_DOC], p[P_POS], p[P_NODE], p[P_OFFSET], term)
-                for p in postings
-            )
+            merged.extend(row + (term,) for row in postings)
         merged.sort()
 
         out = []

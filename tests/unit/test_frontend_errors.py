@@ -165,3 +165,65 @@ class TestUnknownTermContract:
         strict = TermJoin(store, scorer, strict=True).run(["search"])
         assert [(r.doc_id, r.node_id, r.score) for r in default] == \
             [(r.doc_id, r.node_id, r.score) for r in strict]
+
+
+class TestTermNormalisation:
+    """Terms are normalised once, where postings are handed out, so
+    every reader sees ``"Search"`` and ``"search"`` as the same term —
+    TermJoin and the baselines used to score only the spellings that
+    happened to be lowercase, while PhraseFinder lowercased its own."""
+
+    MIXED = ["Search", "ENGINE"]
+    LOWER = ["search", "engine"]
+
+    @pytest.mark.parametrize("configure", [
+        lambda s: None,
+        lambda s: s.enable_index_compression(),
+        lambda s: s.enable_postings_cache(capacity=100),
+    ], ids=["plain", "compressed", "cached"])
+    def test_index_lookups_ignore_case(self, store, configure):
+        configure(store)
+        index = store.index
+        assert index.postings("Search", strict=True).postings == \
+            index.postings("search", strict=True).postings
+        assert index.postings("Search").term == "search"
+        assert "SEARCH" in index
+        assert index.frequency("Search") == index.frequency("search") > 0
+        assert index.document_frequency("Search") == \
+            index.document_frequency("search")
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("complex_scoring", [False, True])
+    def test_termjoin_scores_every_spelling(self, store, strict,
+                                            complex_scoring):
+        from repro.access.termjoin import EnhancedTermJoin, TermJoin
+        from repro.core.scoring import ProximityScorer, WeightedCountScorer
+
+        scorer = (ProximityScorer(self.LOWER) if complex_scoring
+                  else WeightedCountScorer(["search"], ["engine"]))
+        for cls in (TermJoin, EnhancedTermJoin):
+            method = cls(store, scorer, complex_scoring, strict=strict)
+            want = method.run(self.LOWER)
+            assert want and method.run(self.MIXED) == want
+
+    def test_baselines_and_meet_score_every_spelling(self, store):
+        from repro.access.composite import Comp1, Comp2
+        from repro.core.scoring import WeightedCountScorer
+        from repro.joins.meet import generalized_meet
+
+        scorer = WeightedCountScorer(["search"], ["engine"])
+        for cls in (Comp1, Comp2):
+            want = cls(store, scorer).run(self.LOWER)
+            assert want and cls(store, scorer).run(self.MIXED) == want
+        assert generalized_meet(store, self.MIXED, scorer) == \
+            generalized_meet(store, self.LOWER, scorer)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_phrase_methods_agree_on_every_spelling(self, store, strict):
+        from repro.access.composite import Comp3
+        from repro.access.phrasefinder import PhraseFinder
+
+        want = PhraseFinder(store, strict=strict).run(self.LOWER)
+        assert want
+        assert PhraseFinder(store, strict=strict).run(self.MIXED) == want
+        assert Comp3(store).run(self.MIXED) == want

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import UnknownTermError
-from repro.index.inverted import P_DOC, P_NODE, P_OFFSET, P_POS
+from repro.index.inverted import PostingColumns
 from repro.xmldb.store import XMLStore
 
 
@@ -24,22 +24,37 @@ class TestInvertedIndex:
         assert idx.frequency("nope") == 0
 
     def test_postings_sorted_by_doc_pos(self, idx_store):
-        pl = idx_store.index.postings("green").postings
-        assert pl == sorted(pl)
-        assert [p[P_DOC] for p in pl] == [0, 1]
+        cols = idx_store.index.postings("green").postings
+        assert isinstance(cols, PostingColumns)
+        assert list(cols) == sorted(cols)
+        assert list(cols.doc) == [0, 1]
 
     def test_posting_fields(self, idx_store):
         pl = idx_store.index.postings("blue")
-        (p,) = list(pl)
-        doc = idx_store.document(p[P_DOC])
-        assert doc.tags[p[P_NODE]] == "y"
-        assert p[P_OFFSET] == 0
-        assert doc.node(p[P_NODE]).start < p[P_POS] <= doc.node(p[P_NODE]).end
+        ((doc_id, pos, node, offset),) = list(pl)
+        doc = idx_store.document(doc_id)
+        assert doc.tags[node] == "y"
+        assert offset == 0
+        assert doc.node(node).start < pos <= doc.node(node).end
+
+    def test_columns_are_parallel_int_arrays(self, idx_store):
+        cols = idx_store.index.postings("red").postings
+        assert len(cols) == 3
+        for column in (cols.doc, cols.pos, cols.node, cols.offset):
+            assert column.typecode == "i" and len(column) == 3
+        assert list(cols) == list(zip(cols.doc, cols.pos, cols.node,
+                                      cols.offset))
 
     def test_offsets_within_node(self, idx_store):
-        pl = idx_store.index.postings("red")
-        b_offsets = [p[P_OFFSET] for p in pl if p[P_DOC] == 0 and p[P_NODE] == 1]
+        cols = idx_store.index.postings("red").postings
+        b_offsets = [offset for doc, _pos, node, offset in cols
+                     if doc == 0 and node == 1]
         assert b_offsets == [0, 1]
+
+    def test_single_posting_term(self, idx_store):
+        # one row id: the gather must still return columns, not scalars
+        cols = idx_store.index.postings("blue").postings
+        assert len(cols) == 1 and list(cols.doc) == [1]
 
     def test_unknown_term_lenient_and_strict(self, idx_store):
         assert len(idx_store.index.postings("zz")) == 0
@@ -56,15 +71,27 @@ class TestInvertedIndex:
         assert idx.document_frequency("blue") == 1
         assert idx.idf("blue") > idx.idf("green") > 0
 
+    def test_document_frequency_counted_once_from_doc_column(self,
+                                                             idx_store):
+        cols = idx_store.index.postings("green").postings
+        assert cols.document_frequency() == 2
+        cols.doc[1] = 0  # (never done outside a test)
+        assert cols.document_frequency() == 2  # not recounted
+
+    def test_index_keeps_a_terms_columns(self, idx_store):
+        idx = idx_store.index
+        assert idx.postings("red") is idx.postings("red")
+
     def test_element_counts(self, idx_store):
         counts = idx_store.index.element_counts("red")
         assert counts[(0, 1)] == 2
         assert counts[(0, 2)] == 1
 
     def test_for_document_slice(self, idx_store):
-        pl = idx_store.index.postings("green")
-        only_b = pl.for_document(1)
-        assert len(only_b) == 1 and only_b[0][P_DOC] == 1
+        cols = idx_store.index.postings("green").postings
+        only_b = cols.for_document(1)
+        assert len(only_b) == 1 and list(only_b.doc) == [1]
+        assert len(cols.for_document(7)) == 0
 
     def test_terms_sorted_by_frequency(self, idx_store):
         pairs = idx_store.index.terms_sorted_by_frequency()
@@ -107,3 +134,51 @@ class TestStructureIndex:
 
     def test_tags(self, idx_store):
         assert set(idx_store.structure.tags()) == {"a", "b", "c", "x", "y"}
+
+
+class TestConcurrentFirstFetch:
+    """The plain index gathers a term's columns on its first fetch and
+    keeps them; readers racing on that first fetch must all get the
+    term's postings (the race may gather twice, never wrongly)."""
+
+    def test_racing_first_fetches_agree(self):
+        import sys
+        import threading
+
+        from repro.workload import CorpusSpec, generate_corpus
+
+        spec = CorpusSpec(
+            n_articles=6,
+            planted_terms={"alpha": 60, "beta": 30, "solo": 1},
+            seed=5,
+        )
+        terms = ["alpha", "beta", "solo", "missing"]
+        reference = generate_corpus(spec).index
+        want = {t: list(reference.postings(t)) for t in terms}
+        assert len(want["alpha"]) == 60 and want["missing"] == []
+
+        index = generate_corpus(spec).index  # nothing fetched yet
+        n_workers = 8
+        start = threading.Barrier(n_workers)
+        wrong = []
+
+        def reader():
+            start.wait(timeout=10)
+            for _ in range(50):
+                for term in terms:
+                    if list(index.postings(term)) != want[term]:
+                        wrong.append(term)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=reader)
+                       for _ in range(n_workers)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert wrong == []

@@ -88,6 +88,18 @@ class TestWeightedCountScorer:
         assert scorer.score_from_counts({"a": 2, "b": 1}) == \
             pytest.approx(scorer.score_words(words))
 
+    def test_term_weights_are_fixed_at_construction(self):
+        # score_from_counts runs once per popped element: it reads the
+        # weights computed in __init__, and term_weights() hands out a
+        # copy so callers cannot reach them.
+        scorer = WeightedCountScorer(["a"], ["b"])
+        handed_out = scorer.term_weights()
+        handed_out["a"] = 100.0
+        assert scorer.term_weights() == {"a": 0.8, "b": 0.6}
+        assert scorer.score_from_counts({"a": 2, "b": 1, "zz": 9}) == \
+            pytest.approx(2 * 0.8 + 0.6)
+        assert scorer.score_from_counts({}) == 0
+
     def test_term_weights_single_terms_only(self):
         scorer = WeightedCountScorer(["a", "two words"], ["b"])
         assert scorer.term_weights() == {"a": 0.8, "b": 0.6}

@@ -150,3 +150,30 @@ class TestMultiDocument:
         }
         assert b_scores == {"a": pytest.approx(1.4),
                             "p": pytest.approx(1.4)}
+
+
+class TestResultRecords:
+    """One record per scored element: slotted, with the fields, equality,
+    hash and repr the frozen dataclasses had."""
+
+    def test_scored_element(self):
+        from repro.access.results import ScoredElement
+
+        a = ScoredElement(1, 2, 0.5)
+        assert not hasattr(a, "__dict__")
+        assert (a.doc_id, a.node_id, a.score) == (1, 2, 0.5)
+        assert a.key() == (1, 2)
+        assert a == ScoredElement(1, 2, 0.5) != ScoredElement(1, 2, 0.6)
+        assert len({a, ScoredElement(1, 2, 0.5)}) == 1
+        assert repr(a) == "ScoredElement(doc_id=1, node_id=2, score=0.5)"
+
+    def test_phrase_match(self):
+        from repro.access.results import PhraseMatch, ScoredElement
+
+        m = PhraseMatch(0, 3, 2, 2.0)
+        assert not hasattr(m, "__dict__")
+        assert m == PhraseMatch(0, 3, 2, 2.0) != PhraseMatch(0, 3, 1, 1.0)
+        assert m != ScoredElement(0, 3, 2.0)
+        assert hash(m) == hash(PhraseMatch(0, 3, 2, 2.0))
+        assert repr(m) == \
+            "PhraseMatch(doc_id=0, node_id=3, count=2, score=2.0)"
