@@ -3,18 +3,11 @@ paper-vs-measured report.
 
 Usage:  python benchmarks/make_report.py [--scale S] [--runs N] [--out F]
                                          [--profile] [--json F]
-        python benchmarks/make_report.py --diff BASELINE CANDIDATE
-                                         [--diff-threshold T]
 
 ``--profile`` runs every cell once more under the observability
 collector (repro.obs) and attaches per-access-method metric breakdowns;
 ``--json`` writes every table — rows, notes, and any breakdowns — as a
 machine-readable report.
-
-``--diff`` compares two ``tix bench --json-out`` artifacts (e.g. the
-committed ``BENCH_PR5.json`` baseline vs a fresh run) cell-by-cell and
-reports relative changes beyond the threshold (default 10%); the exit
-status is 1 when any cell regressed, so CI can gate on it.
 
 At scale 1.0 the planted term frequencies equal the paper's (Table 5's
 are 20× down — its terms occur up to 146k times in INEX, see the spec).
@@ -127,24 +120,7 @@ def main(argv=None) -> int:
     ap.add_argument("--json", metavar="FILE",
                     help="also write all tables (with any profiles) "
                          "as a JSON report")
-    ap.add_argument("--diff", nargs=2,
-                    metavar=("BASELINE", "CANDIDATE"),
-                    help="compare two tix bench --json-out artifacts "
-                         "and exit 1 on regressions beyond the "
-                         "threshold (skips the report run)")
-    ap.add_argument("--diff-threshold", type=float, default=0.10,
-                    metavar="T",
-                    help="relative-change threshold for --diff "
-                         "(default 0.10 = 10%%)")
     args = ap.parse_args(argv)
-    if args.diff:
-        from repro.bench.artifact import diff_files, render_diff
-
-        diffs, header = diff_files(args.diff[0], args.diff[1],
-                                   args.diff_threshold)
-        print(header)
-        print(render_diff(diffs, args.diff_threshold))
-        return 1 if any(d.regression for d in diffs) else 0
     profile = args.profile
 
     t_start = time.time()

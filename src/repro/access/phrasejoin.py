@@ -18,14 +18,26 @@ element boundary does not count.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro import obs as _obs
-from repro.resilience import guard as _resguard
 from repro.access.phrasefinder import PhraseFinder
 from repro.access.results import ScoredElement
+from repro.access.termjoin import TermJoin, merge_runs
 from repro.xmldb.store import XMLStore
 from repro.xmldb.text import tokenize_phrase
+
+
+class _PhraseCountScorer:
+    """``Σ_i weight_i · count_i`` over the phrases that occur, added
+    in phrase order (float addition order is part of the ranking)."""
+
+    def __init__(self, weights: Sequence[float]) -> None:
+        self.weights = weights
+
+    def score_from_counts(self, counts: Dict[int, int]) -> float:
+        weights = self.weights
+        return sum(weights[pi] * counts[pi] for pi in sorted(counts))
 
 
 class PhraseJoin:
@@ -76,73 +88,32 @@ class PhraseJoin:
             else [1.0] * len(phrase_lists)
         )
 
-        # One merged, (doc, pos)-sorted occurrence stream, tagged with
-        # the phrase index (Timsort merges the per-phrase sorted runs).
-        merged: List[Tuple[int, int, int, int]] = []
+        # Fetch: the per-phrase occurrence runs end to end, each
+        # occurrence labelled with its phrase index.
+        docs: List[int] = []
+        poss: List[int] = []
+        nodes: List[int] = []
+        labels: List[int] = []
+        runs = 0
         finder_totals: Dict[str, int] = {}
         for pi, terms in enumerate(phrase_lists):
-            for occ in self._finder.occurrences(terms):
-                merged.append((occ.doc_id, occ.pos, occ.node_id, pi))
+            occs = self._finder.occurrences(terms)
+            if occs:
+                runs += 1
+                d, p, n, _offsets = zip(*occs)
+                docs += d
+                poss += p
+                nodes += n
+                labels += [pi] * len(occs)
             for key, value in self._finder.last_stats.items():
                 finder_totals[key] = finder_totals.get(key, 0) + value
-        merged.sort()
+        if runs > 1:
+            docs, poss, nodes, labels = merge_runs(docs, poss, nodes, labels)
+        out = TermJoin(self.store, _PhraseCountScorer(weights)).stack_pass(
+            docs, poss, nodes, labels)
 
-        out: List[ScoredElement] = []
-        # stack entries: [node_id, counts per phrase index]
-        stack: List[Tuple[int, List[int]]] = []
-        n_phrases = len(phrase_lists)
-        cur_doc = None
-        cur_doc_id = -1
-        parents: List[int] = []
-        ends: List[int] = []
-
-        def pop_and_emit() -> None:
-            node_id, counts = stack.pop()
-            if stack:
-                top_counts = stack[-1][1]
-                for i in range(n_phrases):
-                    top_counts[i] += counts[i]
-            score = sum(
-                weights[i] * counts[i]
-                for i in range(n_phrases) if counts[i]
-            )
-            out.append(ScoredElement(cur_doc_id, node_id, score))
-
-        # Guard hook: hoisted boolean per occurrence when inactive, a
-        # deadline/cancellation check every 256 occurrences when active.
-        guard = _resguard.GUARD
-        guard_active = guard.active
-        gi = 0
-
-        for doc_id, pos, node_id, pi in merged:
-            if guard_active:
-                gi += 1
-                if not (gi & 255):
-                    guard.tick(256)
-            if doc_id != cur_doc_id:
-                while stack:
-                    pop_and_emit()
-                cur_doc = self.store.document(doc_id)
-                cur_doc_id = doc_id
-                parents = cur_doc.parents
-                ends = cur_doc.ends
-            while stack and ends[stack[-1][0]] < pos:
-                pop_and_emit()
-            top_node = stack[-1][0] if stack else -1
-            chain: List[int] = []
-            cur = node_id
-            while cur != -1 and cur != top_node:
-                chain.append(cur)
-                cur = parents[cur]
-            for nid in reversed(chain):
-                stack.append((nid, [0] * n_phrases))
-            stack[-1][1][pi] += 1
-
-        while stack:
-            pop_and_emit()
         # pushes == pops == len(out): every pushed entry is popped once
-        # and every pop emits one element, so nothing is counted in the
-        # merge loop.
+        # and every pop emits one element.
         self.last_stats = dict(finder_totals)
         self.last_stats.update(
             stack_pushes=len(out), stack_pops=len(out),

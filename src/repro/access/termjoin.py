@@ -41,7 +41,7 @@ from array import array
 from bisect import bisect_left
 from itertools import accumulate, chain
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro import obs as _obs
 from repro.resilience import guard as _resguard
@@ -111,10 +111,8 @@ class TermJoin:
         """Score every element whose subtree contains at least one
         occurrence of any term in ``terms``.  Output order is pop order =
         ascending end key (children before parents)."""
-        store = self.store
-        index = store.index
-        counters = store.counters
-        track = self.complex_scoring
+        index = self.store.index
+        counters = self.store.counters
         guard = _resguard.GUARD
         guard_active = guard.active
 
@@ -140,18 +138,44 @@ class TermJoin:
                 nodes += cols.node
                 offsets += cols.offset
                 labels += [fetched.term] * len(cols)
-        n = len(docs)
+        if runs > 1 and self.complex_scoring:
+            docs, poss, nodes, labels, offsets = merge_runs(
+                docs, poss, nodes, labels, offsets)
+        elif runs > 1:  # simple mode never reads the offsets
+            docs, poss, nodes, labels = merge_runs(
+                docs, poss, nodes, labels)
+        out = self.stack_pass(docs, poss, nodes, labels, offsets)
 
-        # Merge: each run is already in (doc, pos) order, so sorting the
-        # row numbers by the packed key is the k-way run merge; the
-        # columns the pass reads are then gathered in that order.
-        if runs > 1:
-            keys = [d << 32 | p for d, p in zip(docs, poss)]
-            merged = itemgetter(*sorted(range(n), key=keys.__getitem__))
-            docs, poss, nodes, labels = (
-                merged(docs), merged(poss), merged(nodes), merged(labels))
-            if track:
-                offsets = merged(offsets)
+        # Every pushed entry is popped exactly once and every pop emits
+        # exactly one element, so pushes == pops == len(out): the stack
+        # counters cost nothing in the merge loop.
+        self.last_stats = {
+            "postings_scanned": len(docs),
+            "stack_pushes": len(out),
+            "stack_pops": len(out),
+            "elements_scored": len(out),
+        }
+        rec = _obs.RECORDER
+        if rec.enabled:
+            prefix = self.name.lower()
+            rec.count(f"{prefix}.runs")
+            for key, value in self.last_stats.items():
+                rec.count(f"{prefix}.{key}", value)
+        return out
+
+    def stack_pass(self, docs: Sequence[int], poss: Sequence[int],
+                   nodes: Sequence[int], labels: Sequence[Hashable],
+                   offsets: Sequence[int] = ()) -> List[ScoredElement]:
+        """The stack pass over one ``(doc, pos)``-ordered occurrence
+        stream given as parallel columns.  ``labels`` names what each
+        occurrence counts towards — a term here, a phrase for
+        :class:`~repro.access.phrasejoin.PhraseJoin` — and keys the
+        ``counts`` dict handed to ``scorer.score_from_counts``;
+        ``offsets`` is read in complex mode only."""
+        store = self.store
+        track = self.complex_scoring
+        guard = _resguard.GUARD
+        guard_active = guard.active
 
         scorer = self.scorer
         if track:
@@ -159,10 +183,11 @@ class TermJoin:
             score_occurrences = scorer.score_from_occurrences
             child_count = self._child_count
         else:
-            # cum[i] = occurrences of the term among postings [0, i).
+            # cum[i] = occurrences of the label among postings [0, i).
             cums = [
-                (term, list(accumulate(map(term.__eq__, labels), initial=0)))
-                for term in dict.fromkeys(labels)
+                (label,
+                 list(accumulate(map(label.__eq__, labels), initial=0)))
+                for label in dict.fromkeys(labels)
             ]
             score_counts = scorer.score_from_counts
 
@@ -215,10 +240,10 @@ class TermJoin:
                         span, child_count(cur_doc, node), relevant)
                 else:
                     counts = {}
-                    for term, cum in cums:
+                    for label, cum in cums:
                         count = cum[i] - cum[lo]
                         if count:
-                            counts[term] = count
+                            counts[label] = count
                     score = score_counts(counts)
                 emit(ScoredElement(cur_doc_id, node, score))
                 if st_node:
@@ -252,22 +277,18 @@ class TermJoin:
                 top = node_id
                 top_end = ends[top]
 
-        # Every pushed entry is popped exactly once and every pop emits
-        # exactly one element, so pushes == pops == len(out): the stack
-        # counters cost nothing in the merge loop.
-        self.last_stats = {
-            "postings_scanned": n,
-            "stack_pushes": len(out),
-            "stack_pops": len(out),
-            "elements_scored": len(out),
-        }
-        rec = _obs.RECORDER
-        if rec.enabled:
-            prefix = self.name.lower()
-            rec.count(f"{prefix}.runs")
-            for key, value in self.last_stats.items():
-                rec.count(f"{prefix}.{key}", value)
         return out
+
+
+def merge_runs(docs: Sequence[int], poss: Sequence[int],
+               *columns: Sequence[Any]) -> Tuple[Sequence[Any], ...]:
+    """Merge concatenated runs, each already in ``(doc, pos)`` order,
+    into one stream: sorting the row numbers by a packed key is the
+    k-way run merge (Timsort over ints, ties kept in run order); every
+    column is then gathered in that order.  Needs at least two rows."""
+    keys = [d << 32 | p for d, p in zip(docs, poss)]
+    merged = itemgetter(*sorted(range(len(keys)), key=keys.__getitem__))
+    return tuple(merged(col) for col in (docs, poss) + columns)
 
 
 class EnhancedTermJoin(TermJoin):

@@ -67,9 +67,10 @@ Subcommands:
   tables (``--iterations N --plain`` for a one-shot scriptable dump).
 - ``tix trace FILE | --server HOST:PORT`` — fetch, inspect, or export
   distributed traces: without ``--id`` the in-flight/retained listing,
-  with ``--id`` one trace's full span tree, ``--chrome-out FILE`` the
-  Chrome ``traceEvents`` export (Perfetto-loadable), ``--json`` the
-  raw payload.  ``--server`` talks the wire protocol to the *query*
+  with ``--id`` one trace's full span tree with per-span self time,
+  ``--chrome-out FILE`` the Chrome ``traceEvents`` export (converted
+  here from the span tree; Perfetto-loadable), ``--json`` the raw
+  payload.  ``--server`` talks the wire protocol to the *query*
   port; ``FILE`` re-reads a previously saved ``--json`` payload.
 - ``tix events FILE`` — inspect a query audit log: filter by
   ``--outcome``, ``--kind``, ``--min-wall MS`` or ``--slow-only``,
@@ -496,26 +497,17 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         generate_corpus, table123_spec, table4_spec, table5_spec,
     )
 
-    def finish(result) -> int:
-        if args.json_out:
-            from repro.bench.artifact import make_artifact
-
-            artifact = make_artifact(result, table=args.table,
-                                     scale=args.scale, runs=args.runs)
-            with open(args.json_out, "w", encoding="utf-8") as f:
-                json.dump(artifact, f, indent=2, sort_keys=True)
-            print(f"wrote {args.json_out}")
-        return 0
-
     which = args.table
     runs = args.runs
     profile = args.profile
     if which == "pick":
-        return finish(run_pick_experiment(runs=runs, profile=profile))
+        run_pick_experiment(runs=runs, profile=profile)
+        return 0
     if which == "planner":
         from repro.bench import run_planner_bench
 
-        return finish(run_planner_bench(scale=args.scale, runs=runs))
+        run_planner_bench(scale=args.scale, runs=runs)
+        return 0
     if which == "quality":
         from repro.workload import (
             build_relevance_workload, score_quality_experiment,
@@ -532,22 +524,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         spec, rows = table123_spec(scale=args.scale)
         store = generate_corpus(spec)
         if which == "table1":
-            res = run_table1(store, rows["table1"], runs=runs,
-                             profile=profile)
+            run_table1(store, rows["table1"], runs=runs, profile=profile)
         elif which == "table2":
-            res = run_table2(store, rows["table1"], runs=runs,
-                             profile=profile)
+            run_table2(store, rows["table1"], runs=runs, profile=profile)
         else:
-            res = run_table3(store, rows["table3"], runs=runs,
-                             profile=profile)
-        return finish(res)
-    if which == "table4":
+            run_table3(store, rows["table3"], runs=runs, profile=profile)
+    elif which == "table4":
         spec, rows4 = table4_spec(scale=args.scale)
-        return finish(run_table4(generate_corpus(spec), rows4, runs=runs,
-                                 profile=profile))
-    spec, rows5 = table5_spec(scale=args.scale * 0.05)
-    return finish(run_table5(generate_corpus(spec), rows5, runs=runs,
-                             profile=profile))
+        run_table4(generate_corpus(spec), rows4, runs=runs, profile=profile)
+    else:
+        spec, rows5 = table5_spec(scale=args.scale * 0.05)
+        run_table5(generate_corpus(spec), rows5, runs=runs, profile=profile)
+    return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -814,23 +802,9 @@ def _cmd_top(args: argparse.Namespace) -> int:
         return 3
 
 
-def _render_span_tree(d: dict, depth: int = 0) -> List[str]:
-    dur = float(d.get("duration_ms", 0.0))
-    attrs = d.get("attrs") or {}
-    extra = " ".join(f"{k}={v}" for k, v in sorted(attrs.items()))
-    mark = " (open)" if d.get("open") else ""
-    pad = "  " * depth
-    name = str(d.get("name", "?"))
-    width = max(1, 32 - len(pad))
-    lines = [f"  {pad}{name:<{width}} {dur:>9.3f} ms{mark}"
-             + (f"  {extra}" if extra else "")]
-    for child in d.get("children") or []:
-        if isinstance(child, dict):
-            lines += _render_span_tree(child, depth + 1)
-    return lines
-
-
 def _render_trace(trace: dict) -> str:
+    from repro.obs.trace import render_span_tree
+
     lines = [
         f"trace {trace.get('trace_id', '?')}  op={trace.get('op', '?')}  "
         f"attempt={trace.get('attempt', 0)}  "
@@ -844,7 +818,7 @@ def _render_trace(trace: dict) -> str:
     spans = trace.get("spans")
     if isinstance(spans, dict):
         lines.append("  spans:")
-        lines += _render_span_tree(spans, depth=1)
+        lines += render_span_tree(spans, depth=1)
     else:
         lines.append("  spans: (none recorded — collector not installed)")
     return "\n".join(lines)
@@ -872,13 +846,12 @@ def _render_trace_listing(snapshot: dict, limit: int) -> str:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.obs.tracestore import chrome_trace_from_dict
+    from repro.obs.trace import chrome_trace_events
 
     if bool(args.file) == bool(args.server):
         print("tix trace: give exactly one of FILE or --server HOST:PORT",
               file=sys.stderr)
         return 2
-    chrome: Optional[dict] = None
     if args.server:
         host, _, port_s = args.server.rpartition(":")
         if not host or not port_s.isdigit():
@@ -892,8 +865,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                               call_timeout_s=args.call_timeout) as client:
                 if args.id:
                     payload = client.traces(args.id)
-                    if args.chrome_out:
-                        chrome = client.traces(args.id, fmt="chrome")
                 else:
                     payload = client.traces(limit=args.limit)
         except OSError as exc:
@@ -908,26 +879,33 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
     is_single = "spans" in payload or "trace_id" in payload
-    if args.chrome_out:
-        if not is_single:
-            print("tix trace: --chrome-out needs one trace "
-                  "(use --id, or a single-trace FILE)", file=sys.stderr)
-            return 2
-        if chrome is None:
-            chrome = chrome_trace_from_dict(payload)
-        with open(args.chrome_out, "w", encoding="utf-8") as f:
-            json.dump(chrome, f, indent=1)
-        n = len(chrome.get("traceEvents", []))
-        print(f"wrote {n} events to {args.chrome_out} "
-              f"(load at https://ui.perfetto.dev)", file=sys.stderr)
-        if not args.json:
-            return 0
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    elif is_single:
-        print(_render_trace(payload))
-    else:
-        print(_render_trace_listing(payload, args.limit))
+    try:
+        if args.chrome_out:
+            if not is_single:
+                print("tix trace: --chrome-out needs one trace "
+                      "(use --id, or a single-trace FILE)", file=sys.stderr)
+                return 2
+            spans = payload.get("spans")
+            chrome = chrome_trace_events(
+                [spans] if isinstance(spans, dict) else [])
+            with open(args.chrome_out, "w", encoding="utf-8") as f:
+                json.dump(chrome, f, indent=1)
+            print(f"wrote {len(chrome['traceEvents'])} events to "
+                  f"{args.chrome_out} (load at https://ui.perfetto.dev)",
+                  file=sys.stderr)
+            if not args.json:
+                return 0
+        if args.json:
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        elif is_single:
+            print(_render_trace(payload))
+        else:
+            print(_render_trace_listing(payload, args.limit))
+    except (KeyError, TypeError, ValueError) as exc:
+        # The renderers read the serialized span form strictly; a file
+        # that is not one fails here, typed, instead of a traceback.
+        print(f"tix trace: malformed span tree ({exc!r})", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -1138,8 +1116,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--profile", action="store_true",
                    help="add a per-access-method metric breakdown per "
                         "cell (one extra instrumented run each)")
-    b.add_argument("--json-out", metavar="FILE",
-                   help="write the table (and any profiles) as JSON")
     b.set_defaults(fn=_cmd_bench)
 
     sv = sub.add_parser(

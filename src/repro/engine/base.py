@@ -11,25 +11,29 @@ are :class:`~repro.core.trees.STree` instances (collections of scored
 trees are streams of scored trees).
 
 Execution helpers: :func:`execute` drains a plan into a list;
-:func:`explain` renders the plan tree with per-operator row counts after a
-run (its output is stable and used in tests); ``explain(plan,
-analyze=True)`` additionally shows per-operator time, loops, and
-access-method counters, and :func:`plan_stats` returns the same data as a
-JSON-ready dict (the EXPLAIN ANALYZE path — see
-``docs/observability.md``).
+:func:`plan_stats` reports the most recent run as a JSON-ready dict, one
+node per operator — the **one producer** of per-operator facts (rows,
+estimate, q-error, loops, inclusive and self time, access-method
+counters): :func:`explain` formats it (its output is stable and used in
+tests; ``analyze=True`` is the EXPLAIN ANALYZE path — see
+``docs/observability.md``), ``close()`` puts the operator's own node on
+its close span, and the audit line's ``ops`` and the ``estimate.qerror``
+histogram read it.
 
 Observability contract: every operator owns an :class:`OpStats`.  Row
 counts and subclass-reported counters are maintained on every run;
 *timings* are taken only while a collector is installed
 (``obs.RECORDER.enabled``), so the disabled path adds a single attribute
 test per ``next()`` call.  ``open``/``close`` additionally emit tracer
-spans, which nest into a span tree mirroring the plan tree.
+spans, which nest into a span tree mirroring the plan tree.  Spans
+cannot replace :class:`OpStats`: rows, loops and counters must be exact
+with no collector installed.
 """
 
 from __future__ import annotations
 
 from time import perf_counter_ns
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from repro import obs as _obs
 from repro.core.trees import STree
@@ -181,7 +185,7 @@ class Operator:
         rec = _obs.RECORDER
         if rec.enabled:
             st = self.stats
-            span = rec.begin_span("close:" + self.name, op=self.describe())
+            span = rec.begin_span("close:" + self.name)
             t0 = perf_counter_ns()
             try:
                 self._close()
@@ -190,10 +194,7 @@ class Operator:
             finally:
                 st.close_ns = perf_counter_ns() - t0
                 if span is not None:
-                    span.attrs.update(
-                        rows=self.rows_out, loops=st.loops,
-                        next_ms=st.next_ns / 1e6,
-                    )
+                    span.attrs.update(_node_stats(self))
                 rec.end_span(span)
                 rec.count(f"operator.{self.name}.rows", self.rows_out)
                 rec.observe(f"operator.{self.name}.time_ms",
@@ -239,13 +240,9 @@ def execute(plan: Operator) -> List[STree]:
         plan.close()
 
 
-def _fmt_ms(ns: int) -> str:
-    return f"{ns / 1e6:.3f}ms"
-
-
-def explain(plan: Operator, _depth: int = 0, analyze: bool = False) -> str:
+def explain(plan: Operator, analyze: bool = False) -> str:
     """Render the plan tree, one operator per line, with row counts from
-    the most recent execution.
+    the most recent execution (a formatting of :func:`plan_stats`).
 
     Plans annotated by the estimator additionally show
     ``(est_rows=N)`` per line; with ``analyze=True`` the estimate moves
@@ -266,34 +263,53 @@ def explain(plan: Operator, _depth: int = 0, analyze: bool = False) -> str:
     (with its estimated cost and the stage that chose it) and the
     rejected alternatives with their costs.
     """
-    pad = "  " * _depth
-    est = plan.est_rows
-    if analyze:
-        st = plan.stats
-        parts_line = [
-            f"time={_fmt_ms(st.total_ns)}",
-            f"rows={plan.rows_out}",
-        ]
-        if est is not None:
-            parts_line.append(f"est_rows={est:.0f}")
-            parts_line.append(f"q_error={qerror(est, plan.rows_out):.2f}")
-        parts_line.append(f"loops={st.loops}")
-        for key in sorted(st.counters):
-            parts_line.append(f"{key}={st.counters[key]}")
-        line = f"{pad}{plan.describe()} [{' '.join(parts_line)}]"
-    else:
-        line = f"{pad}{plan.describe()} [rows={plan.rows_out}]"
-        if est is not None:
-            line += f" (est_rows={est:.0f})"
-    parts = [line]
-    for child in plan.children:
-        parts.append(explain(child, _depth + 1, analyze))
-    if _depth == 0 and plan.planner_choices is not None:
-        parts.append(plan.planner_choices.render())
-    return "\n".join(parts)
+    lines: List[str] = []
+
+    def walk(node: Dict[str, Any], depth: int) -> None:
+        est = node["est_rows"]
+        if analyze:
+            parts = [f"time={node['time_ms']:.3f}ms", f"rows={node['rows']}"]
+            if est is not None:
+                parts.append(f"est_rows={est:.0f}")
+                parts.append(f"q_error={node['q_error']:.2f}")
+            parts.append(f"loops={node['loops']}")
+            counters = node["counters"]
+            parts += [f"{key}={counters[key]}" for key in sorted(counters)]
+            line = f"{node['describe']} [{' '.join(parts)}]"
+        else:
+            line = f"{node['describe']} [rows={node['rows']}]"
+            if est is not None:
+                line += f" (est_rows={est:.0f})"
+        lines.append("  " * depth + line)
+        for child in node["children"]:
+            walk(child, depth + 1)
+
+    walk(plan_stats(plan), 0)
+    if plan.planner_choices is not None:
+        lines.append(plan.planner_choices.render())
+    return "\n".join(lines)
 
 
-def plan_stats(plan: Operator) -> Dict[str, object]:
+def _node_stats(op: Operator) -> Dict[str, Any]:
+    """One operator's own :func:`plan_stats` node, children left out."""
+    st = op.stats
+    child_ns = sum(c.stats.total_ns for c in op.children)
+    est = op.est_rows
+    return {
+        "operator": op.name,
+        "describe": op.describe(),
+        "rows": op.rows_out,
+        "est_rows": est,
+        "q_error": (qerror(est, op.rows_out)
+                    if est is not None else None),
+        "loops": st.loops,
+        "time_ms": st.total_ns / 1e6,
+        "self_time_ms": max(0, st.total_ns - child_ns) / 1e6,
+        "counters": dict(st.counters),
+    }
+
+
+def plan_stats(plan: Operator) -> Dict[str, Any]:
     """EXPLAIN ANALYZE data for the most recent run, as a JSON-ready
     nested dict (one node per operator).
 
@@ -307,23 +323,19 @@ def plan_stats(plan: Operator) -> Dict[str, object]:
 
     Planner-built roots additionally carry a ``planner`` key with the
     chosen-vs-rejected decision record (absent elsewhere)."""
-    st = plan.stats
-    children = [plan_stats(c) for c in plan.children]
-    child_ns = sum(c.stats.total_ns for c in plan.children)
-    est = plan.est_rows
-    out: Dict[str, object] = {
-        "operator": plan.name,
-        "describe": plan.describe(),
-        "rows": plan.rows_out,
-        "est_rows": est,
-        "q_error": (qerror(est, plan.rows_out)
-                    if est is not None else None),
-        "loops": st.loops,
-        "time_ms": st.total_ns / 1e6,
-        "self_time_ms": max(0, st.total_ns - child_ns) / 1e6,
-        "counters": dict(st.counters),
-        "children": children,
-    }
+    out = _node_stats(plan)
+    out["children"] = [plan_stats(c) for c in plan.children]
     if plan.planner_choices is not None:
         out["planner"] = plan.planner_choices.to_dict()
     return out
+
+
+def plan_nodes(plan: Operator) -> Iterator[Dict[str, Any]]:
+    """Every :func:`plan_stats` node of ``plan``, parents before
+    children (the flat view the audit line and the q-error histogram
+    read)."""
+    pending = [plan_stats(plan)]
+    while pending:
+        node = pending.pop()
+        yield node
+        pending.extend(reversed(node["children"]))

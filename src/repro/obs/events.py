@@ -1,12 +1,20 @@
-"""Structured query audit log: one schema-versioned JSONL record per
-query.
+"""The request record and the structured query audit log.
 
 Metrics (:mod:`repro.obs.metrics`) answer *how much* the engine is
-doing; the audit log answers *what happened to each query* — the
-record a production operator greps when a user reports a slow or
-failing request.  Every query that runs the execution pipeline
+doing; the record answers *what happened to each query* — what a
+production operator greps when a user reports a slow or failing
+request.  :class:`QueryEvent` is the **one** record of a request's
+identity, timing and fate: the audit log prints it as a
+schema-versioned JSONL line (:meth:`QueryEvent.to_record`), the trace
+store lists it as a ``traces`` row (:meth:`QueryEvent.summary`) and
+keeps its span tree.  Field by field — who writes it, which projection
+shows it — in ``docs/observability.md`` ("Request record").
+
+Every query that runs the execution pipeline
 (:func:`repro.resilience.run.run_query_guarded`; stages in
-``docs/performance.md``) emits one event carrying
+``docs/performance.md``) under an installed sink, and every request a
+:class:`~repro.server.server.QueryServer` answers, is one record
+carrying
 
 - a stable hash of the query text (never the text itself — query
   strings may embed user data),
@@ -20,11 +28,12 @@ failing request.  Every query that runs the execution pipeline
 The sink follows the recorder's **zero-overhead contract**: the
 module-level :data:`SINK` is a :class:`NullSink` by default, and
 :func:`observe_query` returns a shared no-op context manager when no
-sink is installed — instrumented entry points pay one attribute test
-and one call per *query* (never per tuple).  Nested observations
-(``execute_batch`` around ``run_query_guarded``) share one event per
-query: the outermost ``observe_query`` owns emission, inner layers
-annotate via :func:`current_event`.
+sink is installed and no record is open — instrumented entry points pay
+one attribute test and one call per *query* (never per tuple).  Nested
+observations (the query server or ``execute_batch`` around
+``run_query_guarded``) share one record per query: the outermost owner
+opens it (``with record:``) and owns emission, inner layers annotate
+it via :func:`observe_query` / :func:`current_event`.
 
 :class:`JsonlSink` adds production controls: a **sampling rate**
 (deterministic under a fixed ``seed``) bounds log volume, and a
@@ -39,11 +48,13 @@ import json
 import random
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from types import TracebackType
 from typing import (
     IO,
+    TYPE_CHECKING,
     Any,
+    ContextManager,
     Dict,
     Iterable,
     Iterator,
@@ -55,11 +66,15 @@ from typing import (
 
 from repro import obs as _obs
 
+if TYPE_CHECKING:
+    from repro.obs.trace import Span
+    from repro.obs.tracestore import TraceContext
+
 __all__ = [
     "SCHEMA_VERSION", "QueryEvent", "NullSink", "JsonlSink", "SINK",
     "install_sink", "uninstall_sink", "logging_queries", "observe_query",
     "current_event", "query_hash", "plan_top_ops", "iter_events",
-    "filter_events", "set_trace_id", "current_trace_id",
+    "filter_events",
 ]
 
 #: Version of the JSONL record layout (the ``"v"`` field).  Bump when a
@@ -70,7 +85,8 @@ __all__ = [
 #:   plans the estimator never annotated);
 #: - v3: ``trace_id`` joins the record to the server's retained
 #:   distributed trace ("" for untraced executions).  ``tix feedback``
-#:   aggregates this version only (others count as skipped).
+#:   aggregates this version only (others count as skipped).  Added
+#:   since: ``error_code`` (the wire code of a served failure).
 SCHEMA_VERSION = 3
 
 
@@ -80,38 +96,104 @@ def query_hash(source: str) -> str:
     return hashlib.sha256(source.encode("utf-8")).hexdigest()[:16]
 
 
-class QueryEvent:
-    """One query's audit record under construction.
+# Handed between threads, never written concurrently: only the thread
+# answering the request writes its record; the trace store's readers
+# (snapshots, ``traces`` lookups) see plain attribute reads.
+class QueryEvent:  # tix-lint: disable=shared-state-race
+    """One request's record: identity, timing and fate.
 
-    Entry points mutate the fields as facts become known (cache tier
-    verdicts, guard trips, plan stats); :meth:`to_record` freezes the
-    schema-versioned JSON shape at emission time.
+    The owner opens it (``with record:`` — the query server around a
+    whole request, :func:`observe_query` around one pipeline run) and
+    the wired entry points stamp facts as they become known (cache
+    tier verdicts, guard trips, plan stats); the ``note_*`` methods are
+    the only writers of outcome, truncation and error.  Leaving the
+    block stamps the end time and hands the record to the sink.
+
+    Two projections: :meth:`to_record` freezes the schema-versioned
+    audit line, :meth:`summary` / :meth:`to_dict` the ``traces`` row
+    and span tree.  ``context`` (a
+    :class:`~repro.obs.tracestore.TraceContext`) makes the record part
+    of a distributed trace; without one ``trace_id`` stays "" (a local,
+    untraced execution).
     """
 
     __slots__ = (
-        "source", "kind", "ts", "wall_ms", "outcome", "rows",
-        "truncated", "reason", "error_type", "cache", "plan_cache",
-        "guarded", "degraded", "guard_trip", "ops", "trace_id", "_t0",
+        "trace_id", "parent_span_id", "attempt", "kind", "query_sha256",
+        "ts", "start_ns", "end_ns", "queued_ms",
+        "outcome", "rows", "truncated", "reason", "error_type",
+        "error_code", "cache", "plan_cache", "guarded", "guard_degrade",
+        "guard_trip", "degraded", "ops",
+        "retained_for", "head_sampled", "root", "store_key",
     )
 
-    def __init__(self, source: str, kind: str = "query") -> None:
-        self.source = source
+    def __init__(self, source: str, kind: str = "query",
+                 context: "Optional[TraceContext]" = None) -> None:
+        if context is not None:
+            self.trace_id = context.trace_id
+            self.parent_span_id = context.parent_span_id
+            self.attempt = context.attempt
+        else:
+            self.trace_id = self.parent_span_id = ""
+            self.attempt = 0
         self.kind = kind
-        self.trace_id = current_trace_id()
+        self.query_sha256 = query_hash(source)
         self.ts = time.time()
-        self.wall_ms = 0.0
+        self.start_ns = time.perf_counter_ns()
+        self.end_ns: Optional[int] = None
+        self.queued_ms = 0.0           # admission queue wait (server)
         self.outcome = "ok"            # ok | truncated | error
         self.rows = 0
         self.truncated = False
         self.reason = ""
         self.error_type = ""
+        self.error_code = ""           # wire error code (server)
         self.cache = ""                # result tier: hit | miss | ""
         self.plan_cache = ""           # plan tier:   hit | miss | ""
         self.guarded = False
-        self.degraded = False
+        self.guard_degrade = False     # the guard ran in degrade mode
         self.guard_trip = ""           # exception type name of the trip
+        self.degraded = False          # admission tightened the budgets
         self.ops: List[Dict[str, object]] = []
-        self._t0 = time.perf_counter()
+        # Trace-store bookkeeping.
+        self.retained_for = ""         # slow | error | degraded | sampled
+        self.head_sampled = False
+        self.root: "Optional[Span]" = None
+        self.store_key = self.trace_id  # registry key (uniquified on retry)
+
+    # -- lifecycle -----------------------------------------------------
+
+    def __enter__(self) -> "QueryEvent":
+        _STATE.stack.append(self)
+        return self
+
+    def __exit__(self, exc_type: Optional[Type[BaseException]],
+                 exc: Optional[BaseException],
+                 tb: Optional[TracebackType]) -> bool:
+        stack = _STATE.stack
+        if stack and stack[-1] is self:
+            stack.pop()
+        self.end_ns = time.perf_counter_ns()
+        if exc_type is not None:
+            self.note_error(exc_type.__name__, str(exc) if exc else "")
+        SINK.emit(self)
+        return False
+
+    @property
+    def completed(self) -> bool:
+        return self.end_ns is not None
+
+    @property
+    def wall_ms(self) -> float:
+        """Elapsed time: final once completed, running while in
+        flight."""
+        end = self.end_ns
+        if end is None:
+            end = time.perf_counter_ns()
+        return (end - self.start_ns) / 1e6
+
+    @property
+    def n_spans(self) -> int:
+        return self.root.n_spans() if self.root is not None else 0
 
     # -- annotation helpers (called by the wired entry points) ---------
 
@@ -121,7 +203,7 @@ class QueryEvent:
         if not getattr(guard, "active", False):
             return
         self.guarded = True
-        self.degraded = bool(getattr(guard, "degrade", False))
+        self.guard_degrade = bool(getattr(guard, "degrade", False))
         tripped = getattr(guard, "tripped", None)
         if tripped is not None:
             self.guard_trip = type(tripped).__name__
@@ -143,34 +225,72 @@ class QueryEvent:
 
     def note_plan(self, plan: object, limit: int = 3) -> None:
         """Attach the executed plan's top operators (by inclusive
-        time, then rows) from :func:`repro.engine.base.plan_stats`."""
-        self.ops = plan_top_ops(plan, limit=limit)
+        time, then rows) from :func:`repro.engine.base.plan_stats`.
+        Only the audit line prints them, so the plan is walked only
+        when a sink will."""
+        if SINK.enabled:
+            self.ops = plan_top_ops(plan, limit=limit)
 
-    # -- emission ------------------------------------------------------
+    # -- projections ---------------------------------------------------
 
     def to_record(self) -> Dict[str, object]:
-        """The schema-versioned JSON record (see ``SCHEMA_VERSION``)."""
+        """The schema-versioned audit line (see ``SCHEMA_VERSION``)."""
         return {
             "v": SCHEMA_VERSION,
             "ts": self.ts,
             "kind": self.kind,
-            "query_sha256": query_hash(self.source),
+            "query_sha256": self.query_sha256,
             "outcome": self.outcome,
             "wall_ms": round(self.wall_ms, 3),
             "rows": self.rows,
             "truncated": self.truncated,
             "reason": self.reason,
             "error_type": self.error_type,
+            "error_code": self.error_code,
             "cache": self.cache,
             "plan_cache": self.plan_cache,
             "guard": {
                 "active": self.guarded,
-                "degraded": self.degraded,
+                "degraded": self.guard_degrade,
                 "trip": self.guard_trip,
             },
             "ops": list(self.ops),
             "trace_id": self.trace_id,
         }
+
+    def summary(self) -> Dict[str, Any]:
+        """The flat listing row (``tix top``, the ``traces`` wire op);
+        the outcome shows once the request has completed."""
+        completed = self.completed
+        return {
+            "trace_id": self.trace_id,
+            "parent_span_id": self.parent_span_id,
+            "attempt": self.attempt,
+            "op": self.kind,
+            "query_sha256": self.query_sha256,
+            "ts": round(self.ts, 3),
+            "status": "completed" if completed else "inflight",
+            "wall_ms": round(self.wall_ms, 3),
+            "queued_ms": round(self.queued_ms, 3),
+            "outcome": self.outcome if completed else "",
+            "error_code": self.error_code,
+            "degraded": self.degraded,
+            "truncated": self.truncated,
+            "retained_for": self.retained_for,
+            "n_spans": self.n_spans,
+        }
+
+    def to_dict(self) -> Dict[str, Any]:
+        """Summary plus the nested span tree (snapshot-safe: open
+        spans of an in-flight request export as well-formed
+        partials)."""
+        d = self.summary()
+        root = self.root
+        d["spans"] = (
+            root.to_dict(time.perf_counter_ns())
+            if root is not None else None
+        )
+        return d
 
 
 def plan_top_ops(plan: Any, limit: int = 3) -> List[Dict[str, object]]:
@@ -180,11 +300,10 @@ def plan_top_ops(plan: Any, limit: int = 3) -> List[Dict[str, object]]:
     collector ran).  ``est_rows``/``q_error`` are ``None`` when the
     estimator never annotated the plan (schema v2; see
     ``SCHEMA_VERSION``)."""
-    from repro.engine.base import plan_stats
+    from repro.engine.base import plan_nodes
 
     ranked: List[Any] = []
-
-    def walk(node: Dict[str, Any]) -> None:
+    for node in plan_nodes(plan):
         time_ms = float(node["time_ms"])
         rows = int(node["rows"])
         est = node["est_rows"]
@@ -196,10 +315,6 @@ def plan_top_ops(plan: Any, limit: int = 3) -> List[Dict[str, object]]:
             "q_error": round(float(q), 3) if q is not None else None,
             "time_ms": round(time_ms, 3),
         }))
-        for child in node["children"]:
-            walk(child)
-
-    walk(plan_stats(plan))
     ranked.sort(key=lambda entry: (entry[0], entry[1]), reverse=True)
     return [entry[2] for entry in ranked[:limit]]
 
@@ -348,92 +463,32 @@ def logging_queries(target: Union[str, IO[str]],
 
 
 class _EventState(threading.local):
-    """Per-thread stack of in-flight events: the outermost
-    ``observe_query`` owns the record, nested ones annotate it.  Also
-    carries the thread's pending trace id (see :func:`set_trace_id`)."""
+    """Per-thread stack of open records: the outermost owner emits,
+    nested ``observe_query`` blocks annotate it."""
 
     def __init__(self) -> None:
         self.stack: List[QueryEvent] = []
-        self.trace_id = ""
 
 
 _STATE = _EventState()
 
 
-def set_trace_id(trace_id: str) -> None:
-    """Tag audit events created on the calling thread with
-    ``trace_id`` until cleared (``set_trace_id("")``).  The query
-    server brackets each request with this so the audit record joins
-    back to the retained distributed trace; thread-local, so
-    concurrent requests never cross-tag."""
-    _STATE.trace_id = trace_id
-
-
-def current_trace_id() -> str:
-    """The calling thread's pending trace id ("" when untraced)."""
-    return _STATE.trace_id
-
-
 def current_event() -> Optional[QueryEvent]:
-    """The in-flight event of the calling thread's outermost
-    ``observe_query`` (``None`` when no sink is installed or no query
-    is being observed).  Annotation sites (cache tiers, guarded
-    executors) use this to enrich the record without owning it."""
+    """The calling thread's open record (``None`` when no query is
+    being observed).  Annotation sites (cache tiers, guarded executors)
+    use this to enrich the record without owning it."""
     stack = _STATE.stack
     return stack[-1] if stack else None
 
 
-class _NullObservation:
-    """Shared no-op context manager: the disabled path allocates
-    nothing."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> Optional[QueryEvent]:
-        return None
-
-    def __exit__(self, exc_type: Optional[Type[BaseException]],
-                 exc: Optional[BaseException],
-                 tb: Optional[TracebackType]) -> bool:
-        return False
-
-
-_NULL_OBSERVATION = _NullObservation()
-
-
-class _Observation:
-    """Context manager for one observed query.  Only the outermost
-    (non-nested) observation stamps wall time and emits."""
-
-    __slots__ = ("event", "_nested")
-
-    def __init__(self, event: QueryEvent, nested: bool) -> None:
-        self.event = event
-        self._nested = nested
-
-    def __enter__(self) -> QueryEvent:
-        return self.event
-
-    def __exit__(self, exc_type: Optional[Type[BaseException]],
-                 exc: Optional[BaseException],
-                 tb: Optional[TracebackType]) -> bool:
-        if self._nested:
-            return False
-        ev = self.event
-        stack = _STATE.stack
-        if stack and stack[-1] is ev:
-            stack.pop()
-        ev.wall_ms = (time.perf_counter() - ev._t0) * 1000.0
-        if exc_type is not None:
-            ev.note_error(exc_type.__name__, str(exc) if exc else "")
-        SINK.emit(ev)
-        return False
+#: Shared by every disabled observation: that path allocates nothing.
+_NO_RECORD: "ContextManager[None]" = nullcontext()
 
 
 def observe_query(
     source: str, kind: str = "query",
-) -> Union[_NullObservation, _Observation]:
-    """Observe one query execution for the audit log.
+) -> "ContextManager[Optional[QueryEvent]]":
+    """Observe one query execution.
 
     Usage at an entry point::
 
@@ -442,20 +497,19 @@ def observe_query(
             if ev is not None:
                 ev.note_result(len(res))
 
-    Returns a shared no-op context manager (yielding ``None``) when no
-    sink is installed.  When the calling thread is already inside an
-    ``observe_query`` block, the *outer* event is yielded and emission
-    stays with the outer block — nested entry points annotate one
-    shared record instead of double-logging.
+    When the calling thread already has an open record (the query
+    server's, or an outer ``observe_query``), that record is yielded
+    and emission stays with its owner — nested entry points annotate
+    one shared record instead of double-logging.  Otherwise a fresh
+    record is opened when a sink is installed, and a shared no-op
+    context manager (yielding ``None``) when none is.
     """
-    if not SINK.enabled:
-        return _NULL_OBSERVATION
     stack = _STATE.stack
     if stack:
-        return _Observation(stack[-1], nested=True)
-    event = QueryEvent(source, kind=kind)
-    stack.append(event)
-    return _Observation(event, nested=False)
+        return nullcontext(stack[-1])  # annotate; the owner emits
+    if not SINK.enabled:
+        return _NO_RECORD
+    return QueryEvent(source, kind=kind)
 
 
 # ----------------------------------------------------------------------

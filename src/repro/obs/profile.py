@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro import obs
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import render_span_tree
 
 if TYPE_CHECKING:
     from repro.xmldb.store import XMLStore
@@ -78,8 +79,8 @@ class ProfileReport:
             )
         lines.append("")
         lines.append("phases:")
-        for span in self.collector.tracer.roots:
-            lines.extend(_render_span(span, 1))
+        for span in self.collector.tracer.to_dict()["spans"]:
+            lines.extend(render_span_tree(span, 1, max_depth=3))
         if self.store_counters:
             lines.append("")
             lines.append("store counters (logical I/O):")
@@ -98,16 +99,6 @@ class ProfileReport:
         """Write the span tree in Chrome ``traceEvents`` format."""
         with open(path, "w", encoding="utf-8") as f:
             json.dump(self.collector.tracer.to_chrome_trace(), f, indent=2)
-
-
-def _render_span(span: obs.Span, depth: int,
-                 max_depth: int = 3) -> List[str]:
-    pad = "  " * depth
-    lines = [f"{pad}{span.name}: {span.duration_ms:.3f}ms"]
-    if depth < max_depth:
-        for child in span.children:
-            lines.extend(_render_span(child, depth + 1, max_depth))
-    return lines
 
 
 def profile_query(store: "XMLStore", source: str,

@@ -12,9 +12,9 @@ around three read-only endpoints:
   process uptime;
 - ``/traces`` — the attached trace store's in-flight + retained
   summaries (``tix top`` polls this), ``/traces?id=<trace_id>`` one
-  trace's full span tree, with ``&format=chrome`` the Chrome
-  ``traceEvents`` export.  404 when no trace store is attached or the
-  id is unknown.
+  trace's record and full span tree (``tix trace --chrome-out``
+  converts it client-side).  404 when no trace store is attached or
+  the id is unknown.
 
 The server observes itself: every request increments a
 ``serve.requests.<endpoint>`` counter and lands its handling latency in
@@ -93,8 +93,8 @@ class _Handler(BaseHTTPRequestHandler):
                         (time.perf_counter() - t0) * 1000.0)
 
     def _reply_traces(self, params: Dict[str, List[str]]) -> None:
-        """``/traces`` routing: store snapshot, one trace by ``?id=``,
-        or its Chrome export with ``&format=chrome``."""
+        """``/traces`` routing: store snapshot, or one trace by
+        ``?id=``."""
         store = self.server.trace_store
         if store is None:
             self._reply(404, "text/plain; charset=utf-8",
@@ -113,11 +113,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self._reply(404, "text/plain; charset=utf-8",
                             f"no such trace: {trace_ids[0]}\n")
                 return
-            fmt = params.get("format", [""])[0]
-            payload = (
-                trace.to_chrome_trace() if fmt == "chrome"
-                else trace.to_dict()
-            )
+            payload = trace.to_dict()
         body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         self._reply(200, "application/json; charset=utf-8", body)
 

@@ -19,17 +19,18 @@ million-row scan would produce a million spans); their cost is
 aggregated per operator in :class:`repro.engine.base.OpStats` and
 attached to the operator's ``close`` span as attributes.
 
-Exports: :meth:`Tracer.to_dict` (nested JSON) and
-:meth:`Tracer.to_chrome_trace` (the Chrome/Perfetto ``traceEvents``
+Exports: :meth:`Span.to_dict` / :meth:`Tracer.to_dict` (nested JSON)
+is the serialized form — what crosses the wire and lands in files —
+and both views are rendered from it, once each:
+:func:`chrome_trace_events` (the Chrome/Perfetto ``traceEvents``
 format — load it at ``chrome://tracing`` or https://ui.perfetto.dev;
-each thread renders as its own timeline row via the ``tid`` field).
-Both exports are **snapshot-safe**: a span still open when the export
-runs (an in-flight query) renders as a well-formed partial span whose
-duration extends to the snapshot instant and whose record is flagged
-``open`` — never a zero-duration event, never an exception.  The
-free-standing :func:`chrome_trace_events` helper renders any span
-forest the same way, which is how the trace store exports one retained
-request trace without a whole tracer.
+each thread renders as its own timeline row via the ``tid`` field) and
+:func:`render_span_tree` (indented text with per-span self time, for
+``tix trace`` and ``tix profile``).  The exports are **snapshot-safe**:
+a span still open when the export runs (an in-flight query) renders as
+a well-formed partial span whose duration extends to the snapshot
+instant and whose record is flagged ``open`` — never a zero-duration
+event, never an exception.
 
 :meth:`Tracer.detach` removes a finished root span (and its subtree)
 from the tracer's accounting — the distributed-tracing layer hands
@@ -42,9 +43,9 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
-__all__ = ["Span", "Tracer", "chrome_trace_events"]
+__all__ = ["Span", "Tracer", "chrome_trace_events", "render_span_tree"]
 
 
 class Span:
@@ -230,53 +231,68 @@ class Tracer:
         }
 
     def to_chrome_trace(self) -> Dict[str, object]:
-        """The Chrome ``traceEvents`` JSON: one complete (``"ph": "X"``)
-        event per span, timestamps in microseconds relative to the first
-        span.  Thread idents are compacted to small stable ``tid``
-        values (ordered by each thread's first span) so every thread
-        gets its own readable timeline row.  Spans still open at export
-        time render as partial events extending to the export instant
-        (flagged ``args["open"]``)."""
-        return chrome_trace_events(self._root_snapshot())
+        """The collected forest as Chrome ``traceEvents`` JSON (see
+        :func:`chrome_trace_events`)."""
+        return chrome_trace_events(self.to_dict()["spans"])
 
 
-def chrome_trace_events(roots: List[Span],
-                        now_ns: Optional[int] = None) -> Dict[str, object]:
-    """Render a span forest as Chrome ``traceEvents`` JSON.
-
-    Shared by :meth:`Tracer.to_chrome_trace` (the whole collected
-    forest) and the trace store (one retained request tree).  Spans
-    still open at export time — an in-flight query being snapshotted —
-    are rendered with their duration up to ``now_ns`` (defaulting to
-    the call instant, shared across the whole export so the timeline is
-    consistent) and ``args["open"] = true``, never as zero-duration
-    events."""
+def chrome_trace_events(spans: List[Dict[str, Any]]) -> Dict[str, object]:
+    """Render a forest of *serialized* spans (:meth:`Span.to_dict`
+    form) as Chrome ``traceEvents`` JSON: one complete (``"ph": "X"``)
+    event per span, timestamps in microseconds relative to the first
+    span.  Thread idents are compacted to small stable ``tid`` values
+    (ordered by each thread's first root) so every thread gets its own
+    readable timeline row.  Spans that were open at serialization time
+    render as partial events (``args["open"] = true``), never as
+    zero-duration ones."""
     events: List[Dict[str, object]] = []
-    if not roots:
+    if not spans:
         return {"traceEvents": events}
-    if now_ns is None:
-        now_ns = time.perf_counter_ns()
-    t0 = min(s.start_ns for s in roots)
+    t0 = min(int(d["start_ns"]) for d in spans)
     tids: Dict[int, int] = {}
-    for root in sorted(roots, key=lambda s: s.start_ns):
-        tids.setdefault(root.tid, len(tids))
+    for root in sorted(spans, key=lambda d: int(d["start_ns"])):
+        tids.setdefault(int(root["tid"]), len(tids))
 
-    def emit(span: Span) -> None:
-        args = dict(span.attrs)
-        if span.end_ns is None:
+    def emit(d: Dict[str, Any]) -> None:
+        args = dict(d.get("attrs") or {})
+        if d.get("open"):
             args["open"] = True
         events.append({
-            "name": span.name,
+            "name": d["name"],
             "ph": "X",
-            "ts": (span.start_ns - t0) / 1e3,
-            "dur": span.duration_ns_at(now_ns) / 1e3,
+            "ts": (int(d["start_ns"]) - t0) / 1e3,
+            "dur": int(d["duration_ns"]) / 1e3,
             "pid": 0,
-            "tid": tids.setdefault(span.tid, len(tids)),
+            "tid": tids.setdefault(int(d["tid"]), len(tids)),
             "args": args,
         })
-        for child in span.children:
+        for child in d.get("children") or []:
             emit(child)
 
-    for root in roots:
+    for root in spans:
         emit(root)
     return {"traceEvents": events}
+
+
+def render_span_tree(span: Dict[str, Any], depth: int = 0,
+                     max_depth: Optional[int] = None) -> List[str]:
+    """Indented text lines for one *serialized* span tree: per span
+    its duration, its **self time** (duration minus the part its
+    children cover — where the time was actually spent, telemetry
+    included) and its attributes.  Children are rendered while
+    ``depth < max_depth`` (``None`` = the whole tree)."""
+    dur = float(span["duration_ms"])
+    children = span.get("children") or []
+    self_ms = max(0.0, dur - sum(float(c["duration_ms"]) for c in children))
+    attrs = span.get("attrs") or {}
+    extra = " ".join(f"{k}={v}" for k, v in sorted(attrs.items()))
+    mark = " (open)" if span.get("open") else ""
+    pad = "  " * depth
+    width = max(1, 32 - len(pad))
+    lines = [f"  {pad}{span['name']:<{width}} {dur:>9.3f} ms"
+             f"  self {self_ms:>9.3f} ms{mark}"
+             + (f"  {extra}" if extra else "")]
+    if max_depth is None or depth < max_depth:
+        for child in children:
+            lines += render_span_tree(child, depth + 1, max_depth)
+    return lines

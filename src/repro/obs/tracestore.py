@@ -10,12 +10,15 @@ ones that matter:
   frames as an optional ``"trace"`` field — an old peer simply ignores
   it, and a frame without it makes the server mint a root trace
   locally, so mixed client/server versions interoperate.
-- :class:`Trace` is one request's causal story: the propagated
-  context, timing, the outcome (ok / truncated / error, degraded,
-  wire error code), and the request's span tree — the same
+- A trace is the request's one record
+  (:class:`~repro.obs.events.QueryEvent` — the propagated context,
+  timing, the outcome the pipeline stamped, what the server alone
+  knows) plus the request's span tree — the same
   :class:`~repro.obs.trace.Span` objects the engine's operators
   produce, so a retained trace nests queue wait → guard execution →
-  per-operator spans with zero extra bookkeeping.
+  per-operator spans with zero extra bookkeeping.  This module defines
+  no record class of its own: the audit line and the ``traces`` row
+  are two projections of that one record.
 - :class:`TraceStore` is a bounded, thread-safe registry:
   every trace is visible while in flight (the ``tix top`` live view),
   and completed traces are **promoted by the tail**, not the head —
@@ -42,11 +45,12 @@ from collections import OrderedDict
 from typing import Any, Dict, List, Optional
 
 from repro import obs as _obs
-from repro.obs.trace import Span, chrome_trace_events
+from repro.obs.events import QueryEvent
+from repro.obs.trace import Span
 
 __all__ = [
-    "TraceContext", "Trace", "RetentionPolicy", "TraceStore",
-    "new_trace_id", "new_span_id", "chrome_trace_from_dict",
+    "TraceContext", "RetentionPolicy", "TraceStore",
+    "new_trace_id", "new_span_id",
 ]
 
 
@@ -116,124 +120,6 @@ class TraceContext:
                 f"attempt={self.attempt})")
 
 
-class Trace:
-    """One request's trace: propagated context, timing, outcome, and
-    (when a collector is installed) the request's span tree."""
-
-    __slots__ = (
-        "trace_id", "parent_span_id", "attempt", "op", "query_sha256",
-        "started_ts", "start_ns", "end_ns", "outcome", "error_code",
-        "degraded", "truncated", "queued_ms", "retained_for",
-        "head_sampled", "root", "store_key",
-    )
-
-    def __init__(self, trace_id: str, *, parent_span_id: str = "",
-                 attempt: int = 0, op: str = "query",
-                 query_sha256: str = "") -> None:
-        self.trace_id = trace_id
-        self.parent_span_id = parent_span_id
-        self.attempt = attempt
-        self.op = op
-        self.query_sha256 = query_sha256
-        self.started_ts = time.time()
-        self.start_ns = time.perf_counter_ns()
-        self.end_ns: Optional[int] = None
-        self.outcome = ""              # "" (in flight) | ok|truncated|error
-        self.error_code = ""           # wire error code on failure
-        self.degraded = False
-        self.truncated = False
-        self.queued_ms = 0.0
-        self.retained_for = ""         # slow | error | degraded | sampled
-        self.head_sampled = False
-        self.root: Optional[Span] = None
-        self.store_key = trace_id      # registry key (uniquified on retry)
-
-    @property
-    def completed(self) -> bool:
-        return self.end_ns is not None
-
-    @property
-    def wall_ms(self) -> float:
-        """Elapsed time: final for a completed trace, running for an
-        in-flight one."""
-        end = self.end_ns
-        if end is None:
-            end = time.perf_counter_ns()
-        return (end - self.start_ns) / 1e6
-
-    @property
-    def n_spans(self) -> int:
-        return self.root.n_spans() if self.root is not None else 0
-
-    def summary(self) -> Dict[str, Any]:
-        """The flat listing row (``tix top``, the ``traces`` wire op)."""
-        return {
-            "trace_id": self.trace_id,
-            "parent_span_id": self.parent_span_id,
-            "attempt": self.attempt,
-            "op": self.op,
-            "query_sha256": self.query_sha256,
-            "ts": round(self.started_ts, 3),
-            "status": "completed" if self.completed else "inflight",
-            "wall_ms": round(self.wall_ms, 3),
-            "queued_ms": round(self.queued_ms, 3),
-            "outcome": self.outcome,
-            "error_code": self.error_code,
-            "degraded": self.degraded,
-            "truncated": self.truncated,
-            "retained_for": self.retained_for,
-            "n_spans": self.n_spans,
-        }
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Summary plus the nested span tree (snapshot-safe: open
-        spans of an in-flight trace export as well-formed partials)."""
-        d = self.summary()
-        root = self.root
-        d["spans"] = (
-            root.to_dict(time.perf_counter_ns())
-            if root is not None else None
-        )
-        return d
-
-    def to_chrome_trace(self) -> Dict[str, Any]:
-        """The trace's span tree in Chrome ``traceEvents`` format."""
-        root = self.root
-        return chrome_trace_events([root] if root is not None else [])
-
-
-def chrome_trace_from_dict(trace: Dict[str, Any]) -> Dict[str, Any]:
-    """Chrome ``traceEvents`` from a *serialized* trace (the
-    :meth:`Trace.to_dict` form) — ``tix trace FILE --chrome-out``
-    converts a saved trace without the live :class:`Span` objects."""
-    events: List[Dict[str, Any]] = []
-    spans = trace.get("spans")
-    if not isinstance(spans, dict):
-        return {"traceEvents": events}
-    t0 = int(spans.get("start_ns", 0))
-    tids: Dict[int, int] = {}
-
-    def emit(d: Dict[str, Any]) -> None:
-        args = dict(d.get("attrs") or {})
-        if d.get("open"):
-            args["open"] = True
-        events.append({
-            "name": d.get("name", ""),
-            "ph": "X",
-            "ts": (int(d.get("start_ns", t0)) - t0) / 1e3,
-            "dur": int(d.get("duration_ns", 0)) / 1e3,
-            "pid": 0,
-            "tid": tids.setdefault(int(d.get("tid", 0)), len(tids)),
-            "args": args,
-        })
-        for child in d.get("children") or []:
-            if isinstance(child, dict):
-                emit(child)
-
-    emit(spans)
-    return {"traceEvents": events}
-
-
 class RetentionPolicy:
     """Tail-based promotion verdicts for completed traces.
 
@@ -271,7 +157,7 @@ class RetentionPolicy:
             return False
         return self._rng.random() < self.sample_rate
 
-    def verdict(self, trace: Trace) -> str:
+    def verdict(self, trace: QueryEvent) -> str:
         """The retention reason for a completed trace ("" = drop).
         Forced reasons win over the head-sample draw, so the tail is
         never sampled away."""
@@ -302,8 +188,8 @@ class TraceStore:
         self.capacity = capacity
         self.policy = policy if policy is not None else RetentionPolicy()
         self._lock = threading.Lock()
-        self._inflight: "OrderedDict[str, Trace]" = OrderedDict()
-        self._retained: "OrderedDict[str, Trace]" = OrderedDict()
+        self._inflight: "OrderedDict[str, QueryEvent]" = OrderedDict()
+        self._retained: "OrderedDict[str, QueryEvent]" = OrderedDict()
         # Lifetime tallies (mirrored as trace.* metrics when collecting).
         self.started = 0
         self.completed = 0
@@ -313,20 +199,14 @@ class TraceStore:
     # -- lifecycle -------------------------------------------------------
 
     def begin(self, context: Optional[TraceContext] = None, *,
-              op: str = "query", query_sha256: str = "") -> Trace:
-        """Register a new in-flight trace.  With a propagated
-        ``context`` the trace continues the client's id; without one
-        (an old client, or a locally issued query) a root trace is
-        minted here."""
-        if context is not None:
-            trace = Trace(
-                context.trace_id,
-                parent_span_id=context.parent_span_id,
-                attempt=context.attempt,
-                op=op, query_sha256=query_sha256,
-            )
-        else:
-            trace = Trace(new_trace_id(), op=op, query_sha256=query_sha256)
+              op: str = "query", source: str = "") -> QueryEvent:
+        """Open and register the record of a new in-flight request.
+        With a propagated ``context`` the trace continues the client's
+        id; without one (an old client, or a locally issued query) a
+        root trace is minted here."""
+        if context is None:
+            context = TraceContext(new_trace_id())
+        trace = QueryEvent(source, kind=op, context=context)
         with self._lock:
             trace.head_sampled = self.policy.head_sample()
             # A colliding id (a client retrying with the same trace id
@@ -347,16 +227,14 @@ class TraceStore:
             rec.set_gauge("trace.inflight", inflight)
         return trace
 
-    def complete(self, trace: Trace, *, outcome: str = "ok",
-                 error_code: str = "", degraded: bool = False,
-                 truncated: bool = False) -> str:
-        """Finish ``trace``, apply the retention policy, and return the
-        retention reason ("" when the trace was dropped)."""
-        trace.end_ns = time.perf_counter_ns()
-        trace.outcome = outcome
-        trace.error_code = error_code
-        trace.degraded = degraded
-        trace.truncated = truncated
+    def complete(self, trace: QueryEvent,
+                 root: Optional[Span] = None) -> str:
+        """Take a finished record and its root span, apply the
+        retention policy, and return the retention reason ("" when the
+        trace was dropped)."""
+        if trace.end_ns is None:  # never opened as an observation
+            trace.end_ns = time.perf_counter_ns()
+        trace.root = root
         evicted = 0
         with self._lock:
             self._inflight.pop(trace.store_key, None)
@@ -381,7 +259,7 @@ class TraceStore:
                 rec.count("trace.dropped", evicted)
         return reason
 
-    def _retained_key(self, trace: Trace) -> str:
+    def _retained_key(self, trace: QueryEvent) -> str:
         key = trace.store_key
         while key in self._retained:
             key += "+"
@@ -389,7 +267,7 @@ class TraceStore:
 
     # -- lookup ----------------------------------------------------------
 
-    def get(self, trace_id: str) -> Optional[Trace]:
+    def get(self, trace_id: str) -> Optional[QueryEvent]:
         """The trace registered under ``trace_id`` (in flight or
         retained; retained wins for a completed id)."""
         with self._lock:
@@ -398,11 +276,11 @@ class TraceStore:
                 trace = self._inflight.get(trace_id)
             return trace
 
-    def inflight(self) -> List[Trace]:
+    def inflight(self) -> List[QueryEvent]:
         with self._lock:
             return list(self._inflight.values())
 
-    def retained(self) -> List[Trace]:
+    def retained(self) -> List[QueryEvent]:
         """Retained traces, oldest first."""
         with self._lock:
             return list(self._retained.values())

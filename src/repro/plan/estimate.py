@@ -35,7 +35,7 @@ operators degrade to a documented passthrough instead of failing.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro import obs as _obs
 
@@ -47,7 +47,7 @@ __all__ = [
     "PHRASE_ADJACENCY", "SCORE_SELECTIVITY",
     "qerror", "term_estimate", "phrase_estimate",
     "containment_selectivity", "structural_join_estimate",
-    "estimate_plan", "iter_estimated", "publish_qerrors",
+    "estimate_plan", "publish_qerrors",
 ]
 
 #: Probability that a posting of the rarest phrase term extends the
@@ -298,28 +298,21 @@ def _walk(op: Any, stats: "StoreStatistics") -> float:
     return est
 
 
-def iter_estimated(plan: Any) -> Iterator[Any]:
-    """Yield every operator of an annotated plan (pre-order) that
-    carries an estimate."""
-    if getattr(plan, "est_rows", None) is not None:
-        yield plan
-    for child in getattr(plan, "children", ()):
-        for op in iter_estimated(child):
-            yield op
-
-
 def publish_qerrors(plan: Any) -> Dict[str, float]:
-    """After execution, compare every operator's ``est_rows`` with its
-    actual ``rows_out`` and feed each per-operator q-error into the
+    """After execution, feed every annotated operator's q-error — as
+    :func:`repro.engine.base.plan_stats` reports it — into the
     ``estimate.qerror`` histogram (no-op without a collector).  Returns
     ``{describe: q-error}`` for the annotated operators, so callers can
     render or log the same numbers."""
+    from repro.engine.base import plan_nodes
+
     out: Dict[str, float] = {}
     rec = _obs.RECORDER
     enabled = rec.enabled
-    for op in iter_estimated(plan):
-        q = qerror(op.est_rows, op.rows_out)
-        out[op.describe()] = q
-        if enabled:
-            rec.observe("estimate.qerror", q)
+    for node in plan_nodes(plan):
+        q = node["q_error"]
+        if q is not None:
+            out[node["describe"]] = q
+            if enabled:
+                rec.observe("estimate.qerror", q)
     return out

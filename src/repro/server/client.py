@@ -424,18 +424,16 @@ class PooledClient:
         return stats if isinstance(stats, dict) else {}
 
     def traces(self, trace_id: Optional[str] = None, *,
-               fmt: Optional[str] = None,
                limit: int = 50) -> Dict[str, Any]:
         """The server's trace-store snapshot (no ``trace_id``), or one
-        retained/in-flight trace — full span tree, or Chrome
-        ``traceEvents`` with ``fmt="chrome"``.  Raises ``NOT_FOUND``
-        for an unknown id and ``BAD_REQUEST`` on an old server without
-        the ``traces`` op."""
+        retained/in-flight trace with its full span tree (render it
+        with :func:`repro.obs.trace.chrome_trace_events` /
+        :func:`~repro.obs.trace.render_span_tree`).  Raises
+        ``NOT_FOUND`` for an unknown id and ``BAD_REQUEST`` on an old
+        server without the ``traces`` op."""
         fields: Dict[str, Any] = {"limit": limit}
         if trace_id is not None:
             fields["trace_id"] = trace_id
-        if fmt is not None:
-            fields["format"] = fmt
         resp = self._call("traces", **fields)
         traces = resp.get("traces")
         return traces if isinstance(traces, dict) else {}

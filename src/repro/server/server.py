@@ -28,19 +28,27 @@ Robustness properties:
 - **slow-client defense** — connections idle (or stalled mid-frame)
   longer than ``idle_timeout_s`` are closed, so a slowloris peer pins
   one thread for a bounded time only;
-- **typed failures** — every engine exception crossing the wire is an
-  :func:`~repro.server.protocol.error_response` envelope; a client
-  never sees an unexplained disconnect for an in-protocol failure;
-- **distributed tracing** — every ``query`` request continues the
-  client's propagated trace context (or mints a root trace for old
-  clients) in a :class:`~repro.obs.tracestore.TraceStore`: a
-  ``server.request`` root span wraps queue wait, gate pin, and the
-  guarded run (which contributes cache/compile/execute and
-  per-operator spans on the same thread), the response echoes the
-  ``trace_id``, audit events are tagged with it, and completed traces
-  are retained by the tail-based policy (slow / error /
-  degraded / head-sampled) for the ``traces`` wire op and the
-  ObsServer's ``/traces`` endpoint.
+- **typed failures** — every exception raised while answering a
+  query — engine errors, guard trips, admission refusals, and request
+  fields that do not validate (a non-numeric or negative
+  ``timeout_ms`` / ``max_rows`` is a ``BAD_REQUEST``) — leaves through
+  one mapping to an :func:`~repro.server.protocol.error_response`
+  envelope; a client never sees an unexplained disconnect for an
+  in-protocol failure, and the connection answers its next frame;
+- **one request record** — every ``query`` request opens one
+  :class:`~repro.obs.events.QueryEvent` before admission, continuing
+  the client's propagated trace context (or minting a root trace for
+  old clients).  The pipeline notes outcome, truncation and cache
+  verdicts on it; the server adds what it alone knows (queue wait,
+  admission degradation, wire error code).  A ``server.request`` root
+  span wraps queue wait, gate pin, and the guarded run (which
+  contributes cache/compile/execute and per-operator spans on the same
+  thread), the response echoes the ``trace_id``, and the finished
+  record goes to the audit sink (when one is installed) and, with its
+  span tree, to the :class:`~repro.obs.tracestore.TraceStore`, which
+  retains it by the tail-based policy (slow / error / degraded /
+  head-sampled) for the ``traces`` wire op and the ObsServer's
+  ``/traces`` endpoint.
 
 One thread per connection (requests on a connection answered in
 order); the accept loop runs on its own thread.  Guard installation is
@@ -52,17 +60,13 @@ from __future__ import annotations
 
 import socket
 import threading
+from contextlib import ExitStack
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set
 
 from repro import obs as _obs
-from repro.errors import (
-    DocumentNotFoundError,
-    ProtocolError,
-    QueryAbortedError,
-    TIXError,
-)
-from repro.obs import events as _events
+from repro.errors import DocumentNotFoundError, ProtocolError
+from repro.obs.events import QueryEvent
 from repro.obs.tracestore import RetentionPolicy, TraceStore
 from repro.resilience import faultinject as _faults
 from repro.resilience.guard import CancellationToken, QueryGuard
@@ -379,8 +383,7 @@ class QueryServer:
     def _handle_traces(self, conn: socket.socket, rid: Any,
                        req: Dict[str, Any]) -> bool:
         """Answer a ``traces`` op: the store snapshot, or one trace by
-        id (full span tree, or Chrome ``traceEvents`` when the request
-        asks for ``format: "chrome"``)."""
+        id (its record and full span tree)."""
         trace_id = req.get("trace_id")
         if trace_id is None:
             limit = req.get("limit")
@@ -397,120 +400,106 @@ class QueryServer:
                     f"(dropped, evicted, or never seen)"
                 ),
             ))
-        payload = (
-            trace.to_chrome_trace() if req.get("format") == "chrome"
-            else trace.to_dict()
-        )
-        return self._send(conn, ok_response(rid, traces=payload))
+        return self._send(conn, ok_response(rid, traces=trace.to_dict()))
 
     def _handle_query(self, conn: socket.socket, rid: Any,
                       req: Dict[str, Any]) -> "tuple[bool, str]":
-        """Answer one ``query`` request under its own trace.  Returns
-        ``(sent, trace_id)``."""
-        source = req.get("q")
-        if not isinstance(source, str) or not source.strip():
-            return self._send(conn, error_response(
-                rid, ProtocolError("query op requires a non-empty 'q'"),
-                code="BAD_REQUEST",
-            )), ""
+        """Answer one ``query`` request under its own record: open it,
+        answer, send once, complete.  Returns ``(sent, trace_id)``."""
         rec = _obs.RECORDER
+        source = req.get("q")
         # Continue the client's propagated context, or mint a root
         # trace for old clients (parse_trace_context → None).
-        trace = self.trace_store.begin(
-            parse_trace_context(req), op="query",
-            query_sha256=_events.query_hash(source),
+        record = self.trace_store.begin(
+            parse_trace_context(req),
+            source=source if isinstance(source, str) else "",
         )
-        tid = trace.trace_id
         root = (
-            rec.begin_span("server.request", trace_id=tid,
-                           attempt=trace.attempt)
+            rec.begin_span("server.request", trace_id=record.trace_id,
+                           attempt=record.attempt)
             if rec.enabled else None
         )
-        _events.set_trace_id(tid)
-        outcome = "error"
-        err_code = ""
-        degraded = False
-        truncated = False
         try:
-            qspan = rec.begin_span("queue.wait") if rec.enabled else None
-            try:
+            # ``held`` keeps the admission slot until the response is
+            # written: a drain that completes implies every admitted
+            # request was *answered*.
+            with ExitStack() as held:
+                # The record closes (and reaches the audit sink) before
+                # the write: a client holding its answer can already
+                # read the line about it.
+                with record:
+                    resp = self._answer(rid, req, record, held)
+                return self._send(conn, resp), record.trace_id
+        finally:
+            if root is not None:
+                rec.end_span(root)
+                # The trace store owns the finished tree from here;
+                # free the tracer's max_spans budget — a long-running
+                # server must not exhaust it.
+                tracer = getattr(rec, "tracer", None)
+                if tracer is not None:
+                    tracer.detach(root)
+            self.trace_store.complete(record, root)
+
+    def _answer(self, rid: Any, req: Dict[str, Any], record: QueryEvent,
+                held: ExitStack) -> Dict[str, Any]:
+        """The response frame for one ``query`` request.  The pipeline
+        notes the result on ``record``; this adds what only the server
+        knows.  Every failure — a malformed request, an admission
+        refusal, a strict-mode guard trip, an engine error — leaves
+        through the one mapping at the bottom: a typed envelope, the
+        error noted on the record, never a dead connection thread."""
+        rec = _obs.RECORDER
+        fields: Dict[str, Any] = {"trace_id": record.trace_id}
+        try:
+            source = req.get("q")
+            if not isinstance(source, str) or not source.strip():
+                raise ProtocolError("query op requires a non-empty 'q'")
+            with rec.span("queue.wait") as qspan:
                 ticket = self.admission.admit(self.store.generation)
-            except TIXError as exc:  # OverloadedError / ShuttingDownError
-                rec.end_span(qspan)
-                err_code = error_code(exc)
-                return self._send(conn, error_response(
-                    rid, exc, trace_id=tid)), tid
-            trace.queued_ms = ticket.queued_ms
-            if qspan is not None:
-                qspan.attrs["queued_ms"] = round(ticket.queued_ms, 3)
-            rec.end_span(qspan)
+                if qspan is not None:
+                    qspan.attrs["queued_ms"] = round(ticket.queued_ms, 3)
+            held.callback(self.admission.release, ticket)
+            record.queued_ms = ticket.queued_ms
+            record.degraded = ticket.degraded
             token = CancellationToken()
             with self._lock:
                 self._tokens.add(token)
             try:
-                timeout_ms, max_rows, degrade = self._budgets(req, ticket)
-                degraded = ticket.degraded
+                try:
+                    timeout_ms, max_rows, degrade = self._budgets(req, ticket)
+                    guard = QueryGuard(
+                        timeout_ms=timeout_ms, max_rows=max_rows,
+                        token=token, degrade=degrade,
+                    )
+                except (TypeError, ValueError) as exc:
+                    raise ProtocolError(f"bad query budget: {exc}") from exc
                 gspan = rec.begin_span("gate.pin") if rec.enabled else None
                 with self.gate.read() as generation:
                     if gspan is not None:
                         gspan.attrs["generation"] = generation
                     rec.end_span(gspan)
-                    guard = QueryGuard(
-                        timeout_ms=timeout_ms, max_rows=max_rows,
-                        token=token, degrade=degrade,
-                    )
-                    try:
-                        res = self._run(source, guard)
-                    except QueryAbortedError as exc:
-                        # Strict-mode guard trip: typed, never a
-                        # disconnect.
-                        err_code = error_code(exc)
-                        return self._send(conn, error_response(
-                            rid, exc, generation=generation,
-                            trace_id=tid)), tid
-                    except TIXError as exc:
-                        err_code = error_code(exc)
-                        return self._send(conn, error_response(
-                            rid, exc, generation=generation,
-                            trace_id=tid)), tid
-                    except Exception as exc:  # defensive: INTERNAL
-                        err_code = error_code(exc)
-                        return self._send(conn, error_response(
-                            rid, exc, generation=generation,
-                            trace_id=tid)), tid
+                    fields["generation"] = generation
+                    res = self._run(source, guard, record)
                     with_scores = bool(req.get("with_scores", False))
                     rows = [self._row(t, with_scores) for t in res.results]
-                    truncated = res.truncated
-                    outcome = "truncated" if truncated else "ok"
-                    return self._send(conn, ok_response(
+                    return ok_response(
                         rid, rows=rows, n=len(rows),
                         truncated=res.truncated, reason=res.reason,
-                        degraded=ticket.degraded, generation=generation,
-                        queued_ms=round(ticket.queued_ms, 3),
-                        trace_id=tid,
-                    )), tid
+                        degraded=ticket.degraded,
+                        queued_ms=round(ticket.queued_ms, 3), **fields,
+                    )
             finally:
                 with self._lock:
                     self._tokens.discard(token)
-                # Released only after the response write: a drain that
-                # completes implies every admitted request was
-                # *answered*.
-                self.admission.release(ticket)
-        finally:
-            _events.set_trace_id("")
-            if root is not None:
-                rec.end_span(root)
-                # Hand the finished span tree to the trace store and
-                # free the tracer's max_spans budget — a long-running
-                # server must not exhaust it.
-                trace.root = root
-                tracer = getattr(rec, "tracer", None)
-                if tracer is not None:
-                    tracer.detach(root)
-            self.trace_store.complete(
-                trace, outcome=outcome, error_code=err_code,
-                degraded=degraded, truncated=truncated,
+        except Exception as exc:
+            record.note_error(type(exc).__name__, str(exc))
+            record.error_code = (
+                "BAD_REQUEST" if isinstance(exc, ProtocolError)
+                else error_code(exc)
             )
+            return error_response(rid, exc, code=record.error_code,
+                                  **fields)
 
     def _budgets(self, req: Dict[str, Any], ticket: Any,
                  ) -> "tuple[Optional[float], Optional[int], bool]":
@@ -548,11 +537,16 @@ class QueryServer:
             degrade = True
         return timeout_ms, max_rows, degrade
 
-    def _run(self, source: str, guard: QueryGuard) -> GuardedResult:
-        if self._runner is not None:
-            return self._runner(source, guard)
-        return run_query_guarded(self.store, source, guard,
-                                 cache=self.cache)
+    def _run(self, source: str, guard: QueryGuard,
+             record: QueryEvent) -> GuardedResult:
+        if self._runner is None:
+            return run_query_guarded(self.store, source, guard,
+                                     cache=self.cache)
+        # A pluggable runner stands in for the pipeline, so its result
+        # is noted here the way the pipeline would have.
+        res = self._runner(source, guard)
+        record.note_result(res.n_results, res.truncated, res.reason)
+        return res
 
     @staticmethod
     def _row(tree: object, with_scores: bool) -> Dict[str, Any]:

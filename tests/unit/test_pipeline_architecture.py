@@ -75,3 +75,66 @@ def test_removed_dispatchers_stay_removed():
 
     for name in ("_query_guarded", "_query_analyze", "_query_planned"):
         assert not hasattr(cli, name)
+
+
+# -- one request record, one producer per fact, one renderer per view --
+
+def functions_named(tree, *names):
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name in names]
+
+
+def calls_in(func, name):
+    return sum(1 for node in ast.walk(func)
+               if isinstance(node, ast.Call) and called_name(node) == name)
+
+
+def test_one_class_holds_a_requests_outcome_facts():
+    owners = {
+        (rel, node.name) for rel, tree in modules()
+        for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+        if functions_named(node, "note_result", "note_error")
+    }
+    assert owners == {(os.path.join("obs", "events.py"), "QueryEvent")}
+
+    from repro.obs import events, tracestore
+
+    for name in tracestore.__all__:  # the store defines no record class
+        assert not hasattr(getattr(tracestore, name), "summary"), name
+    for module, name in ((events, "set_trace_id"),
+                         (events, "current_trace_id"),
+                         (tracestore, "Trace"),
+                         (tracestore, "chrome_trace_from_dict")):
+        assert not hasattr(module, name), name
+    assert len(tracestore.__all__) + len(events.__all__) < 7 + 16
+
+
+def test_query_answers_leave_through_one_send_and_one_error_mapping():
+    server = dict(modules())[os.path.join("server", "server.py")]
+    (handle,) = functions_named(server, "_handle_query")
+    (answer,) = functions_named(server, "_answer")
+    assert calls_in(handle, "_send") == 1
+    assert calls_in(handle, "error_response") == 0
+    assert calls_in(answer, "error_response") == 1
+    assert calls_in(answer, "_send") == 0
+
+
+def test_the_server_renders_no_trace_view():
+    # Format handling is client-side (``tix trace --chrome-out``): no
+    # module switches on a "chrome" format literal, and the one Chrome
+    # exporter and the one span-tree renderer live next to ``Span``.
+    literal = {
+        rel for rel, tree in modules() for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value == "chrome"
+    }
+    assert literal == set()
+    views = {
+        (rel, node.name) for rel, tree in modules()
+        for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+        if node.name in ("chrome_trace_events", "chrome_trace_from_dict",
+                         "render_span_tree", "_render_span",
+                         "_render_span_tree")
+    }
+    trace = os.path.join("obs", "trace.py")
+    assert views == {(trace, "chrome_trace_events"),
+                     (trace, "render_span_tree")}

@@ -146,6 +146,35 @@ class TestBadRequests:
         resp = self._raw(server, request("query", 1, q="   "))
         assert resp["error"]["code"] == "BAD_REQUEST"
 
+    def test_malformed_budgets_are_typed_not_a_dead_thread(self, server):
+        # On cd4c019 each of these escaped as an uncaught ValueError:
+        # the connection thread died and the client read EOF.
+        server.trace_store.policy.slow_ms = 60_000.0  # errors only
+        bad = [{"timeout_ms": "abc"}, {"max_rows": "ten"},
+               {"max_rows": -1}, {"timeout_ms": -5}]
+        with socket.create_connection(
+                (server.host, server.port), timeout=5.0) as sock:
+            for rid, budget in enumerate(bad, 1):
+                write_frame(sock, request("query", rid, q=QUERY, **budget))
+                resp = read_frame(sock)
+                assert resp is not None, budget  # not EOF
+                assert resp["ok"] is False and resp["id"] == rid
+                assert resp["error"]["code"] == "BAD_REQUEST", budget
+                trace = server.trace_store.get(resp["trace_id"])
+                assert trace.outcome == "error"
+                assert trace.error_code == "BAD_REQUEST"
+            # The same connection answers the next frame, and every
+            # refused request gave its admission slot back.
+            write_frame(sock, request("query", 9, q=QUERY, max_rows=1))
+            resp = read_frame(sock)
+            assert resp["ok"] is True and resp["n"] == 1
+        # (released just after the response write, so poll briefly)
+        deadline = time.monotonic() + 2.0
+        while (server.admission.snapshot()["inflight"]
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert server.admission.snapshot()["inflight"] == 0
+
     def test_torn_frame_answered_typed_then_closed(self, server):
         with socket.create_connection(
                 (server.host, server.port), timeout=5.0) as sock:
@@ -247,6 +276,52 @@ class TestOverloadLadder:
             assert "cancelled" in outcome[0].reason
         finally:
             cl.close()
+
+
+class TestBudgetResolution:
+    """Request budgets × server caps × the admission verdict →
+    ``(timeout_ms, max_rows, degrade)`` for the guard."""
+
+    CAPS = dict(default_timeout_ms=None, max_timeout_ms=None,
+                max_rows_cap=None, degrade_timeout_ms=1000.0,
+                degrade_max_rows=100)
+
+    @pytest.mark.parametrize("caps, req, degraded, expected", [
+        # nothing asked, nothing capped: unbounded, degrade by default
+        ({}, {}, False, (None, None, True)),
+        ({}, {"degrade": False}, False, (None, None, False)),
+        # request below / above the caps
+        ({"max_timeout_ms": 500.0, "max_rows_cap": 50},
+         {"timeout_ms": 200, "max_rows": 10}, False, (200.0, 10, True)),
+        ({"max_timeout_ms": 500.0, "max_rows_cap": 50},
+         {"timeout_ms": 900, "max_rows": 80}, False, (500.0, 50, True)),
+        # absent: the default applies, and a cap stands in for no default
+        ({"default_timeout_ms": 300.0}, {}, False, (300.0, None, True)),
+        ({"default_timeout_ms": 300.0, "max_timeout_ms": 100.0},
+         {}, False, (100.0, None, True)),
+        ({"max_timeout_ms": 500.0, "max_rows_cap": 50},
+         {}, False, (500.0, 50, True)),
+        ({"default_timeout_ms": 300.0}, {"timeout_ms": 50},
+         False, (50.0, None, True)),
+        # a degraded ticket tightens by min and forces degrade mode
+        ({}, {"degrade": False}, True, (1000.0, 100, True)),
+        ({}, {"timeout_ms": 200, "max_rows": 10, "degrade": False},
+         True, (200.0, 10, True)),
+        ({"max_timeout_ms": 5000.0, "max_rows_cap": 500},
+         {"timeout_ms": 9000, "max_rows": 900}, True, (1000.0, 100, True)),
+        ({"degrade_timeout_ms": 50.0, "degrade_max_rows": 5},
+         {"timeout_ms": 200, "max_rows": 10}, True, (50.0, 5, True)),
+    ])
+    def test_budget_table(self, caps, req, degraded, expected):
+        from repro.server.admission import AdmissionTicket
+
+        srv = QueryServer(example_store(), port=0,
+                          **{**self.CAPS, **caps})
+        try:
+            ticket = AdmissionTicket(generation=0, degraded=degraded)
+            assert srv._budgets(req, ticket) == expected
+        finally:
+            srv.close(drain_s=0.1)
 
 
 def client_query(cl, **kw):

@@ -4,8 +4,8 @@ Covers the thread-safe obs core (8-worker counter parity with a
 sequential run, cross-thread Chrome-trace validity), the query audit
 log (schema, nesting, sampling determinism, slow-query force-log), the
 time-series snapshotter (ring eviction, windowed rate/quantile math),
-the OpenMetrics exporter and its validating parser, the HTTP serve
-surface on an ephemeral port, and the bench artifact envelope + diff.
+the OpenMetrics exporter and its validating parser, and the HTTP serve
+surface on an ephemeral port.
 """
 
 import io
@@ -243,7 +243,7 @@ class TestAuditLogSampling:
     def _emit_n(self, sink, n, wall_ms=1.0):
         for i in range(n):
             ev = events.QueryEvent(f"q{i}")
-            ev.wall_ms = wall_ms
+            ev.end_ns = ev.start_ns + int(wall_ms * 1e6)
             sink.emit(ev)
 
     def test_sampling_deterministic_under_seed(self):
@@ -269,8 +269,8 @@ class TestAuditLogSampling:
                                     slow_ms=100.0)
             for i in range(100):
                 ev = events.QueryEvent(f"q{i}")
-                ev.wall_ms = 500.0 if (flip_slow and i % 10 == 0) \
-                    else 1.0
+                wall_ms = 500.0 if (flip_slow and i % 10 == 0) else 1.0
+                ev.end_ns = ev.start_ns + int(wall_ms * 1e6)
                 sink.emit(ev)
             kept = {json.loads(x)["query_sha256"]
                     for x in buf.getvalue().splitlines()}
@@ -676,54 +676,3 @@ class TestDisabledTelemetryOverhead:
         assert len(snap) == 0
         assert snap.stats()["ticks"] == 0
         assert snap._thread is None
-
-
-# ----------------------------------------------------------------------
-# Bench artifacts
-# ----------------------------------------------------------------------
-
-class TestBenchArtifact:
-    def make(self, rows):
-        from repro.bench.artifact import make_artifact
-        from repro.bench.harness import BenchResult
-
-        result = BenchResult("t", ["param", "A", "B"],
-                             [list(r) for r in rows])
-        return make_artifact(result, table="table1", scale=0.05,
-                             runs=3)
-
-    def test_envelope_and_load(self, tmp_path):
-        from repro.bench.artifact import SCHEMA_VERSION, load_artifact
-
-        art = self.make([[20, 1.0, 2.0]])
-        assert art["schema_version"] == SCHEMA_VERSION
-        assert art["kind"] == "tix-bench"
-        path = tmp_path / "a.json"
-        path.write_text(json.dumps(art))
-        assert load_artifact(str(path))["table"] == "table1"
-        path.write_text(json.dumps({"kind": "other"}))
-        with pytest.raises(ValueError, match="not a tix-bench"):
-            load_artifact(str(path))
-        art["schema_version"] = SCHEMA_VERSION + 1
-        path.write_text(json.dumps(art))
-        with pytest.raises(ValueError, match="newer"):
-            load_artifact(str(path))
-
-    def test_diff_flags_10_percent_regressions(self):
-        from repro.bench.artifact import diff_artifacts
-
-        old = self.make([[20, 1.00, 2.00], [100, 5.00, 1.00]])
-        new = self.make([[20, 1.20, 2.05], [100, 4.00, 1.00]])
-        diffs = diff_artifacts(old, new, threshold=0.10)
-        flagged = {(d.row, d.column): d for d in diffs}
-        assert set(flagged) == {("20", "A"), ("100", "A")}
-        assert flagged[("20", "A")].regression          # 20% slower
-        assert not flagged[("100", "A")].regression     # 20% faster
-        assert diffs[0].regression                      # sorted first
-
-    def test_committed_baseline_is_valid(self):
-        from repro.bench.artifact import diff_artifacts, load_artifact
-
-        art = load_artifact("BENCH_PR5.json")
-        assert art["table"] == "table1"
-        assert diff_artifacts(art, art) == []  # self-diff is clean

@@ -6,6 +6,7 @@ its retained trace)."""
 import json
 import socket
 import threading
+import time
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro import cli, obs
 from repro.errors import DocumentNotFoundError
 from repro.exampledata import example_store
 from repro.obs import events
+from repro.obs.trace import chrome_trace_events
 from repro.obs.tracestore import RetentionPolicy, TraceStore
 from repro.server import PooledClient, QueryServer
 from repro.server.protocol import (
@@ -199,14 +201,16 @@ class TestTracesWireOp:
         assert any(c["name"].startswith("open:")
                    for c in guarded.get("children", []))
 
-    def test_chrome_format_over_the_wire(self, server, client):
+    def test_chrome_export_of_a_fetched_trace(self, server, client):
+        # The server ships the span tree; the Chrome view is rendered
+        # client-side from it (what ``tix trace --chrome-out`` does).
         col = obs.Collector()
         obs.install(col)
         try:
             res = client.query(QUERY)
         finally:
             obs.uninstall()
-        chrome = client.traces(res.trace_id, fmt="chrome")
+        chrome = chrome_trace_events([client.traces(res.trace_id)["spans"]])
         events_ = chrome["traceEvents"]
         assert events_ and events_[0]["name"] == "server.request"
         assert all(e["ph"] == "X" for e in events_)
@@ -226,6 +230,156 @@ class TestTracesWireOp:
                 if t["retained_for"] == "error"]
         assert errs and errs[0]["outcome"] == "error"
         assert errs[0]["error_code"] != ""
+
+
+class TestRecordParity:
+    """One request, one record: the audit line and the retained trace
+    are two projections of the same :class:`QueryEvent`, so they cannot
+    disagree — whatever way the request ended."""
+
+    @pytest.fixture()
+    def served(self):
+        """A loopback server with a cache, a collector and an audit
+        sink installed; ``finish()`` returns the parsed audit lines
+        once every request's trace has completed."""
+        import io
+
+        from repro.perf import QueryCache
+
+        store = example_store()
+        srv = QueryServer(
+            store, port=0, cache=QueryCache(store), max_inflight=1,
+            queue_timeout_ms=30.0,
+            trace_store=TraceStore(policy=RetentionPolicy(slow_ms=0.0)),
+        )
+        buf = io.StringIO()
+        sink = events.JsonlSink(buf)
+        events.install_sink(sink)
+        obs.install(obs.Collector())
+        srv.start()
+
+        def finish(n):
+            deadline = time.monotonic() + 5.0
+            while (srv.trace_store.stats()["completed"] < n
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            return list(events.iter_events(io.StringIO(buf.getvalue())))
+
+        try:
+            yield srv, finish
+        finally:
+            srv.close(drain_s=2.0)
+            obs.uninstall()
+            events.uninstall_sink()
+
+    def test_audit_line_and_trace_agree_however_the_request_ended(
+            self, served):
+        server, finish = served
+        held = []
+
+        def overloaded():
+            # Hold the only slot so the request is refused at admission.
+            held.append(server.admission.admit(server.store.generation))
+            return {}
+
+        scenarios = [
+            # name, extra request fields, outcome, wire error code
+            ("ok", lambda: {}, "ok", ""),
+            ("degrade-truncated",
+             lambda: {"max_rows": 1, "degrade": True}, "truncated", ""),
+            ("strict trip", lambda: {"max_rows": 1, "degrade": False},
+             "error", "RESOURCE_EXHAUSTED"),
+            ("overloaded", overloaded, "error", "OVERLOADED"),
+            ("malformed budget", lambda: {"timeout_ms": "abc"},
+             "error", "BAD_REQUEST"),
+            ("evaluator fallback", lambda: {"q": QUERY}, "ok", ""),
+            ("result-cache hit", lambda: {}, "ok", ""),
+        ]
+        answered = []
+        for rid, (name, fields, outcome, code) in enumerate(scenarios, 1):
+            frame = request("query", rid,
+                            **{"q": COMPILABLE_QUERY, **fields()})
+            resp = _raw(server, frame)
+            while held:
+                server.admission.release(held.pop())
+            assert resp["ok"] is (outcome != "error"), name
+            if code:
+                assert resp["error"]["code"] == code, name
+            answered.append((name, outcome, code, resp["trace_id"]))
+
+        lines = finish(len(scenarios))
+        # Exactly one audit line and one trace per request ...
+        assert len(lines) == len(scenarios)
+        assert server.trace_store.stats()["completed"] == len(scenarios)
+        by_trace = {r["trace_id"]: r for r in lines}
+        assert len(by_trace) == len(scenarios)
+        for name, outcome, code, tid in answered:
+            audit = by_trace[tid]
+            trace = server.trace_store.get(tid)
+            row = trace.summary()
+            # ... and the two agree.
+            assert audit["outcome"] == row["outcome"] == outcome, name
+            assert audit["truncated"] is row["truncated"], name
+            assert audit["truncated"] is (outcome == "truncated"), name
+            assert audit["query_sha256"] == row["query_sha256"], name
+            assert abs(audit["wall_ms"] - row["wall_ms"]) <= 1.0, name
+            assert audit["error_code"] == row["error_code"] == code, name
+            assert row["n_spans"] >= 1, name
+        assert by_trace[answered[0][3]]["cache"] == "miss"
+        assert by_trace[answered[6][3]]["cache"] == "hit"
+        assert by_trace[answered[5][3]]["ops"] == []  # no plan ran
+
+    def test_close_spans_carry_the_plan_stats_node(self):
+        """A retained trace shows what EXPLAIN ANALYZE shows: every
+        operator's close span carries its own ``plan_stats`` node."""
+        from repro.engine.base import plan_stats
+        from repro.resilience.run import run_query_guarded
+
+        store = example_store()
+        executed = []
+
+        def runner(source, guard):
+            res = run_query_guarded(store, source, guard)
+            executed.append(plan_stats(res.plan))
+            return res
+
+        srv = QueryServer(
+            store, port=0, runner=runner,
+            trace_store=TraceStore(policy=RetentionPolicy(slow_ms=0.0)),
+        )
+        obs.install(obs.Collector())
+        try:
+            srv.start()
+            with PooledClient(srv.host, srv.port,
+                              call_timeout_s=10.0) as cl:
+                res = cl.query(COMPILABLE_QUERY)
+                spans = cl.traces(res.trace_id)["spans"]
+        finally:
+            srv.close(drain_s=2.0)
+            obs.uninstall()
+
+        def nodes(node):
+            yield node
+            for child in node["children"]:
+                yield from nodes(child)
+
+        def close_spans(span):
+            if span["name"].startswith("close:"):
+                yield span["attrs"]
+            for child in span.get("children", ()):
+                yield from close_spans(child)
+
+        facts = ("describe", "rows", "est_rows", "q_error", "loops",
+                 "time_ms", "self_time_ms", "counters")
+        (plan,) = executed
+        from_plan = sorted(
+            json.dumps([n[k] for k in facts], sort_keys=True)
+            for n in nodes(plan))
+        from_trace = sorted(
+            json.dumps([a[k] for k in facts], sort_keys=True)
+            for a in close_spans(spans))
+        assert from_trace == from_plan
+        assert len(from_plan) > 1 and plan["est_rows"] is not None
 
 
 def _v1_record(trace_join=""):

@@ -8,14 +8,18 @@ import threading
 import pytest
 
 from repro import obs
+from repro.obs.events import QueryEvent
 from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.trace import Span, Tracer, chrome_trace_events
+from repro.obs.trace import (
+    Span,
+    Tracer,
+    chrome_trace_events,
+    render_span_tree,
+)
 from repro.obs.tracestore import (
     RetentionPolicy,
-    Trace,
     TraceContext,
     TraceStore,
-    chrome_trace_from_dict,
     new_span_id,
     new_trace_id,
 )
@@ -63,15 +67,15 @@ class TestTraceContext:
         assert len({new_span_id() for _ in range(64)}) == 64
 
 
-def _completed(store, **kw):
+def _completed(store):
     t = store.begin(op="query")
-    store.complete(t, **kw)
+    store.complete(t)
     return t
 
 
 class TestRetentionPolicy:
     def _trace(self, wall_ms=0.0):
-        t = Trace(new_trace_id())
+        t = QueryEvent("q")
         t.end_ns = t.start_ns + int(wall_ms * 1e6)
         return t
 
@@ -139,7 +143,7 @@ class TestRetentionPolicy:
 class TestTraceStore:
     def test_begin_without_context_mints_root(self):
         store = TraceStore()
-        t = store.begin(op="query", query_sha256="abc")
+        t = store.begin(op="query", source="abc")
         assert len(t.trace_id) == 16
         assert t.attempt == 0
         assert not t.completed
@@ -157,7 +161,7 @@ class TestTraceStore:
     def test_complete_applies_policy_and_moves_to_retained(self):
         store = TraceStore(policy=RetentionPolicy(slow_ms=0.0))
         t = store.begin(op="query")
-        reason = store.complete(t, outcome="ok")
+        reason = store.complete(t)
         assert reason == "slow"
         assert t.retained_for == "slow"
         assert t.completed
@@ -167,7 +171,7 @@ class TestTraceStore:
     def test_fast_success_is_dropped_at_sample_zero(self):
         store = TraceStore(policy=RetentionPolicy(slow_ms=10_000.0))
         t = store.begin(op="query")
-        assert store.complete(t, outcome="ok") == ""
+        assert store.complete(t) == ""
         assert store.get(t.trace_id) is None
         assert store.stats()["retained"] == 0
 
@@ -193,8 +197,9 @@ class TestTraceStore:
         b = store.begin(ctx1, op="query")
         assert a.store_key != b.store_key
         assert len(store.inflight()) == 2
-        store.complete(a, outcome="ok")
-        store.complete(b, outcome="error", error_code="TIMEOUT")
+        store.complete(a)
+        b.note_error("QueryTimeoutError")
+        store.complete(b)
         assert store.stats() == {
             "capacity": 256, "started": 2, "completed": 2,
             "inflight": 0, "retained": 2, "retained_total": 2,
@@ -236,7 +241,8 @@ class TestTraceStore:
             assert snap["trace.inflight"] == 1
             assert snap["trace.retained.slow"] == 2
             assert snap["trace.dropped"] == 1
-            store.complete(t, outcome="error")
+            t.note_error("Boom")
+            store.complete(t)
             assert col.metrics.snapshot()["trace.retained.error"] == 1
         finally:
             obs.uninstall()
@@ -247,7 +253,7 @@ class TestTraceStore:
 
         def worker():
             for _ in range(50):
-                store.complete(store.begin(op="query"), outcome="ok")
+                store.complete(store.begin(op="query"))
 
         threads = [threading.Thread(target=worker) for _ in range(4)]
         for th in threads:
@@ -264,7 +270,7 @@ class TestTraceStore:
 
 class TestTraceObject:
     def test_summary_of_inflight_trace_reports_running_wall(self):
-        t = Trace(new_trace_id(), op="query", query_sha256="beef")
+        t = QueryEvent("q", context=TraceContext(new_trace_id()))
         s = t.summary()
         assert s["status"] == "inflight"
         assert s["wall_ms"] >= 0.0
@@ -277,33 +283,88 @@ class TestTraceObject:
         with tracer.span("parse"):
             pass
         tracer.end(root)
-        t = Trace(new_trace_id())
+        t = QueryEvent("q")
         t.root = root
         d = t.to_dict()
         assert d["spans"]["name"] == "server.request"
         assert [c["name"] for c in d["spans"]["children"]] == ["parse"]
         assert t.n_spans == 2
 
-    def test_chrome_trace_of_empty_trace(self):
-        t = Trace(new_trace_id())
-        assert t.to_chrome_trace() == {"traceEvents": []}
+    def test_two_projections_of_one_record(self):
+        ctx = TraceContext("c" * 16, parent_span_id="p" * 16, attempt=2)
+        with QueryEvent("query text", context=ctx) as t:
+            t.note_result(3, truncated=True, reason="row budget")
+        audit, row = t.to_record(), t.summary()
+        assert audit["trace_id"] == row["trace_id"] == "c" * 16
+        assert audit["query_sha256"] == row["query_sha256"]
+        assert audit["outcome"] == row["outcome"] == "truncated"
+        assert audit["truncated"] is row["truncated"] is True
+        assert audit["wall_ms"] == row["wall_ms"]
+        assert audit["ts"] == t.ts and row["attempt"] == 2
 
 
-class TestPartialSpanExport:
-    """Satellite (a): exports must stay well-formed while spans are
-    still open (an in-flight query snapshotted mid-execution)."""
+def _recorded_forest():
+    """A hand-built forest: two threads, one span left open."""
+    def span(name, start, end, tid, **attrs):
+        s = Span(name, start, **attrs)
+        s.end_ns, s.tid = end, tid
+        return s
 
-    def test_open_span_renders_partial_not_zero(self):
+    root = span("server.request", 1_000_000, None, 7001,
+                trace_id="t1", attempt=0)
+    guarded = span("execute.guarded", 1_020_000, None, 7001)
+    guarded.children = [
+        span("open:scan", 1_021_000, 1_050_500, 7001, op="scan(x)"),
+        span("close:scan", 1_060_000, None, 7001, op="scan(x)", rows=3,
+             counters={"postings_scanned": 9}),
+    ]
+    root.children = [
+        span("queue.wait", 1_002_000, 1_010_000, 7001, queued_ms=0.004),
+        guarded,
+    ]
+    return [root, span("snapshot", 500_000, 900_000, 42)]
+
+
+class TestSpanViews:
+    """One Chrome exporter and one text renderer, both over the
+    serialized (``Span.to_dict``) form; exports must stay well-formed
+    while spans are still open (an in-flight query snapshotted
+    mid-execution)."""
+
+    def test_chrome_export_pinned(self):
+        # What cd4c019's Span-walking ``chrome_trace_events(roots,
+        # now_ns=2_000_000)`` printed for this forest, before that
+        # exporter and ``chrome_trace_from_dict`` became this one.
+        def ev(name, ts, dur, tid, **args):
+            return {"name": name, "ph": "X", "ts": ts, "dur": dur,
+                    "pid": 0, "tid": tid, "args": args}
+
+        spans = [s.to_dict(2_000_000) for s in _recorded_forest()]
+        spans = json.loads(json.dumps(spans))  # as read back from a file
+        assert chrome_trace_events(spans) == {"traceEvents": [
+            ev("server.request", 500.0, 1000.0, 1,
+               trace_id="t1", attempt=0, open=True),
+            ev("queue.wait", 502.0, 8.0, 1, queued_ms=0.004),
+            ev("execute.guarded", 520.0, 980.0, 1, open=True),
+            ev("open:scan", 521.0, 29.5, 1, op="scan(x)"),
+            ev("close:scan", 560.0, 940.0, 1, op="scan(x)", rows=3,
+               counters={"postings_scanned": 9}, open=True),
+            ev("snapshot", 0.0, 400.0, 0),
+        ]}
+        assert chrome_trace_events([]) == {"traceEvents": []}
+
+    def test_tracer_export_is_the_same_exporter(self):
         tracer = Tracer()
         root = tracer.begin("server.request")
         tracer.begin("execute.guarded")  # left open
-        out = chrome_trace_events([root])
-        events = out["traceEvents"]
-        assert len(events) == 2
+        events = tracer.to_chrome_trace()["traceEvents"]
+        assert [e["name"] for e in events] == \
+            ["server.request", "execute.guarded"]
         for ev in events:
             assert ev["ph"] == "X"
             assert ev["args"]["open"] is True
             assert ev["dur"] > 0.0
+        assert root.open
 
     def test_shared_now_keeps_snapshot_consistent(self):
         tracer = Tracer()
@@ -320,33 +381,26 @@ class TestPartialSpanExport:
         tracer = Tracer()
         with tracer.span("done"):
             pass
-        (ev,) = chrome_trace_events(tracer.roots)["traceEvents"]
+        (ev,) = tracer.to_chrome_trace()["traceEvents"]
         assert "open" not in ev["args"]
         d = tracer.roots[0].to_dict()
         assert "open" not in d
 
-    def test_chrome_trace_from_dict_round_trip(self):
-        tracer = Tracer()
-        root = tracer.begin("server.request")
-        with tracer.span("parse"):
-            pass
-        tracer.begin("execute.guarded")  # still open
-        t = Trace(new_trace_id())
-        t.root = root
-        live = t.to_chrome_trace()
-        revived = chrome_trace_from_dict(
-            json.loads(json.dumps(t.to_dict()))
-        )
-        assert [e["name"] for e in revived["traceEvents"]] == \
-            [e["name"] for e in live["traceEvents"]]
-        open_flags = [e["args"].get("open") for e in
-                      revived["traceEvents"]]
-        assert open_flags == [True, None, True]
-
-    def test_chrome_trace_from_dict_tolerates_missing_spans(self):
-        assert chrome_trace_from_dict({}) == {"traceEvents": []}
-        assert chrome_trace_from_dict({"spans": None}) == \
-            {"traceEvents": []}
+    def test_text_tree_shows_self_time(self):
+        root = _recorded_forest()[0].to_dict(2_000_000)
+        lines = render_span_tree(root)
+        assert len(lines) == 5
+        # 1.000 ms total, 0.008 + 0.980 ms in children.
+        assert "server.request" in lines[0]
+        assert "1.000 ms  self     0.012 ms (open)" in lines[0]
+        assert "attempt=0 trace_id=t1" in lines[0]
+        # A leaf's self time is its duration.
+        assert "0.029 ms  self     0.029 ms" in lines[3]
+        assert lines[3].startswith("      open:scan")
+        # max_depth cuts the tree, not the arithmetic.
+        cut = render_span_tree(root, 1, max_depth=2)
+        assert [ln.split()[0] for ln in cut] == \
+            ["server.request", "queue.wait", "execute.guarded"]
 
 
 class TestDetach:
