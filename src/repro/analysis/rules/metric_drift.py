@@ -113,7 +113,7 @@ def _name_patterns(arg: ast.expr) -> List[str]:
 def _unify(a: str, b: str) -> bool:
     """Same semantics as :func:`repro.obs.catalog._unify`: ``*`` spans
     one or more segments, because interpolated prefixes carry dots
-    (``metric_prefix = "cache.postings"`` makes
+    (``metric_prefix = "cache.result"`` makes
     ``f"{self.metric_prefix}.hits"`` lint as ``*.hits``)."""
     sa, sb = a.split("."), b.split(".")
 

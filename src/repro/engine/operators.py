@@ -96,18 +96,16 @@ class TermJoinScan(Operator):
     """Source wrapping a score-generating access method (TermJoin or a
     baseline with the same ``run(terms)`` interface): one single-node tree
     per scored element, the stored subtree materialized lazily only when a
-    downstream operator needs it (``materialize=True`` forces it)."""
+    downstream operator needs it."""
 
     name = "termjoin-scan"
 
     def __init__(self, store: XMLStore, terms: Sequence[str],
-                 method, materialize: bool = False,
-                 min_score: Optional[float] = None):
+                 method, min_score: Optional[float] = None):
         super().__init__()
         self.store = store
         self.terms = list(terms)
         self.method = method
-        self.materialize = materialize
         self.min_score = min_score
         self._results: List = []
         self._i = 0
@@ -133,21 +131,12 @@ class TermJoinScan(Operator):
         r = self._results[self._i]
         self._i += 1
         doc = self.store.document(r.doc_id)
-        if self.materialize:
-            g = _resguard.GUARD
-            if g.active:
-                g.count_materialized()
-            tree = tree_from_document(doc, r.node_id)
-            tree.root.score = r.score
-        else:
-            node = SNode(
-                tag=doc.tags[r.node_id],
-                attrs=dict(doc.attrs.get(r.node_id, {})),
-                score=r.score,
-                source=(r.doc_id, r.node_id),
-            )
-            tree = STree(node)
-        return tree
+        return STree(SNode(
+            tag=doc.tags[r.node_id],
+            attrs=dict(doc.attrs.get(r.node_id, {})),
+            score=r.score,
+            source=(r.doc_id, r.node_id),
+        ))
 
 
 class PhraseFinderScan(Operator):

@@ -15,26 +15,25 @@ A posting says where one word occurrence is — ``doc``, ``pos``, ``node``,
 :class:`PostingColumns` — four parallel stdlib ``array('i')`` columns
 sorted by ``(doc, pos)``.  That one type is what the index hands out
 (:class:`PostingList` = term + columns), what the varint codec of
-:mod:`repro.index.compress` encodes from and decodes into, what the LRU
-tier of :mod:`repro.perf.postings` holds, and what every reader slices.
+:mod:`repro.index.compress` encodes from and decodes into, and what
+every reader slices.
 
-:class:`InvertedIndex` itself stores the corpus as the same four columns
-over *every* word in document order (filled per document by
-``array.extend``), plus one ascending array of row ids per term — one
-``append`` per word at build time.  The first ``postings(term)`` gathers
-the term's rows out of the word table into its own columns and the index
-keeps them, so the build does not pay (a random-access gather per field,
-about as much again as the scan itself) for terms nobody asks about, and
-a term that is asked about pays once.
+:class:`InvertedIndex`, the one inverted index, stores the corpus as the
+same four columns over *every* word in document order (filled per
+document by ``array.extend``), plus one ascending array of row ids per
+term — one ``append`` per word at build time.  The first
+``postings(term)`` gathers the term's rows out of the word table into
+its own columns and the index keeps them, so the build does not pay (a
+random-access gather per field, about as much again as the scan itself)
+for terms nobody asks about, and a term that is asked about pays once.
 
-:class:`TermIndex` is the lookup API shared with the compressed and the
-caching index: terms are normalised here, once, and the derived lookups
-(``document_frequency``, ``idf``, ``element_counts``,
+Terms are normalised once, where they enter a lookup, and the derived
+lookups (``document_frequency``, ``idf``, ``element_counts``,
 ``terms_sorted_by_frequency``) exist once, over ``postings`` /
 ``frequency``.  An index lookup "at the very least returns identifiers of
 XML elements in which this term occurs … but one can easily return more,
 such as the number of occurrences" (§5.1);
-:meth:`TermIndex.element_counts` is that enriched lookup, used by the
+:meth:`InvertedIndex.element_counts` is that enriched lookup, used by the
 composite baselines.
 """
 
@@ -65,8 +64,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.xmldb.store import XMLStore
 
 #: Logical on-disk size of one posting record (four 32-bit fields) —
-#: what ``index.bytes_read`` charges per posting for the uncompressed
-#: index; the compressed index reports actual encoded bytes instead.
+#: what ``index.bytes_read`` charges per posting returned.
 POSTING_NOMINAL_BYTES = 16
 
 #: Typecode of every posting column: the four fields (and row ids) are
@@ -163,81 +161,14 @@ class PostingList:
         return len(self.postings)
 
 
-class TermIndex:
-    """Lookup API of every inverted index (plain, compressed, caching).
-
-    Subclasses provide ``n_documents``, :meth:`vocabulary` and the two
-    primitives :meth:`_fetch` / :meth:`_count`; this class normalises the
-    term once — index terms are lowercase (:mod:`repro.xmldb.text`), so
-    ``postings("XML")`` and ``postings("xml")`` are the same lookup for
-    every reader — and derives the rest.
-    """
-
-    n_documents: int
-
-    def _fetch(self, term: str) -> Optional[PostingList]:
-        """The normalised term's posting list, ``None`` when the term is
-        not indexed.  Counts its own ``index.*`` metrics."""
-        raise NotImplementedError
-
-    def _count(self, term: str) -> int:
-        """Corpus frequency of the normalised term, without fetching."""
-        raise NotImplementedError
-
-    def vocabulary(self) -> KeysView[str]:
-        """All indexed terms."""
-        raise NotImplementedError
-
-    def postings(self, term: str, strict: bool = False) -> PostingList:
-        """Posting list for ``term``.  Unknown terms yield an empty list
-        unless ``strict`` is set."""
-        term = term.lower()
-        pl = self._fetch(term)
-        if pl is None:
-            if strict:
-                raise UnknownTermError(f"term {term!r} not in index")
-            pl = PostingList(term, PostingColumns())
-        return pl
-
-    def __contains__(self, term: str) -> bool:
-        return term.lower() in self.vocabulary()
-
-    @property
-    def n_terms(self) -> int:
-        return len(self.vocabulary())
-
-    def frequency(self, term: str) -> int:
-        """Corpus frequency of ``term``."""
-        return self._count(term.lower())
-
-    def document_frequency(self, term: str) -> int:
-        """Number of documents containing ``term``."""
-        return self.postings(term).document_frequency
-
-    def idf(self, term: str) -> float:
-        """Smoothed inverse document frequency:
-        ``log((N + 1) / (df + 1)) + 1``; always positive."""
-        df = self.document_frequency(term)
-        return math.log((self.n_documents + 1) / (df + 1)) + 1.0
-
-    def element_counts(self, term: str) -> Dict[Tuple[int, int], int]:
-        """``{(doc_id, node_id): occurrence count}`` for the elements whose
-        *direct* text contains ``term`` — the enriched index lookup of
-        §5.1 that seeds score generation in the composite plans."""
-        cols = self.postings(term).postings
-        return dict(Counter(zip(cols.doc, cols.node)))
-
-    def terms_sorted_by_frequency(self) -> List[Tuple[str, int]]:
-        """``(term, frequency)`` pairs, most frequent first (workload
-        selection helper)."""
-        pairs = [(t, self._count(t)) for t in self.vocabulary()]
-        pairs.sort(key=lambda x: (-x[1], x[0]))
-        return pairs
-
-
-class InvertedIndex(TermIndex):
+class InvertedIndex:
     """The corpus-wide positional inverted index: the word table in
-    document order plus, per term, the ascending row ids of its words."""
+    document order plus, per term, the ascending row ids of its words.
+
+    Every lookup normalises the term once — index terms are lowercase
+    (:mod:`repro.xmldb.text`), so ``postings("XML")`` and
+    ``postings("xml")`` are the same lookup for every reader.
+    """
 
     def __init__(self, table: PostingColumns, rows: Dict[str, array],
                  n_documents: int):
@@ -273,7 +204,14 @@ class InvertedIndex(TermIndex):
             base += len(terms)
         return cls(table, rows, n_documents=store.n_documents)
 
-    def _fetch(self, term: str) -> Optional[PostingList]:
+    def vocabulary(self) -> KeysView[str]:
+        """All indexed terms."""
+        return self._rows.keys()
+
+    def postings(self, term: str, strict: bool = False) -> PostingList:
+        """Posting list for ``term``.  Unknown terms yield an empty list
+        unless ``strict`` is set."""
+        term = term.lower()
         pl = self._lists.get(term)
         if pl is None:
             rows = self._rows.get(term)
@@ -288,11 +226,44 @@ class InvertedIndex(TermIndex):
             rec.count("index.posting_fetches")
             rec.count("index.postings_returned", n)
             rec.count("index.bytes_read", n * POSTING_NOMINAL_BYTES)
+        if pl is None:
+            if strict:
+                raise UnknownTermError(f"term {term!r} not in index")
+            pl = PostingList(term, PostingColumns())
         return pl
 
-    def _count(self, term: str) -> int:
-        rows = self._rows.get(term)
+    def __contains__(self, term: str) -> bool:
+        return term.lower() in self._rows
+
+    @property
+    def n_terms(self) -> int:
+        return len(self._rows)
+
+    def frequency(self, term: str) -> int:
+        """Corpus frequency of ``term``, read without fetching its list."""
+        rows = self._rows.get(term.lower())
         return len(rows) if rows is not None else 0
 
-    def vocabulary(self) -> KeysView[str]:
-        return self._rows.keys()
+    def document_frequency(self, term: str) -> int:
+        """Number of documents containing ``term``."""
+        return self.postings(term).document_frequency
+
+    def idf(self, term: str) -> float:
+        """Smoothed inverse document frequency:
+        ``log((N + 1) / (df + 1)) + 1``; always positive."""
+        df = self.document_frequency(term)
+        return math.log((self.n_documents + 1) / (df + 1)) + 1.0
+
+    def element_counts(self, term: str) -> Dict[Tuple[int, int], int]:
+        """``{(doc_id, node_id): occurrence count}`` for the elements whose
+        *direct* text contains ``term`` — the enriched index lookup of
+        §5.1 that seeds score generation in the composite plans."""
+        cols = self.postings(term).postings
+        return dict(Counter(zip(cols.doc, cols.node)))
+
+    def terms_sorted_by_frequency(self) -> List[Tuple[str, int]]:
+        """``(term, frequency)`` pairs, most frequent first (workload
+        selection helper)."""
+        pairs = [(t, len(rows)) for t, rows in self._rows.items()]
+        pairs.sort(key=lambda x: (-x[1], x[0]))
+        return pairs

@@ -82,17 +82,12 @@ CATALOG: Dict[str, Tuple[str, str]] = {
     "pick.max_stack_depth": ("histogram", "per-run maximum Pick stack depth"),
     # -- index + store ---------------------------------------------------
     "index.posting_fetches": (
-        "counter", "logical posting-list fetches (cache hits included)"),
+        "counter", "posting-list lookups (InvertedIndex.postings calls)"),
     "index.postings_returned": (
-        "counter", "postings returned by real (cold-path) index reads"),
+        "counter", "postings handed out by those lookups"),
     "index.bytes_read": (
         "counter",
-        "bytes read from the index (nominal 16 B/posting "
-        "uncompressed, actual blob bytes compressed)"),
-    "index.posting_decodes": (
-        "counter", "compressed-index blob decodes (cold path only)"),
-    "index.cache_hits": (
-        "counter", "warm hits in the postings LRU (repro.perf.CachingIndex)"),
+        "bytes read from the index (nominal 16 B per posting returned)"),
     "index.n_terms": ("gauge", "vocabulary size, set when the index is built"),
     "store.*": (
         "gauge",
@@ -101,12 +96,6 @@ CATALOG: Dict[str, Tuple[str, str]] = {
     "persist.documents_skipped": (
         "counter", "documents skipped by a partial store load"),
     # -- cache hierarchy -------------------------------------------------
-    "cache.postings.hits": ("counter", "postings-tier cache hits"),
-    "cache.postings.misses": ("counter", "postings-tier cache misses"),
-    "cache.postings.evictions": ("counter", "postings-tier LRU evictions"),
-    "cache.postings.entries": ("gauge", "postings-tier resident entries"),
-    "cache.postings.weight": (
-        "gauge", "postings-tier resident weight (postings)"),
     "cache.plan.hits": (
         "counter",
         "plan-tier hits (compile avoided, incl. cached "
@@ -237,7 +226,7 @@ def _unify(a: str, b: str) -> bool:
     """Do two dotted names (either may hold ``*`` segments) describe a
     common concrete metric?  A ``*`` matches one or *more* segments:
     interpolated prefixes carry dots (``f"{self.metric_prefix}.hits"``
-    with prefix ``cache.postings`` lints as ``*.hits``), so the
+    with prefix ``cache.result`` lints as ``*.hits``), so the
     wildcard must be able to span them."""
     sa, sb = a.split("."), b.split(".")
 

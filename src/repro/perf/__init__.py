@@ -1,21 +1,15 @@
 """Query-serving performance layer: cache hierarchy + batch execution.
 
 The ROADMAP's production workload is *repeated* queries over a
-mostly-static corpus — the classic cache-friendly shape: posting lists
-are immutable between document loads (the TermJoin/PhraseFinder access
-methods assume as much), compiled plans depend only on the query text
-and the corpus snapshot, and identical queries return identical
-answers.  This package layers three caches over that observation, all
-invalidated by one mechanism — the store's monotonic
-:attr:`~repro.xmldb.store.XMLStore.generation` counter, bumped on every
-document add/remove:
+mostly-static corpus — the classic cache-friendly shape: compiled plans
+depend only on the query text and the corpus snapshot, and identical
+queries return identical answers.  (Posting lists need no tier here:
+:class:`~repro.index.inverted.InvertedIndex` keeps every list it has
+gathered until the store drops it.)  This package layers two caches
+over that observation, both invalidated by one mechanism — the store's
+monotonic :attr:`~repro.xmldb.store.XMLStore.generation` counter,
+bumped on every document add/remove:
 
-- :class:`~repro.perf.postings.CachingIndex` — a size-bounded LRU of
-  decoded posting lists in front of
-  :class:`~repro.index.inverted.InvertedIndex` /
-  :class:`~repro.index.compress.CompressedInvertedIndex` (it replaces
-  the old single-term cache inside the compressed index), enabled via
-  :meth:`XMLStore.enable_postings_cache`;
 - :class:`~repro.perf.querycache.PlanCache` — compiled engine plans
   keyed on *normalized* query text (parse → unparse) + store
   generation, with a per-entry pool so concurrent callers never share a
@@ -39,7 +33,6 @@ See ``docs/performance.md``.
 """
 
 from repro.perf.lru import LRUCache
-from repro.perf.postings import CachingIndex
 from repro.perf.querycache import (
     NormalizedQuery,
     PlanCache,
@@ -55,7 +48,6 @@ from repro.perf.batch import (
 
 __all__ = [
     "LRUCache",
-    "CachingIndex",
     "NormalizedQuery",
     "PlanCache",
     "QueryCache",

@@ -1,7 +1,7 @@
 """Size-bounded, thread-safe LRU cache with ``cache.*`` metrics.
 
-One implementation serves every tier of the hierarchy (postings, plans,
-results).  Entries carry an explicit *weight* (postings cached, trees
+One implementation serves every tier of the hierarchy (plans, results,
+normalised query texts).  Entries carry an explicit *weight* (trees
 stored, …) so capacity bounds memory-like quantities rather than entry
 counts alone; eviction is strict LRU on access order.
 
@@ -13,7 +13,7 @@ installed.
 
 The lock makes the cache safe under the batch executor's thread pool;
 uncontended acquisition is tens of nanoseconds — invisible next to a
-posting-list decode or a plan compile.
+plan compile.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ class LRUCache:
     :param capacity: maximum total weight held; inserting a value whose
         weight exceeds the capacity simply bypasses the cache (the value
         is returned to the caller but never stored, so one oversized
-        posting list cannot wipe the working set).
+        answer cannot wipe the working set).
     :param metric_prefix: dotted prefix for the ``hits`` / ``misses`` /
-        ``evictions`` counters, e.g. ``"cache.postings"``.
+        ``evictions`` counters, e.g. ``"cache.result"``.
     :param record: emit obs metrics.  Tiers that wrap this cache behind
         their own hit/miss semantics (e.g. the plan cache, where a
         *pooled plan*, not an entry lookup, is the real hit) pass

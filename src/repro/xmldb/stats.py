@@ -1,6 +1,6 @@
 """Corpus statistics and histograms.
 
-Two consumers:
+Three consumers:
 
 - the benchmark workload builders, which need per-term corpus frequencies
   to select terms with target frequencies (the paper sweeps term frequency

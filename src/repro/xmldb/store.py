@@ -1,8 +1,9 @@
 """Multi-document XML store (the "database" of the reproduction).
 
 The store is a catalog of named documents with global node addressing
-``(doc_id, node_id)``, lazily-built indexes (inverted term index,
-parent/child-count index, tag index) and derived statistics.  It also
+``(doc_id, node_id)``, lazily-built indexes (the one inverted term
+index, the parent/child-count and tag index) and derived statistics,
+all dropped together whenever the document set changes.  It also
 carries :class:`AccessCounters`, the logical-I/O accounting used by the
 benchmark harness to report substrate-independent cost measures alongside
 wall-clock time.
@@ -72,42 +73,15 @@ class XMLStore:
     def __init__(self) -> None:
         self._documents: List[Document] = []
         self._by_name: Dict[str, int] = {}
-        self._inverted = None  # InvertedIndex or CompressedInvertedIndex
+        self._inverted: Optional["InvertedIndex"] = None
         self._structure: Optional["StructureIndex"] = None
         self._stats: Optional["StoreStatistics"] = None
         self._stats_generation = -1
-        self._compress_index = False
-        self._postings_cache_capacity: Optional[int] = None
         #: Monotonic corpus-version counter, bumped whenever the document
         #: set changes.  The :mod:`repro.perf` caches key every entry on
         #: it, which makes stale answers unreachable by construction.
         self.generation = 0
         self.counters = AccessCounters()
-
-    def enable_index_compression(self, enabled: bool = True) -> None:
-        """Use varint-compressed posting lists for the inverted index
-        (see :mod:`repro.index.compress`).  Takes effect on the next
-        (re)build — any existing index is discarded."""
-        self._compress_index = enabled
-        self._inverted = None
-
-    def enable_postings_cache(self, capacity: Optional[int] = None,
-                              enabled: bool = True) -> None:
-        """Serve ``index.postings()`` through a size-bounded LRU
-        (:class:`repro.perf.postings.CachingIndex`) wrapped around the
-        plain or compressed index.  ``capacity`` is in *postings*
-        (default :data:`repro.perf.postings.DEFAULT_POSTINGS_CAPACITY`).
-        Takes effect on the next (re)build — any existing index is
-        discarded."""
-        if enabled:
-            if capacity is None:
-                from repro.perf.postings import DEFAULT_POSTINGS_CAPACITY
-
-                capacity = DEFAULT_POSTINGS_CAPACITY
-            self._postings_cache_capacity = capacity
-        else:
-            self._postings_cache_capacity = None
-        self._inverted = None
 
     # ------------------------------------------------------------------
     # Loading
@@ -200,25 +174,13 @@ class XMLStore:
 
     @property
     def index(self) -> "InvertedIndex":
-        """The positional inverted term index (built on first use;
-        compressed when :meth:`enable_index_compression` was called)."""
+        """The positional inverted term index (built on first use)."""
         if self._inverted is None:
+            from repro.index.inverted import InvertedIndex
+
             rec = _obs.RECORDER
-            with rec.span("index.build", compressed=self._compress_index):
-                if self._compress_index:
-                    from repro.index.compress import CompressedInvertedIndex
-
-                    self._inverted = CompressedInvertedIndex.build(self)
-                else:
-                    from repro.index.inverted import InvertedIndex
-
-                    self._inverted = InvertedIndex.build(self)
-                if self._postings_cache_capacity is not None:
-                    from repro.perf.postings import CachingIndex
-
-                    self._inverted = CachingIndex(
-                        self._inverted, self._postings_cache_capacity
-                    )
+            with rec.span("index.build"):
+                self._inverted = InvertedIndex.build(self)
             if rec.enabled:
                 rec.set_gauge("index.n_terms", self._inverted.n_terms)
         return self._inverted

@@ -77,18 +77,3 @@ def test_phrasefinder_equals_comp3(seed, phrase):
     c3 = [(m.doc_id, m.node_id, m.count)
           for m in Comp3(store).run(phrase)]
     assert pf == c3  # identity, order included
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_equivalences_hold_on_compressed_index(seed):
-    """The same agreements must hold when the store serves postings from
-    the varint-compressed index (decode path instead of plain lists)."""
-    plain = seeded_store(seed)
-    compressed = seeded_store(seed)
-    compressed.enable_index_compression()
-    scorer = WeightedCountScorer([TERMS[0]], TERMS[1:])
-    a = by_node(TermJoin(plain, scorer).run(list(TERMS)))
-    b = by_node(TermJoin(compressed, scorer).run(list(TERMS)))
-    assert a.keys() == b.keys()
-    for key in a:
-        assert a[key] == pytest.approx(b[key])

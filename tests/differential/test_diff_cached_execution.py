@@ -9,8 +9,7 @@ compiler lowering) — the answer must be indistinguishable across
 
 - cache state: none, cold, warm (plan tier, result tier);
 - guard: none, a strict row budget, a degrading row budget;
-- front door: direct call, batch executor, loopback server;
-- the postings LRU / compressed index on and off underneath:
+- front door: direct call, batch executor, loopback server:
 
 same scores, same source node ids, same serialized trees, same order,
 same truncation flag — and exactly one audit record per query with the
@@ -37,18 +36,13 @@ pytestmark = pytest.mark.differential
 SEEDS = [7, 21, 99]
 
 
-def seeded_store(seed: int, *, compress: bool = False,
-                 postings_cache: bool = False) -> XMLStore:
+def seeded_store(seed: int) -> XMLStore:
     rng = random.Random(seed)
     store = XMLStore()
     for d in range(3):
         store.add_document(build_random_document(
             rng, 60, doc_id=d, name=f"diff{d}.xml"
         ))
-    if compress:
-        store.enable_index_compression()
-    if postings_cache:
-        store.enable_postings_cache(capacity=10_000)
     return store
 
 
@@ -82,19 +76,14 @@ def fingerprint(results):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("query_fn", [compilable_query, evaluator_query],
                          ids=["compiled", "evaluator"])
-@pytest.mark.parametrize("compress,postings_cache",
-                         [(False, False), (True, False),
-                          (False, True), (True, True)],
-                         ids=["plain", "compressed", "lru", "lru+compressed"])
-def test_cached_equals_uncached(seed, query_fn, compress, postings_cache):
+def test_cached_equals_uncached(seed, query_fn):
     source = query_fn()
     uncached_store = seeded_store(seed)
     reference = fingerprint(
         run_query_guarded(uncached_store, source).results
     )
 
-    store = seeded_store(seed, compress=compress,
-                         postings_cache=postings_cache)
+    store = seeded_store(seed)
     cache = QueryCache(store)
     cold = run_query_guarded(store, source, cache=cache)  # fills both
     warm = run_query_guarded(store, source, cache=cache)  # result hit

@@ -6,15 +6,12 @@ the redundant ways of computing one answer must agree:
 
 - TermJoin ≡ Comp1 (simple scoring);
 - TermJoin ≡ EnhancedTermJoin ≡ Generalized Meet (complex scoring);
-- PhraseFinder ≡ Comp3;
-- the plain, the varint-compressed and the postings-cached index,
-  under every method above.
+- PhraseFinder ≡ Comp3.
 
 Scores agree to 1e-9; order is identical wherever both sides define the
-same one (TermJoin's variants and the three index kinds pop in the same
-order, PhraseFinder and Comp3 both answer in document order; Comp1 and
-Meet order by key and by level, so they are compared by element).  The
-codec round-trips every posting list into columns, and the kernel's
+same one (TermJoin's variants pop in the same order, PhraseFinder and
+Comp3 both answer in document order; Comp1 and Meet order by key and by
+level, so they are compared by element).  The codec round-trips every posting list into columns, and the kernel's
 counters obey ``pushes == pops == len(out)`` and
 ``postings_scanned == Σ frequency``.
 """
@@ -57,65 +54,41 @@ def assert_same_elements(got, want, what):
     assert_same_rows(sorted(got), sorted(want), what)
 
 
-def index_variants(shapes):
-    """The same corpus behind the plain, the compressed and the
-    postings-cached index."""
-    plain = build_corpus(shapes)
-    compressed = build_corpus(shapes)
-    compressed.enable_index_compression()
-    cached = build_corpus(shapes)
-    cached.enable_postings_cache(capacity=64)
-    return plain, compressed, cached
-
-
 @given(corpus_shapes, query_terms)
 @settings(max_examples=60, deadline=None)
 def test_simple_termjoin_equals_comp1_on_every_index(shapes, terms):
     scorer = WeightedCountScorer([terms[0]], terms[1:])
-    plain, *others = index_variants(shapes)
-    method = TermJoin(plain, scorer)
+    store = build_corpus(shapes)
+    method = TermJoin(store, scorer)
     reference = rows(method.run(terms))
     stats = method.last_stats
     assert (stats["stack_pushes"] == stats["stack_pops"]
             == stats["elements_scored"] == len(reference))
     assert stats["postings_scanned"] == sum(
-        plain.index.frequency(t) for t in terms)
-    assert_same_elements(rows(Comp1(plain, scorer).run(terms)),
+        store.index.frequency(t) for t in terms)
+    assert_same_elements(rows(Comp1(store, scorer).run(terms)),
                          reference, "Comp1")
-    for store in others:
-        assert_same_rows(rows(TermJoin(store, scorer).run(terms)),
-                         reference, type(store.index).__name__)
 
 
 @given(corpus_shapes, query_terms)
 @settings(max_examples=60, deadline=None)
 def test_complex_termjoin_variants_and_meet_agree(shapes, terms):
     scorer = ProximityScorer(terms)
-    plain, *others = index_variants(shapes)
-    reference = rows(TermJoin(plain, scorer, True).run(terms))
+    store = build_corpus(shapes)
+    reference = rows(TermJoin(store, scorer, True).run(terms))
     assert_same_rows(
-        rows(EnhancedTermJoin(plain, scorer, True).run(terms)),
+        rows(EnhancedTermJoin(store, scorer, True).run(terms)),
         reference, "EnhancedTermJoin")
     assert_same_elements(
-        rows(generalized_meet(plain, terms, scorer, True)),
+        rows(generalized_meet(store, terms, scorer, True)),
         reference, "Generalized Meet")
-    for store in others:
-        for cls in (TermJoin, EnhancedTermJoin):
-            assert_same_rows(rows(cls(store, scorer, True).run(terms)),
-                             reference,
-                             (cls.name, type(store.index).__name__))
 
 
 @given(corpus_shapes, phrases)
 @settings(max_examples=60, deadline=None)
 def test_phrasefinder_equals_comp3_on_every_index(shapes, phrase):
-    plain, *others = index_variants(shapes)
-    reference = PhraseFinder(plain).run(phrase)
-    assert Comp3(plain).run(phrase) == reference
-    for store in others:
-        assert PhraseFinder(store).run(phrase) == reference, \
-            type(store.index).__name__
-        assert Comp3(store).run(phrase) == reference
+    store = build_corpus(shapes)
+    assert Comp3(store).run(phrase) == PhraseFinder(store).run(phrase)
 
 
 @given(corpus_shapes)

@@ -176,13 +176,7 @@ class TestTermNormalisation:
     MIXED = ["Search", "ENGINE"]
     LOWER = ["search", "engine"]
 
-    @pytest.mark.parametrize("configure", [
-        lambda s: None,
-        lambda s: s.enable_index_compression(),
-        lambda s: s.enable_postings_cache(capacity=100),
-    ], ids=["plain", "compressed", "cached"])
-    def test_index_lookups_ignore_case(self, store, configure):
-        configure(store)
+    def test_index_lookups_ignore_case(self, store):
         index = store.index
         assert index.postings("Search", strict=True).postings == \
             index.postings("search", strict=True).postings

@@ -1,18 +1,14 @@
-"""Unit tests for the repro.perf cache hierarchy: LRU semantics, the
-postings-cache accounting contract, plan/result tiers, and — the part
-that keeps the whole design honest — generation-based invalidation:
-after a document add or remove, a stale answer must be unreachable."""
+"""Unit tests for the repro.perf cache hierarchy: LRU semantics,
+plan/result tiers, and — the part that keeps the whole design honest —
+generation-based invalidation: after a document add or remove, a stale
+answer (or a stale posting list kept by the index) must be
+unreachable."""
 
 import pytest
 
 from repro import obs
-from repro.errors import ResourceExhaustedError, UnknownTermError
-from repro.perf import (
-    CachingIndex,
-    LRUCache,
-    QueryCache,
-    normalize_query,
-)
+from repro.errors import ResourceExhaustedError
+from repro.perf import LRUCache, QueryCache, normalize_query
 from repro.perf.lru import LRUCache as _LRU
 from repro.query.parser import parse_query
 from repro.resilience import QueryGuard, run_query_guarded
@@ -94,69 +90,6 @@ class TestLRUCache:
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             _LRU(0)
-
-
-class TestCachingIndex:
-    def test_shares_cached_posting_lists(self):
-        store = make_store()
-        store.enable_postings_cache(capacity=1000)
-        idx = store.index
-        assert isinstance(idx, CachingIndex)
-        assert idx.postings("alpha") is idx.postings("alpha")
-        assert idx.cache.hits == 1 and idx.cache.misses == 1
-
-    def test_agrees_with_unwrapped_index(self):
-        plain = make_store()
-        cached = make_store()
-        cached.enable_postings_cache(capacity=1000)
-        for term in ("alpha", "beta", "gamma", "missing"):
-            assert (cached.index.postings(term).postings
-                    == plain.index.postings(term).postings)
-        assert cached.index.frequency("alpha") == \
-            plain.index.frequency("alpha")
-        assert cached.index.idf("beta") == plain.index.idf("beta")
-
-    def test_strict_unknown_term_still_raises_after_misses(self):
-        store = make_store()
-        store.enable_postings_cache(capacity=1000)
-        assert len(store.index.postings("missing").postings) == 0
-        with pytest.raises(UnknownTermError):
-            store.index.postings("missing", strict=True)
-
-    def test_accounting_contract(self):
-        """The fixed contract: postings_returned/bytes_read/decodes are
-        cold-path only; a warm hit adds one posting_fetch + one
-        cache_hit and nothing else (the old single-term cache in the
-        compressed index double-counted postings_returned on hits)."""
-        store = make_store()
-        store.enable_index_compression()
-        store.enable_postings_cache(capacity=1000)
-        store.index  # build outside the collector
-        with obs.collecting() as col:
-            store.index.postings("alpha")   # cold
-            store.index.postings("alpha")   # warm
-            store.index.postings("alpha")   # warm
-        snap = col.metrics.snapshot()
-        assert snap["index.posting_fetches"] == 3
-        assert snap["index.cache_hits"] == 2
-        assert snap["index.posting_decodes"] == 1
-        assert snap["index.postings_returned"] == \
-            len(store.index.postings("alpha"))  # counted once, not 3x
-        assert snap["cache.postings.hits"] == 2
-        assert snap["cache.postings.misses"] == 1
-
-    def test_compressed_index_rereads_without_inner_cache(self):
-        """The compressed index itself decodes every call now — its old
-        internal single-term cache is gone."""
-        store = make_store()
-        store.enable_index_compression()
-        store.index
-        with obs.collecting() as col:
-            store.index.postings("alpha")
-            store.index.postings("alpha")
-        snap = col.metrics.snapshot()
-        assert snap["index.posting_decodes"] == 2
-        assert "index.cache_hits" not in snap
 
 
 class TestNormalization:
@@ -293,11 +226,11 @@ class TestGenerationInvalidation:
 
     def test_postings_cache_discarded_with_index(self):
         store = make_store()
-        store.enable_postings_cache(capacity=1000)
         before = store.index.postings("alpha")
         self.add_doc(store, "alpha alpha")
         after = store.index.postings("alpha")
-        assert len(after) == len(before) + 2  # fresh index, fresh cache
+        # the index kept the first list; a fresh index gathers a new one
+        assert len(after) == len(before) + 2
 
     def replace_queried_doc(self, store):
         """The stale-answer scenario: the document the warm queries were
