@@ -33,9 +33,8 @@ class QuerySpec:
 
 def region_fraction(store: Any, regions: Sequence[Tuple[int, int, int]],
                     ) -> float:
-    """The frozen harness's contract: corpus span share the regions cover."""
-    if not regions:
-        return 1.0
+    """The frozen harness's contract: corpus span share the regions cover
+    (``0.0`` for an empty table; ``1.0`` only for an empty corpus)."""
     total = 0
     for doc in store.documents():
         if len(doc):

@@ -19,7 +19,11 @@ The scan runs :class:`~repro.access.phrasejoin.PhraseJoin` when any
 query item has several words and :class:`~repro.access.termjoin.
 TermJoin` otherwise; the rank is §5.3's bounded heap (``TopK``) when
 Sortby and ``stop after`` are both present, else ``Sort`` and/or
-``Limit``.
+``Limit``.  The structural filter's regions are the For path's prefix
+(``//tag[preds]``) resolved at compile time on the stored document's
+node columns (tags, child lists, preorder id ranges); no tree of the
+volume is built, and only a predicate step calls the evaluator, on each
+candidate's own subtree.
 
 Compilation requires the scoring function to have a registered *simple
 scorer factory* (term-level scoring the index can drive — see
@@ -39,7 +43,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.access.phrasejoin import PhraseJoin
 from repro.access.termjoin import TermJoin
-from repro.core.trees import SNode, STree
+from repro.core.trees import STree, snode_from_document
 from repro.engine.base import Operator, execute, explain
 from repro.engine.operators import (
     Limit,
@@ -61,7 +65,6 @@ from repro.query.ast import (
     TermSet,
     VarRef,
 )
-from repro.query.evaluator import QueryEvaluator
 from repro.query.functions import FunctionRegistry, default_registry
 from repro.xmldb.store import XMLStore
 
@@ -264,31 +267,53 @@ def _threshold_params(flwor: FLWOR, var: str):
 
 def _prefix_regions(store: XMLStore, doc_name: str, prefix_steps: tuple,
                     registry: FunctionRegistry):
-    """Evaluate the For path's prefix (everything before the ad* tail) on
-    the document and return the allowed (doc, start, end) regions."""
-    evaluator = QueryEvaluator(store, registry)
-    tree = evaluator.doc_tree(doc_name)
-    items: List[SNode] = [tree.root]
+    """Resolve the For path's prefix (everything before the ad* tail) on
+    the stored document's node columns and return the allowed
+    (doc, start, end) regions.
+
+    Each step has the evaluator's semantics (``_apply_step``): from the
+    document node, ``child`` reaches the root element and ``descendant``
+    every element, root included; from an element, the candidates are
+    its child, descendant or subtree ids; ``attribute``/``text`` steps
+    reach no element.  Results extend per input node in input order
+    without deduplication, so nested matches repeat exactly as they do
+    in the evaluator.  Only a predicate step uses the evaluator, on each
+    candidate's own materialised subtree — never on the whole volume."""
+    doc = store.document(doc_name)
+    tags = doc.tags
+    evaluator = None
+    items: List[int] = [doc.root]  # stands for the document node
     at_document_node = True
     for step in prefix_steps:
-        nxt: List[SNode] = []
-        for node in items:
-            nxt.extend(
-                n for n in evaluator._apply_step(
-                    node, step, {}, from_document_node=at_document_node
-                )
-                if isinstance(n, SNode)
-            )
+        axis, test = step.axis, step.test
+        nxt: List[int] = []
+        if axis not in ("attribute", "text"):
+            for n in items:
+                if at_document_node:
+                    cands: Sequence[int] = (
+                        [n] if axis == "child" else range(len(doc)))
+                elif axis == "child":
+                    cands = doc.children(n)
+                elif axis == "descendant":
+                    cands = doc.descendants(n)
+                else:  # descendant-or-self
+                    cands = doc.subtree(n)
+                nxt.extend(c for c in cands if test == "*" or tags[c] == test)
+        if step.predicates and nxt:
+            from repro.query.evaluator import QueryEvaluator, is_truthy
+
+            if evaluator is None:
+                evaluator = QueryEvaluator(store, registry)
+            kept: List[int] = []
+            for c in nxt:
+                node = snode_from_document(doc, c)
+                if all(is_truthy(evaluator.eval_expr(p, {}, node))
+                       for p in step.predicates):
+                    kept.append(c)
+            nxt = kept
         items = nxt
         at_document_node = False
-    regions = []
-    doc = store.document(doc_name)
-    for node in items:
-        if node.source is None:
-            continue
-        _d, nid = node.source
-        regions.append((doc.doc_id, doc.starts[nid], doc.ends[nid]))
-    return regions
+    return [(doc.doc_id, doc.starts[n], doc.ends[n]) for n in items]
 
 
 def explain_query(store: XMLStore, query: Query,

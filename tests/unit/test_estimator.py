@@ -30,6 +30,7 @@ from repro.plan.estimate import (
 )
 from repro.obs.events import SCHEMA_VERSION
 from repro.plan.feedback import SUPPORTED_EVENT_VERSIONS, feedback_report
+from repro.plan.rules import region_fraction
 from repro.query import parse_query
 from repro.query.compiler import compile_query
 from repro.xmldb.stats import StoreStatistics
@@ -190,6 +191,26 @@ class TestPlanAnnotation:
                 check(child)
 
         check(plan)
+
+    def test_empty_region_table_estimates_no_rows(self):
+        """Regression: a structural filter passing nothing was estimated
+        to keep every row (``region_fraction`` of no regions was 1.0)."""
+        from repro.exampledata import example_store
+
+        store = example_store()
+        plan = compile_query(store, parse_query('''
+            For $a in document("articles.xml")//nosuchtag/descendant-or-self::*
+            Score $a using ScoreFooExact($a, {"search"})
+            Return $a
+        '''))
+        execute(plan)
+        filt = plan.children[0]
+        assert filt.name == "structural-filter" and filt.regions == []
+        assert filt.children[0].est_rows > 0
+        assert filt.est_rows == 0.0
+        assert plan_stats(filt)["q_error"] == 1.0
+        assert region_fraction(store, []) == 0.0
+        assert region_fraction(XMLStore(), []) == 1.0  # empty corpus
 
     def test_unknown_operator_degrades_to_passthrough(self):
         store = make_store()

@@ -70,6 +70,64 @@ class TestCompilation:
         assert any(t.n_nodes() > 1 for t in comp)
 
 
+def _regions(plan):
+    op = plan
+    while op.name != "structural-filter":
+        op = op.children[0]
+    return op.regions
+
+
+class TestNoVolumeTree:
+    """The For-path prefix is resolved on the stored columns: compiling
+    builds no tree of the volume, and a predicate step materialises only
+    its candidates' own subtrees."""
+
+    @pytest.fixture()
+    def articles(self, monkeypatch):
+        from repro.core import trees
+        from repro.exampledata import example_store
+        from repro.query.evaluator import QueryEvaluator
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("compile materialised the volume")
+
+        monkeypatch.setattr(QueryEvaluator, "doc_tree", forbidden)
+        monkeypatch.setattr(trees, "tree_from_document", forbidden)
+        return example_store()
+
+    @staticmethod
+    def query(prefix):
+        return parse_query(
+            f'For $a in document("articles.xml"){prefix}'
+            f'/descendant-or-self::* '
+            f'Score $a using ScoreFooExact($a, {{"search"}}) Return $a')
+
+    def test_predicate_free_prefix_builds_no_tree(self, articles):
+        plan = compile_query(articles, self.query("//article"))
+        doc = articles.document("articles.xml")
+        assert _regions(plan) == [(doc.doc_id, doc.starts[0], doc.ends[0])]
+
+    def test_predicate_materialises_only_candidates(self, articles,
+                                                    monkeypatch):
+        import repro.query.compiler as compiler
+
+        materialised = []
+        real = compiler.snode_from_document
+
+        def counting(doc, node_id):
+            materialised.append(node_id)
+            return real(doc, node_id)
+
+        monkeypatch.setattr(compiler, "snode_from_document", counting)
+        plan = compile_query(articles, self.query("//chapter[/section]"))
+        doc = articles.document("articles.xml")
+        chapters = doc.find_by_tag("chapter")
+        assert materialised == chapters  # each candidate once, nothing else
+        last = chapters[-1]  # the only chapter holding sections
+        assert _regions(plan) == [
+            (doc.doc_id, doc.starts[last], doc.ends[last])]
+
+
 class TestRejections:
     def reject(self, store, query, match):
         with pytest.raises(QueryCompileError, match=match):
