@@ -8,7 +8,10 @@ are scored trees whose scores are all ``None`` (null).
 :class:`SNode` is one node; :class:`STree` wraps a root and caches a
 preorder numbering used to rebuild hierarchical relationships among
 arbitrary node subsets (witness-tree construction in selection and
-projection).
+projection).  :class:`StoredTree` is the compiled engine's row: a scored
+reference to a stored node that builds its :class:`SNode` tree only when
+``root`` is read, and otherwise writes its XML straight from the
+document columns (the column twin of :meth:`SNode.to_xml`).
 
 Nodes remember their provenance: ``source = (doc_id, node_id)`` when the
 node mirrors a stored element, or ``None`` for constructed nodes such as
@@ -175,6 +178,67 @@ class SNode:
         return f"SNode(<{self.tag}>{score}{src} {len(self.children)} children)"
 
 
+def _stored_to_xml(doc: Document, node_id: int, full: bool,
+                   score: Optional[float]) -> str:
+    """Write stored node ``node_id`` from the document columns, byte for
+    byte what :meth:`SNode.to_xml` writes for the tree a
+    :class:`StoredTree` builds: only the node's tag and attributes unless
+    ``full``, else the whole subtree with each element's direct words
+    before its children.  A ``score`` is spliced into the root's
+    attributes the way ``_to_xml`` does it (an existing ``score``
+    attribute keeps its position)."""
+    tags, levels, all_attrs = doc.tags, doc.levels, doc.attrs
+    last = doc.last_descendant(node_id) if full else node_id
+    out: List[str] = []
+    open_ids: List[int] = []
+    for nid in range(node_id, last + 1):
+        level = levels[nid]
+        while open_ids and levels[open_ids[-1]] >= level:
+            out.append(f"</{tags[open_ids.pop()]}>")
+        attrs = all_attrs.get(nid)
+        if score is not None and nid == node_id:
+            attrs = dict(attrs or {})
+            attrs["score"] = f"{score:g}"
+        attr_str = "".join(
+            f' {k}="{escape_attr(str(v))}"' for k, v in attrs.items()
+        ) if attrs else ""
+        tag = tags[nid]
+        words = doc.direct_words(nid) if full else None
+        has_children = full and doc.n_children(nid) > 0
+        if not has_children and not words:
+            out.append(f"<{tag}{attr_str}/>")
+            continue
+        out.append(f"<{tag}{attr_str}>")
+        if words:
+            out.append(escape_text(" ".join(words)))
+        if has_children:
+            open_ids.append(nid)
+        else:
+            out.append(f"</{tag}>")
+    while open_ids:
+        out.append(f"</{tags[open_ids.pop()]}>")
+    return "".join(out)
+
+
+def _number_preorder(root: SNode) -> None:
+    """Assign preorder intervals to every node under ``root``.
+    Iterative, so arbitrarily deep trees are fine."""
+    counter = 1
+    root.order_start = counter
+    stack = [(root, iter(root.children))]
+    while stack:
+        node, children = stack[-1]
+        child = next(children, None)
+        if child is None:
+            stack.pop()
+            counter += 1
+            node.order_end = counter
+        else:
+            counter += 1
+            child.order_start = counter
+            stack.append((child, iter(child.children)))
+
+
 class STree:
     """A scored data tree: a root node plus cached preorder numbering."""
 
@@ -187,24 +251,15 @@ class STree:
         """Score of the tree = score of its root (Definition 1)."""
         return self.root.score
 
+    @property
+    def source(self) -> Optional[Tuple[int, int]]:
+        """Provenance of the root (``None`` for a constructed root)."""
+        return self.root.source
+
     def renumber(self) -> None:
         """(Re)assign preorder intervals to every node.  Must be called
-        after structural mutation before using ancestor tests.
-        Iterative, so arbitrarily deep trees are fine."""
-        counter = 1
-        self.root.order_start = counter
-        stack = [(self.root, iter(self.root.children))]
-        while stack:
-            node, children = stack[-1]
-            child = next(children, None)
-            if child is None:
-                stack.pop()
-                counter += 1
-                node.order_end = counter
-            else:
-                counter += 1
-                child.order_start = counter
-                stack.append((child, iter(child.children)))
+        after structural mutation before using ancestor tests."""
+        _number_preorder(self.root)
 
     def nodes(self) -> Iterator[SNode]:
         """All nodes, document order."""
@@ -227,22 +282,83 @@ class STree:
                 f"score={self.score})")
 
 
+class StoredTree(STree):
+    """A compiled-plan row: stored node ``node_id`` of ``doc`` with a
+    score.  ``full=False`` stands for the single-node tree a scan emits
+    (tag and attributes only), ``full=True`` for the whole stored
+    subtree.
+
+    ``source`` is captured at construction, because
+    :meth:`~repro.xmldb.store.XMLStore.remove_document` renumbers
+    ``doc.doc_id`` in place.  The :class:`SNode` tree is built on the
+    first read of :attr:`root` (idempotently: a racing build publishes
+    an equal tree); until then :meth:`to_xml` writes from the columns."""
+
+    __slots__ = ("doc", "node_id", "full", "_score", "_source", "_root")
+
+    def __init__(self, doc: Document, node_id: int,
+                 score: Optional[float] = None, full: bool = False):
+        self.doc = doc
+        self.node_id = node_id
+        self.full = full
+        self._score = score
+        self._source = (doc.doc_id, node_id)
+        self._root: Optional[SNode] = None
+
+    @property
+    def root(self) -> SNode:  # type: ignore[override]
+        root = self._root
+        if root is None:
+            doc, (doc_id, nid) = self.doc, self._source
+            if self.full:
+                root = _snode_from_columns(doc, doc_id, nid)
+            else:
+                root = SNode(doc.tags[nid],
+                             attrs=dict(doc.attrs.get(nid, {})),
+                             source=self._source)
+            root.score = self._score
+            _number_preorder(root)
+            self._root = root
+        return root
+
+    @property
+    def score(self) -> Optional[float]:
+        """The stored score, or the built root's once :attr:`root` was
+        read (a caller may rescore the tree it asked for)."""
+        root = self._root
+        return self._score if root is None else root.score
+
+    @property
+    def source(self) -> Tuple[int, int]:
+        return self._source
+
+    def to_xml(self, with_scores: bool = False) -> str:
+        if self._root is not None:
+            return self._root.to_xml(with_scores)
+        return _stored_to_xml(self.doc, self.node_id, self.full,
+                              self._score if with_scores else None)
+
+
 # ----------------------------------------------------------------------
 # Conversion from stored documents
 # ----------------------------------------------------------------------
 
-def snode_from_document(doc: Document, node_id: int) -> SNode:
-    """Materialize the stored subtree at ``node_id`` as an :class:`SNode`
-    tree with provenance links back to the store."""
+def _snode_from_columns(doc: Document, doc_id: int, node_id: int) -> SNode:
     node = SNode(
         tag=doc.tags[node_id],
         attrs=dict(doc.attrs.get(node_id, {})),
-        source=(doc.doc_id, node_id),
-        words=list(doc.direct_words(node_id)),
+        source=(doc_id, node_id),
+        words=doc.direct_words(node_id),
     )
     for child_id in doc.children(node_id):
-        node.add_child(snode_from_document(doc, child_id))
+        node.add_child(_snode_from_columns(doc, doc_id, child_id))
     return node
+
+
+def snode_from_document(doc: Document, node_id: int) -> SNode:
+    """Materialize the stored subtree at ``node_id`` as an :class:`SNode`
+    tree with provenance links back to the store."""
+    return _snode_from_columns(doc, doc.doc_id, node_id)
 
 
 def tree_from_document(doc: Document, node_id: int = 0) -> STree:

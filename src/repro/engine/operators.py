@@ -21,7 +21,7 @@ from repro.core.operators import (
     scored_selection,
 )
 from repro.core.pattern import ScoredPatternTree
-from repro.core.trees import SNode, STree, tree_from_document
+from repro.core.trees import SNode, STree, StoredTree, tree_from_document
 from repro.engine.base import Operator
 from repro.xmldb.store import XMLStore
 
@@ -94,9 +94,10 @@ class TagScan(Operator):
 
 class TermJoinScan(Operator):
     """Source wrapping a score-generating access method (TermJoin or a
-    baseline with the same ``run(terms)`` interface): one single-node tree
-    per scored element, the stored subtree materialized lazily only when a
-    downstream operator needs it."""
+    baseline with the same ``run(terms)`` interface): one
+    :class:`StoredTree` row per scored element, a reference to the
+    stored node that builds no tree unless a downstream operator reads
+    its ``root``."""
 
     name = "termjoin-scan"
 
@@ -130,13 +131,7 @@ class TermJoinScan(Operator):
             return None
         r = self._results[self._i]
         self._i += 1
-        doc = self.store.document(r.doc_id)
-        return STree(SNode(
-            tag=doc.tags[r.node_id],
-            attrs=dict(doc.attrs.get(r.node_id, {})),
-            score=r.score,
-            source=(r.doc_id, r.node_id),
-        ))
+        return StoredTree(self.store.document(r.doc_id), r.node_id, r.score)
 
 
 class PhraseFinderScan(Operator):
@@ -562,7 +557,9 @@ class Union(Operator):
 class Materialize(Operator):
     """Replace single-node source-referencing trees with their full
     stored subtrees (keeping the root score) — the final 'retrieve from
-    the database and return to the user' step of Example 3.1."""
+    the database and return to the user' step of Example 3.1.  A scan's
+    :class:`StoredTree` row is only marked ``full``: its subtree is
+    written from the document columns when the answer is serialised."""
 
     name = "materialize"
 
@@ -574,6 +571,11 @@ class Materialize(Operator):
         item = self.children[0].next()
         if item is None:
             return None
+        if isinstance(item, StoredTree) and not item.full:
+            g = _resguard.GUARD
+            if g.active:
+                g.count_materialized()
+            return StoredTree(item.doc, item.node_id, item.score, full=True)
         src = item.root.source
         if src is None or item.root.children:
             return item

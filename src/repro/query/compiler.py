@@ -31,9 +31,13 @@ scorer factory* (term-level scoring the index can drive — see
 shape (joins, Pick clauses, any Threshold other than
 ``$v/@score > number``) raise :class:`~repro.errors.QueryCompileError`,
 and callers fall back to the evaluator.  The compiled plan returns the
-ranked scored elements (materialized stored subtrees), not the
-Return-constructor wrapping — equivalence with the evaluator is on
-(element, score) sets, which is what the tests assert.
+ranked scored elements, not the Return-constructor wrapping —
+equivalence with the evaluator is on (element, score) sets, which is
+what the tests assert.  Every row from the scan to the plan root is a
+:class:`~repro.core.trees.StoredTree` reference (document, node,
+score); ``Materialize`` marks it as standing for the whole stored
+subtree, whose XML is written from the document columns, and an
+``SNode`` tree is built only for a caller that reads ``root``.
 """
 
 from __future__ import annotations
@@ -104,7 +108,7 @@ class StructuralFilter(Operator):
             item = self.children[0].next()
             if item is None:
                 return None
-            src = item.root.source
+            src = item.source
             if src is not None and self._match(*src):
                 return item
 

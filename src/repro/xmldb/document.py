@@ -251,13 +251,17 @@ class Document:
     # ------------------------------------------------------------------
 
     def direct_words(self, node_id: int) -> List[str]:
-        """Words in the node's *direct* text content, in order."""
+        """Words in the node's *direct* text content, in order: the gaps
+        of the node's word slice that its children's slices leave."""
         lo, hi = self.word_slices[node_id]
-        return [
-            self.word_terms[i]
-            for i in range(lo, hi)
-            if self.word_node[i] == node_id
-        ]
+        terms = self.word_terms
+        out: List[str] = []
+        for child in self._children[node_id]:
+            child_lo, child_hi = self.word_slices[child]
+            out += terms[lo:child_lo]
+            lo = child_hi
+        out += terms[lo:hi]
+        return out
 
     def subtree_words(self, node_id: int) -> List[str]:
         """All words in the subtree of ``node_id`` — the paper's

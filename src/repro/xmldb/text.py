@@ -13,10 +13,6 @@ from typing import List, Tuple
 
 _TERM_RE = re.compile(r"[A-Za-z0-9]+")
 
-#: Characters XML requires to be escaped in text content.
-_XML_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;"}
-_XML_ATTR_ESCAPES = {**_XML_ESCAPES, '"': "&quot;"}
-
 
 def tokenize_text(text: str) -> List[str]:
     """Split ``text`` into lowercase terms.
@@ -41,10 +37,20 @@ def tokenize_phrase(phrase: str) -> List[str]:
 
 
 def escape_text(text: str) -> str:
-    """Escape text content for XML serialization."""
-    return "".join(_XML_ESCAPES.get(c, c) for c in text)
+    """Escape text content for XML serialization (``&`` first, so the
+    entities the later replacements insert are not escaped again)."""
+    if "&" in text:
+        text = text.replace("&", "&amp;")
+    if "<" in text:
+        text = text.replace("<", "&lt;")
+    if ">" in text:
+        text = text.replace(">", "&gt;")
+    return text
 
 
 def escape_attr(value: str) -> str:
     """Escape an attribute value for XML serialization (double-quoted)."""
-    return "".join(_XML_ATTR_ESCAPES.get(c, c) for c in value)
+    value = escape_text(value)
+    if '"' in value:
+        value = value.replace('"', "&quot;")
+    return value

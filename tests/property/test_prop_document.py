@@ -4,7 +4,12 @@ from hypothesis import given, settings
 
 from repro.xmldb.parser import parse_document
 
-from .strategies import build_document, doc_shapes
+from .strategies import (
+    build_document,
+    build_mixed_document,
+    doc_shapes,
+    mixed_doc_shapes,
+)
 
 
 @given(doc_shapes)
@@ -52,6 +57,19 @@ def test_subtree_words_equal_descendant_direct_words(shape):
         # direct words concatenated in id order == flat slice, because
         # word table is in document order and ids are preorder
         assert sorted(collected) == sorted(doc.subtree_words(nid))
+
+
+@given(mixed_doc_shapes)
+@settings(max_examples=100)
+def test_direct_words_equal_the_word_node_filter(shape):
+    # mixed content: a node's direct text may trail its children
+    doc = build_mixed_document(shape)
+    for nid in range(len(doc)):
+        lo, hi = doc.word_slice(nid)
+        assert doc.direct_words(nid) == [
+            doc.word_terms[i] for i in range(lo, hi)
+            if doc.word_node[i] == nid
+        ]
 
 
 @given(doc_shapes)

@@ -1,5 +1,8 @@
 """Unit tests for tokenization and XML escaping."""
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from repro.xmldb.text import (
     escape_attr,
     escape_text,
@@ -58,3 +61,12 @@ class TestEscaping:
 
     def test_plain_text_unchanged(self):
         assert escape_text("hello world") == "hello world"
+
+    @given(st.text(alphabet='&<>"ab;', max_size=30))
+    def test_equals_the_per_character_definition(self, text):
+        text_escapes = {"&": "&amp;", "<": "&lt;", ">": "&gt;"}
+        attr_escapes = {**text_escapes, '"': "&quot;"}
+        assert escape_text(text) == "".join(
+            text_escapes.get(c, c) for c in text)
+        assert escape_attr(text) == "".join(
+            attr_escapes.get(c, c) for c in text)
