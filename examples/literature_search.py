@@ -50,7 +50,6 @@ def main() -> None:
     store.counters.reset()
     plan = Materialize(
         Limit(Sort(TermJoinScan(store, terms, TermJoin(store, scorer))), 5),
-        store,
     )
     top5 = execute(plan)
 

@@ -75,11 +75,6 @@ Subcommands:
 - ``tix events FILE`` — inspect a query audit log: filter by
   ``--outcome``, ``--kind``, ``--min-wall MS`` or ``--slow-only``,
   ``--limit N`` for the tail, ``--json`` for raw records.
-- ``tix feedback FILE`` — aggregate an audit log into a misestimation
-  report: the worst-misestimated operators and query shapes ranked by
-  median q-error (count, median/max q-error, mean estimated vs actual
-  rows).  Reads both audit-log schema versions; ``--min-count`` drops
-  singletons, ``--json`` for the machine-readable report.
 - ``tix lint [PATH]`` — run the engine invariant linter
   (:mod:`repro.analysis`) over the source tree: operator lifecycle,
   guard ticks, metric/fault-point drift, lock discipline, resource
@@ -876,20 +871,6 @@ def _cmd_events(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_feedback(args: argparse.Namespace) -> int:
-    from repro.obs.events import iter_events
-    from repro.plan.feedback import feedback_report
-
-    with open(args.file, "r", encoding="utf-8") as f:
-        records = list(iter_events(f))
-    report = feedback_report(records, min_count=args.min_count)
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(report.render(limit=args.limit))
-    return 0
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis import (
         Severity, lint, render_human, render_json, rule_classes,
@@ -1248,22 +1229,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="print raw JSON records instead of the "
                          "human-readable table")
     ev.set_defaults(fn=_cmd_events)
-
-    fb = sub.add_parser(
-        "feedback",
-        help="aggregate an audit log into a misestimation report "
-             "(worst operators and query shapes by median q-error)",
-    )
-    fb.add_argument("file", help="audit-log JSONL file to read")
-    fb.add_argument("--min-count", type=int, default=1, metavar="N",
-                    help="hide operators/shapes seen fewer than N times "
-                         "(default 1)")
-    fb.add_argument("--limit", type=int, default=10, metavar="N",
-                    help="show the N worst entries per section "
-                         "(default 10)")
-    fb.add_argument("--json", action="store_true",
-                    help="emit the full report as JSON")
-    fb.set_defaults(fn=_cmd_feedback)
 
     ln = sub.add_parser(
         "lint",

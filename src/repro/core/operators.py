@@ -5,10 +5,11 @@ All operators consume and produce *collections of scored trees*
 pattern matching: embeddings of the scored pattern tree assign scores to
 the matched data IR-nodes per the pattern's scoring specification ``S``.
 
-The operators here define the semantics; the pipelined engine
-(:mod:`repro.engine`) and the access methods (:mod:`repro.access`)
-implement the same semantics efficiently and are tested against these
-definitions.
+The operators here define the semantics; the access methods
+(:mod:`repro.access`) implement the same semantics efficiently and are
+tested against these definitions.  The pipelined engine
+(:mod:`repro.engine`) runs compiled plans over those access methods and
+is tested against the query evaluator.
 """
 
 from __future__ import annotations

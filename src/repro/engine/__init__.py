@@ -1,38 +1,26 @@
 """Pipelined, set-oriented query evaluation engine (§5 framing).
 
 The engine evaluates physical plans of iterator-style operators
-(open / next / close) over collections of scored trees, so the TIX
-operators and the new access methods slot into "a standard pipelined
-database query evaluation engine" exactly as the paper proposes:
+(open / next / close) over streams of scored trees, so the paper's
+access methods slot into "a standard pipelined database query
+evaluation engine" exactly as it proposes.  It holds the operators the
+compiler (:mod:`repro.query.compiler`) builds, and nothing else:
 
-- sources: :class:`~repro.engine.operators.DocumentSource`,
-  :class:`~repro.engine.operators.TagScan`,
-  :class:`~repro.engine.operators.TermJoinScan`,
-  :class:`~repro.engine.operators.PhraseFinderScan`;
-- scored tree operators: Select / Project / Product / Join;
-- score-utilizing operators: Threshold (streaming for V, blocking for K),
-  Pick, Sort, Limit;
-- plumbing: Union, Materialize, plan explain and execution statistics.
+- source: :class:`~repro.engine.operators.TermJoinScan`;
+- rank: Sort, Limit and TopK (§5.3's bounded heap);
+- output: Materialize, plus plan explain and execution statistics.
+
+The compiler's ``StructuralFilter`` sits between the scan and the rank.
+The TIX algebra itself (:mod:`repro.core.operators`) is not an engine
+operator; it stays the reference the compiled plans are checked against.
 """
 
 from repro.engine.base import Operator, execute, explain
 from repro.engine.operators import (
-    DocumentSource,
-    TagScan,
     TermJoinScan,
-    PhraseFinderScan,
-    Select,
-    Project,
-    Product,
-    Join,
-    ThresholdOp,
-    PickOp,
     Sort,
     Limit,
     TopK,
-    Union,
-    ValueJoin,
-    ScoredUnion,
     Materialize,
 )
 
@@ -40,21 +28,9 @@ __all__ = [
     "Operator",
     "execute",
     "explain",
-    "DocumentSource",
-    "TagScan",
     "TermJoinScan",
-    "PhraseFinderScan",
-    "Select",
-    "Project",
-    "Product",
-    "Join",
-    "ThresholdOp",
-    "PickOp",
     "Sort",
     "Limit",
     "TopK",
-    "Union",
-    "ValueJoin",
-    "ScoredUnion",
     "Materialize",
 ]

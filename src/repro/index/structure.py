@@ -1,14 +1,13 @@
 """Structure index: parents, child counts, per-tag element lists.
 
-Three consumers:
+Two consumers:
 
 - **Enhanced TermJoin** (§6.1): "uses an index structure to get a parent of
   a given node.  Along with the parent information, the number of children
   of this parent is returned."  :meth:`StructureIndex.parent_and_fanout`
   is exactly that O(1) lookup.
-- the **structural-join baselines** (Comp1/Comp2), which need the element
-  lists (optionally per tag) sorted by start key;
-- the engine's tag-scan operator.
+- the **structural-join baselines** (Comp1/Comp2) and the twig join,
+  which need the element lists (optionally per tag) sorted by start key.
 """
 
 from __future__ import annotations

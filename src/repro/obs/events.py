@@ -84,9 +84,8 @@ __all__ = [
 #: - v2: per-operator ``est_rows``/``q_error`` in ``ops`` (``None`` on
 #:   plans the estimator never annotated);
 #: - v3: ``trace_id`` joins the record to the server's retained
-#:   distributed trace ("" for untraced executions).  ``tix feedback``
-#:   aggregates this version only (others count as skipped).  Added
-#:   since: ``error_code`` (the wire code of a served failure).
+#:   distributed trace ("" for untraced executions).  Added since:
+#:   ``error_code`` (the wire code of a served failure).
 SCHEMA_VERSION = 3
 
 

@@ -1,35 +1,28 @@
-"""Plan-level estimation and feedback.
+"""Plan-level estimation.
 
 The compiler builds one fixed plan per compiled query; this package
-says how many rows each of its operators should see and, afterwards,
-how wrong that was:
+says how many rows each of its operators should see, so that
+``explain(analyze=True)`` and the audit log can show how wrong that was:
 
 - :mod:`repro.plan.estimate` — a catalog-driven estimator that walks a
   compiled operator tree and annotates every node with ``est_rows`` /
   ``est_cost`` from :class:`~repro.xmldb.stats.StoreStatistics`
   (cached on the store keyed by ``store.generation``), plus the
   ``q-error`` metric surfaced by ``explain(analyze=True)``;
-- :mod:`repro.plan.feedback` — aggregation of estimated-vs-actual plan
-  stats out of the audit log (:mod:`repro.obs.events`) into a
-  misestimation report (``tix feedback``);
 - :mod:`repro.plan.rules` / :mod:`repro.plan.optimizer` — only the
   names the frozen benchmark harness imports; nothing is costed or
   chosen.
 """
 
 from repro.plan.estimate import (
-    containment_selectivity,
     estimate_plan,
     phrase_estimate,
     publish_qerrors,
     qerror,
-    structural_join_estimate,
     term_estimate,
 )
-from repro.plan.feedback import FeedbackReport, OpFeedback, feedback_report
 
 __all__ = [
-    "containment_selectivity", "estimate_plan", "phrase_estimate",
-    "publish_qerrors", "qerror", "structural_join_estimate",
-    "term_estimate", "FeedbackReport", "OpFeedback", "feedback_report",
+    "estimate_plan", "phrase_estimate", "publish_qerrors", "qerror",
+    "term_estimate",
 ]

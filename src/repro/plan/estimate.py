@@ -6,26 +6,22 @@ and ``est_cost`` (abstract work units, cumulative over children) —
 computed *before* execution from :class:`~repro.xmldb.stats.
 StoreStatistics` alone:
 
-- **score-generating leaves** (``termjoin-scan``, ``phrasefinder-scan``)
-  estimate from catalog term frequencies: a single-term leaf's estimate
-  is exactly ``stats.frequency(term)`` (asserted by the unit tests), a
-  multi-term leaf sums its terms, and each additional word of a phrase
-  multiplies the rarest term's frequency by :data:`PHRASE_ADJACENCY`;
+- **the score-generating leaf** (``termjoin-scan``) estimates from
+  catalog term frequencies: a single-term leaf's estimate is exactly
+  ``stats.frequency(term)`` (asserted by the unit tests), a multi-term
+  leaf sums its terms, and each additional word of a phrase multiplies
+  the rarest term's frequency by :data:`PHRASE_ADJACENCY`;
 - **structural predicates** (``structural-filter``) turn their
   (doc, start, end) regions into a fraction of the corpus region span;
-- **structural / twig containment** uses the level histogram
-  (:func:`containment_selectivity`: an element at level *l* has *l*
-  proper ancestors, so the histogram gives the exact count of
-  ancestor–descendant pairs) and the fan-out statistics;
-- **composites** multiply child estimates under the independence
-  assumption, with every intermediate clamped to ``[0, bound]`` so one
-  bad guess cannot cascade into astronomic plans.
+- **rank and output operators** (``top-k``, ``limit``, ``sort``,
+  ``materialize``) pass their child's estimate through, clamped to
+  ``k`` where they cut; every intermediate is clamped to ``[0, bound]``
+  so one bad guess cannot cascade into astronomic plans.
 
 Estimates are *heuristics with stated assumptions*, not promises; the
 point is that ``explain(analyze=True)`` then shows the per-operator
 **q-error** — ``max(est/actual, actual/est)``, 1-safe — so
-misestimation is measurable, logged to the audit trail, and
-aggregatable by ``tix feedback`` (:mod:`repro.plan.feedback`).
+misestimation is measurable and logged to the audit trail.
 
 The module deliberately dispatches on ``Operator.name`` strings rather
 than operator classes: it must not import :mod:`repro.engine` (the
@@ -47,7 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "PHRASE_ADJACENCY", "SCORE_SELECTIVITY",
     "qerror", "term_estimate", "phrase_estimate",
-    "containment_selectivity", "structural_join_estimate",
     "estimate_plan", "publish_qerrors",
 ]
 
@@ -59,14 +54,6 @@ PHRASE_ADJACENCY = 0.1
 #: Fraction of scored elements assumed to survive a positive
 #: score-threshold (V-condition) filter.
 SCORE_SELECTIVITY = 0.5
-
-#: Fraction of inputs assumed to survive a pattern selection (Select /
-#: Pick) when no structural statistics apply.
-FILTER_SELECTIVITY = 0.5
-
-#: Join selectivity for value joins (similarity predicates) under the
-#: independence assumption.
-JOIN_SELECTIVITY = 0.1
 
 # Abstract per-item work units of the cost model.  Only ratios matter:
 # a posting scanned during a merge is the unit, emitting/copying a tree
@@ -118,31 +105,6 @@ def phrase_estimate(stats: "StoreStatistics", terms) -> float:
     return low * (PHRASE_ADJACENCY ** (len(freqs) - 1))
 
 
-def containment_selectivity(stats: "StoreStatistics") -> float:
-    """P(random element X is a proper ancestor of random element Y),
-    read exactly off the level histogram: an element at level *l* has
-    *l* proper ancestors, so the number of ancestor–descendant pairs is
-    ``Σ_l l·count(l)`` out of ``N²`` ordered pairs."""
-    n = max(1, stats.n_elements)
-    pairs = sum(
-        level * count for level, count in stats.level_counts.items()
-    )
-    return min(1.0, pairs / float(n * n))
-
-
-def structural_join_estimate(stats: "StoreStatistics",
-                             n_ancestors: float,
-                             n_descendants: float) -> float:
-    """Expected output of an ancestor–descendant structural (or twig
-    edge) join between two element sets, under the independence
-    assumption: ``|A|·|D|·P(containment)``, clamped so the output never
-    exceeds every descendant paired with its full ancestor chain
-    (``|D| · max_depth``) — the level histogram's hard bound."""
-    est = n_ancestors * n_descendants * containment_selectivity(stats)
-    bound = n_descendants * max(1.0, float(stats.max_depth))
-    return _clamp(est, bound)
-
-
 def _clamp(value: float, upper: Optional[float] = None) -> float:
     if value < 0.0:
         return 0.0
@@ -171,33 +133,8 @@ def _estimate_node(op: Any, stats: "StoreStatistics",
             est *= SCORE_SELECTIVITY
         cost = est * _COST_POSTING + est * _log2(est) * _COST_COMPARE
         return est, cost
-    if name == "phrasefinder-scan":
-        tokens = getattr(op, "phrase_terms", ())
-        est = phrase_estimate(stats, tokens)
-        scanned = sum(term_estimate(stats, t) for t in tokens)
-        return est, scanned * _COST_POSTING
-    if name == "tag-scan":
-        tag = getattr(op, "tag", None)
-        est = float(stats.tag_counts.get(tag, 0))
-        if getattr(op, "doc_name", None) is not None:
-            est /= float(max(1, getattr(op.store, "n_documents", 1)))
-        return est, est * _COST_EMIT
-    if name == "doc-source":
-        store = getattr(op, "store", None)
-        n_docs = float(getattr(store, "n_documents", 1) or 1)
-        est = 1.0 if getattr(op, "doc_name", None) is not None else n_docs
-        return est, est * _COST_EMIT
     if name == "structural-filter":
         est = first * region_fraction(op.store, op.regions)
-        return est, first * _COST_COMPARE
-    if name == "threshold":
-        est = first
-        if getattr(op, "min_score", None) is not None \
-                and op.min_score > 0:
-            est *= SCORE_SELECTIVITY
-        top_k = getattr(op, "top_k", None)
-        if top_k is not None:
-            est = _clamp(est, float(top_k))
         return est, first * _COST_COMPARE
     if name in ("limit", "top-k"):
         k = float(getattr(op, "k", 0) or 0)
@@ -209,37 +146,6 @@ def _estimate_node(op: Any, stats: "StoreStatistics",
         return first, first * _log2(first) * _COST_COMPARE
     if name == "materialize":
         return first, first * _COST_EMIT
-    if name in ("select", "join"):
-        # Pattern selection: embeddings are ancestor-descendant
-        # containments, so the level histogram drives the estimate and
-        # the depth bound caps the per-input witness blow-up.
-        est = first * FILTER_SELECTIVITY
-        if first > 1.0:
-            est = max(est, structural_join_estimate(stats, first, first)
-                      * FILTER_SELECTIVITY)
-        bound = first * max(1.0, float(stats.max_depth))
-        return _clamp(est, bound), first * _COST_COMPARE
-    if name == "pick":
-        return first * FILTER_SELECTIVITY, first * _COST_COMPARE
-    if name == "project":
-        return first, first * _COST_EMIT
-    if name == "product":
-        left = child_rows[0] if child_rows else 0.0
-        right = child_rows[1] if len(child_rows) > 1 else 0.0
-        est = _clamp(left * right, n_elements * n_elements)
-        return est, est * _COST_EMIT
-    if name == "value-join":
-        left = child_rows[0] if child_rows else 0.0
-        right = child_rows[1] if len(child_rows) > 1 else 0.0
-        est = _clamp(left * right * JOIN_SELECTIVITY,
-                     n_elements * n_elements)
-        return est, left * right * _COST_COMPARE
-    if name == "scored-union":
-        est = sum(child_rows)
-        return est, est * _COST_COMPARE
-    if name == "union":
-        est = sum(child_rows)
-        return est, est * _COST_EMIT
     # Unknown operator: sources scan the corpus, single-child operators
     # pass through, multi-child operators emit the union bound.
     if not child_rows:

@@ -195,7 +195,7 @@ def _compile_query(store: XMLStore, query: Query,
             plan = Sort(plan)
         if stop_after is not None:
             plan = Limit(plan, stop_after)
-    root: Any = Materialize(plan, store)
+    root: Any = Materialize(plan)
     root.planner_choices = PlanChoices()  # the frozen harness reads it
     return root
 

@@ -169,7 +169,13 @@ class _Parser:
             stop_after = None
             if self.accept("keyword", "stop"):
                 self.expect("keyword", "after")
-                stop_after = int(float(self.expect("number").value))
+                tok = self.peek()
+                if (tok.type != "number" or not tok.value.isdigit()
+                        or int(tok.value) == 0):
+                    raise self.error(
+                        "'stop after' needs a positive integer count"
+                    )
+                stop_after = int(self.advance().value)
             threshold = ThresholdClause(cond, stop_after)
         # Sortby may also follow Threshold (either order accepted).
         if sortby is None and self.accept("keyword", "Sortby"):

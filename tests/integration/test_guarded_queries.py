@@ -91,7 +91,6 @@ class TestRowBudget:
         plan = Materialize(
             TermJoinScan(store, ["qa10000"],
                          TermJoin(store, WeightedCountScorer(["qa10000"]))),
-            store,
         )
         res = execute_guarded(
             plan, QueryGuard(max_materialized=5, degrade=True)

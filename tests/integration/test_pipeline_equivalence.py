@@ -1,27 +1,12 @@
-"""Cross-layer equivalence: engine plans vs algebra operators vs query
-evaluator vs compiled plans, on the example store and a synthetic
-corpus."""
+"""Cross-layer equivalence: compiled plans vs the query evaluator, and
+the engine pipeline on a synthetic corpus."""
 
 import pytest
 
 from repro.access.termjoin import TermJoin
-from repro.core import scored_projection, scored_selection, tree_from_document
-from repro.core.operators import pick as algebra_pick
 from repro.core.scoring import WeightedCountScorer
-from repro.engine import (
-    DocumentSource,
-    PickOp,
-    Project,
-    Select,
-    Sort,
-    TermJoinScan,
-    execute,
-)
-from repro.exampledata import (
-    example_store,
-    pickfoo_criterion,
-    query2_pattern,
-)
+from repro.engine import Sort, TermJoinScan, execute
+from repro.exampledata import example_store
 from repro.query import parse_query, run_query
 from repro.query.compiler import run_compiled
 from repro.workload import CorpusSpec, generate_corpus
@@ -30,34 +15,6 @@ from repro.workload import CorpusSpec, generate_corpus
 @pytest.fixture(scope="module")
 def store():
     return example_store()
-
-
-class TestEngineVsAlgebra:
-    def test_select(self, store):
-        pat = query2_pattern()
-        tree = tree_from_document(store.document("articles.xml"))
-        algebra = [t.sketch() for t in scored_selection([tree], pat)]
-        engine = [
-            t.sketch()
-            for t in execute(Select(DocumentSource(store, "articles.xml"),
-                                    pat))
-        ]
-        assert engine == algebra
-
-    def test_project_pick_chain(self, store):
-        pat = query2_pattern()
-        tree = tree_from_document(store.document("articles.xml"))
-        algebra = algebra_pick(
-            scored_projection([tree], pat, ["$1", "$3", "$4"]),
-            "$4", pickfoo_criterion(), pattern=pat,
-        )
-        engine = execute(PickOp(
-            Project(DocumentSource(store, "articles.xml"), pat,
-                    ["$1", "$3", "$4"]),
-            "$4", pickfoo_criterion(), pat,
-        ))
-        assert [t.sketch() for t in engine] == \
-            [t.sketch() for t in algebra]
 
 
 class TestCompiledVsEvaluator:

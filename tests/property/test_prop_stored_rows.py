@@ -119,7 +119,7 @@ def test_lazy_root_equals_the_materialised_tree(shape, attrs, row_scores):
         assert preorder(row) == preorder(want)
         assert row.sketch() == want.sketch()
     with guarded(QueryGuard()) as g:
-        out = execute(Materialize(_Rows(rows), store))
+        out = execute(Materialize(_Rows(rows)))
     assert g.materialized == len(doc)
     assert len(out) == len(doc)
     for n, row in enumerate(out):

@@ -140,23 +140,6 @@ class TestCLI:
         assert "hello                2" in out
         assert "avg depth" in out
 
-    def test_feedback_cli(self, tmp_path, capsys):
-        import json as _json
-
-        log = tmp_path / "audit.jsonl"
-        log.write_text(_json.dumps({
-            "v": 3, "query_sha256": "ab", "ops": [
-                {"operator": "sort", "rows": 2, "est_rows": 8.0,
-                 "q_error": 4.0, "time_ms": 0.1},
-            ],
-        }) + "\n")
-        assert main(["feedback", str(log)]) == 0
-        out = capsys.readouterr().out
-        assert "worst-misestimated operators" in out and "sort" in out
-        assert main(["feedback", str(log), "--json"]) == 0
-        report = _json.loads(capsys.readouterr().out)
-        assert report["operators"][0]["median_qerror"] == 4.0
-
     def test_query_analyze_composes_with_the_guard(self, tmp_path, capsys):
         # Regression: --analyze + a guard flag printed the metrics but
         # silently dropped the EXPLAIN ANALYZE tree.

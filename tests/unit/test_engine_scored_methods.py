@@ -1,30 +1,12 @@
-"""Unit tests for the §5.2 score-modifying engine operators (ValueJoin,
-ScoredUnion) and the histogram-driven Pick criterion (§5.3)."""
+"""Unit tests for the §5.2 score-modifying operators (the algebra's
+``scored_value_join`` and ``scored_union``) and the histogram-driven Pick
+criterion (§5.3)."""
 
 import pytest
 
+from repro.core.operators import scored_union, scored_value_join
 from repro.core.pick import PickCriterion, criterion_from_histogram
 from repro.core.trees import SNode, STree
-from repro.engine import ScoredUnion, ValueJoin, execute
-from repro.engine.base import Operator
-
-
-class _ListSource(Operator):
-    name = "list-source"
-
-    def __init__(self, trees):
-        super().__init__()
-        self.trees = trees
-
-    def _open(self):
-        self._i = 0
-
-    def _next(self):
-        if self._i >= len(self.trees):
-            return None
-        t = self.trees[self._i]
-        self._i += 1
-        return t
 
 
 def tree(tag, score, words=(), source=None):
@@ -38,13 +20,12 @@ class TestValueJoin:
                 tree("l2", 2.0, ["kiwi"])]
         right = [tree("r1", 3.0, ["apple", "tart"]),
                  tree("r2", 4.0, ["pear"])]
-        plan = ValueJoin(
-            _ListSource(left), _ListSource(right),
+        out = scored_value_join(
+            left, right,
             condition=lambda a, b: bool(
                 set(a.root.words) & set(b.root.words)
             ),
         )
-        out = execute(plan)
         assert len(out) == 1
         assert out[0].root.tag == "tix_prod_root"
         assert out[0].score == pytest.approx(4.0)  # 1.0 + 3.0
@@ -52,39 +33,31 @@ class TestValueJoin:
     def test_weights_and_custom_fn(self):
         left = [tree("l", 1.0, ["k"])]
         right = [tree("r", 2.0, ["k"])]
-        plan = ValueJoin(
-            _ListSource(left), _ListSource(right),
+        out = scored_value_join(
+            left, right,
             condition=lambda a, b: True,
             score_fn=lambda a, b: max(a, b),
             w1=10.0, w2=1.0,
         )
-        out = execute(plan)
         assert out[0].score == pytest.approx(10.0)
 
     def test_no_matches(self):
-        plan = ValueJoin(
-            _ListSource([tree("l", 1.0)]),
-            _ListSource([tree("r", 2.0)]),
+        assert scored_value_join(
+            [tree("l", 1.0)], [tree("r", 2.0)],
             condition=lambda a, b: False,
-        )
-        assert execute(plan) == []
+        ) == []
 
     def test_cartesian_cardinality(self):
         left = [tree("l", 1.0) for _ in range(3)]
         right = [tree("r", 1.0) for _ in range(4)]
-        plan = ValueJoin(
-            _ListSource(left), _ListSource(right),
-            condition=lambda a, b: True,
-        )
-        assert len(execute(plan)) == 12
+        out = scored_value_join(left, right, condition=lambda a, b: True)
+        assert len(out) == 12
 
     def test_children_are_copies(self):
         l = tree("l", 1.0, ["w"])
-        plan = ValueJoin(
-            _ListSource([l]), _ListSource([tree("r", 1.0)]),
-            condition=lambda a, b: True,
+        out = scored_value_join(
+            [l], [tree("r", 1.0)], condition=lambda a, b: True,
         )
-        out = execute(plan)
         out[0].root.children[0].words.append("mutant")
         assert l.root.words == ["w"]
 
@@ -93,16 +66,14 @@ class TestScoredUnion:
     def test_shared_source_merged(self):
         left = [tree("x", 1.0, source=(0, 5))]
         right = [tree("x", 2.0, source=(0, 5))]
-        out = execute(ScoredUnion(_ListSource(left), _ListSource(right)))
+        out = scored_union(left, right)
         assert len(out) == 1
         assert out[0].score == pytest.approx(3.0)
 
     def test_one_sided_trees_kept(self):
         left = [tree("a", 1.0, source=(0, 1))]
         right = [tree("b", 2.0, source=(0, 2))]
-        out = execute(ScoredUnion(
-            _ListSource(left), _ListSource(right), w1=2.0, w2=0.5,
-        ))
+        out = scored_union(left, right, w1=2.0, w2=0.5)
         scores = {t.root.tag: t.score for t in out}
         assert scores == {"a": 2.0, "b": 1.0}
 
@@ -115,9 +86,7 @@ class TestScoredUnion:
         left = [tree("x", 2.0, source=(0, 1)),
                 tree("y", 2.0, source=(0, 2))]
         right = [tree("x", 2.0, source=(0, 1))]
-        out = execute(ScoredUnion(
-            _ListSource(left), _ListSource(right), combine=bonus,
-        ))
+        out = scored_union(left, right, combine=bonus)
         scores = {t.root.tag: t.score for t in out}
         assert scores["x"] == pytest.approx(6.0)
         assert scores["y"] == pytest.approx(2.0)

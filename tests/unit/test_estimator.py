@@ -1,35 +1,26 @@
 """Unit tests for the plan estimator (``repro.plan``).
 
 Covers the q-error math (1-safety, symmetry), the catalog estimate
-primitives (term/phrase frequencies, containment selectivity from the
-level histogram, structural-join clamping), exact leaf estimates on a
-seeded corpus, composite sanity bounds, the generation-keyed statistics
-cache on the store, EXPLAIN rendering of estimates, the ``estimate.*``
-metrics, and the audit-log misestimation feedback report (including
-mixed schema-version logs).
+primitives (term/phrase frequencies), exact leaf estimates on a seeded
+corpus, composite sanity bounds, the generation-keyed statistics cache
+on the store, EXPLAIN rendering of estimates, and the ``estimate.*``
+metrics.
 """
-
-import io
-import json
 
 import pytest
 
 from repro import obs
 from repro.engine.base import execute, explain, plan_stats
-from repro.engine.operators import PhraseFinderScan, TermJoinScan
+from repro.engine.operators import TermJoinScan
 from repro.errors import UnknownTermError
 from repro.plan.estimate import (
     PHRASE_ADJACENCY,
-    containment_selectivity,
     estimate_plan,
     phrase_estimate,
     publish_qerrors,
     qerror,
-    structural_join_estimate,
     term_estimate,
 )
-from repro.obs.events import SCHEMA_VERSION
-from repro.plan.feedback import SUPPORTED_EVENT_VERSIONS, feedback_report
 from repro.plan.rules import region_fraction
 from repro.query import parse_query
 from repro.query.compiler import compile_query
@@ -122,25 +113,6 @@ class TestCatalogPrimitives:
         assert term_estimate(stats, "alpha gamma") == \
             phrase_estimate(stats, ["alpha", "gamma"])
 
-    def test_containment_selectivity_matches_histogram(self):
-        stats = make_store().stats
-        n = stats.n_elements
-        pairs = sum(lv * c for lv, c in stats.level_counts.items())
-        assert containment_selectivity(stats) == \
-            pytest.approx(pairs / (n * n))
-        assert 0.0 < containment_selectivity(stats) <= 1.0
-
-    def test_structural_join_clamped_by_depth_bound(self):
-        stats = make_store().stats
-        # Absurd inputs: the output may never exceed every descendant
-        # paired with its full ancestor chain.
-        est = structural_join_estimate(stats, 1e9, 10.0)
-        assert est <= 10.0 * stats.max_depth
-
-    def test_structural_join_zero_inputs(self):
-        stats = make_store().stats
-        assert structural_join_estimate(stats, 0.0, 0.0) == 0.0
-
 
 class TestPlanAnnotation:
     def test_leaf_estimate_exactly_catalog_frequency(self):
@@ -154,14 +126,6 @@ class TestPlanAnnotation:
         # frequencies of the query terms (alpha=6 + beta=4).
         assert leaf.est_rows == float(
             store.stats.frequency("alpha") + store.stats.frequency("beta")
-        )
-
-    def test_phrasefinder_leaf_estimate_exact(self):
-        store = make_store()
-        scan = PhraseFinderScan(store, ["alpha", "gamma"])
-        estimate_plan(scan, store)
-        assert scan.est_rows == pytest.approx(
-            phrase_estimate(store.stats, ["alpha", "gamma"])
         )
 
     def test_every_operator_annotated_with_monotone_cost(self):
@@ -322,121 +286,3 @@ class TestEstimateMetrics:
                               QueryGuard(max_rows=100, degrade=True))
         snap = col.metrics.snapshot()
         assert snap["estimate.qerror"]["count"] > 0
-
-
-def _record(sha: str, ops):
-    return {
-        "v": SCHEMA_VERSION, "trace_id": "", "ts": 0.0, "kind": "query", "query_sha256": sha,
-        "outcome": "ok", "wall_ms": 1.0, "rows": 1, "truncated": False,
-        "reason": "", "error_type": "", "cache": "", "plan_cache": "",
-        "guard": {"active": False, "degraded": False, "trip": ""},
-        "ops": ops, "slow": False,
-    }
-
-
-def _old_record(sha: str, version: int):
-    r = _record(sha, [{"operator": "sort", "rows": 3, "est_rows": 3.0,
-                       "q_error": 1.0, "time_ms": 0.1}])
-    r["v"] = version
-    del r["trace_id"]
-    return r
-
-
-class TestFeedbackReport:
-    def test_ranks_by_median_qerror(self):
-        records = [
-            _record("aa", [
-                {"operator": "sort", "rows": 10, "est_rows": 10.0,
-                 "q_error": 1.0, "time_ms": 0.1},
-                {"operator": "termjoin-scan(x)", "rows": 1,
-                 "est_rows": 50.0, "q_error": 50.0, "time_ms": 0.2},
-            ]),
-            _record("bb", [
-                {"operator": "termjoin-scan(x)", "rows": 2,
-                 "est_rows": 40.0, "q_error": 20.0, "time_ms": 0.2},
-            ]),
-        ]
-        report = feedback_report(records)
-        assert report.n_records == 2
-        assert report.operators[0].key == "termjoin-scan(x)"
-        assert report.operators[0].count == 2
-        assert report.operators[0].median_qerror == pytest.approx(35.0)
-        assert report.operators[0].max_qerror == 50.0
-        assert report.operators[-1].key == "sort"
-        # shapes keyed by query hash, ranked the same way
-        assert report.shapes[0].key == "aa"
-
-    def test_qerror_derived_when_absent(self):
-        records = [_record("aa", [
-            {"operator": "sort", "rows": 5, "est_rows": 10.0,
-             "time_ms": 0.1},  # no q_error field
-        ])]
-        report = feedback_report(records)
-        assert report.operators[0].median_qerror == pytest.approx(2.0)
-
-    def test_other_versions_are_skipped_never_crash(self):
-        assert SUPPORTED_EVENT_VERSIONS == (SCHEMA_VERSION,)
-        records = [
-            _old_record("aa", 1),
-            _old_record("aa", 2),
-            _record("bb", [
-                {"operator": "termjoin-scan(x)", "rows": 4,
-                 "est_rows": 8.0, "q_error": 2.0, "time_ms": 0.1},
-            ]),
-            _record("cc", [{"operator": "sort", "rows": 3,
-                            "time_ms": 0.1}]),  # evaluator-style: no est
-            {"v": 99, "ops": []},  # future version
-            {"ops": "garbage"},    # no version at all
-        ]
-        report = feedback_report(records)
-        assert report.n_records == 2  # current-schema records only
-        assert report.n_skipped == 4
-        assert report.n_without_estimates == 1
-        # the old records' operators never reach the aggregation
-        assert [o.key for o in report.operators] == ["termjoin-scan(x)"]
-
-    def test_min_count_filters_singletons(self):
-        records = [
-            _record("aa", [
-                {"operator": "sort", "rows": 4, "est_rows": 8.0,
-                 "q_error": 2.0, "time_ms": 0.1},
-            ]),
-        ]
-        report = feedback_report(records, min_count=2)
-        assert report.operators == []
-
-    def test_render_and_to_dict(self):
-        records = [_record("aa", [
-            {"operator": "sort", "rows": 4, "est_rows": 8.0,
-             "q_error": 2.0, "time_ms": 0.1},
-        ])]
-        report = feedback_report(records)
-        text = report.render()
-        assert "worst-misestimated operators" in text
-        assert "sort" in text
-        d = report.to_dict()
-        assert d["operators"][0]["median_qerror"] == 2.0
-        json.dumps(d)  # JSON-ready
-
-    def test_empty_log_renders_hint(self):
-        report = feedback_report([])
-        assert "no per-operator estimates" in report.render()
-
-    def test_end_to_end_from_audit_log(self):
-        """A real guarded run writes a log tix feedback can read."""
-        from repro.obs import events
-        from repro.resilience import QueryGuard, run_query_guarded
-
-        store = make_store()
-        buf = io.StringIO()
-        with events.logging_queries(buf):
-            run_query_guarded(store, QUERY,
-                              QueryGuard(max_rows=100, degrade=True))
-        records = list(events.iter_events(
-            io.StringIO(buf.getvalue())
-        ))
-        report = feedback_report(records)
-        assert report.n_records == 1
-        assert report.n_without_estimates == 0
-        assert report.operators and report.shapes
-        assert all(o.median_qerror >= 1.0 for o in report.operators)

@@ -12,7 +12,6 @@ from repro.core.scoring import WeightedCountScorer
 from repro.engine import (
     Limit,
     Sort,
-    TagScan,
     TermJoinScan,
     execute,
     explain,

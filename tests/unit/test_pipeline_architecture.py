@@ -10,6 +10,8 @@ path with a second dispatcher.
 import ast
 import os
 
+import pytest
+
 import repro
 
 SRC = os.path.dirname(repro.__file__)
@@ -82,6 +84,32 @@ def test_removed_dispatchers_stay_removed():
 
     for name in ("_query_guarded", "_query_analyze", "_query_planned"):
         assert not hasattr(cli, name)
+
+
+def test_every_operator_is_built_by_the_compiler():
+    # One physical engine: each concrete Operator subclass in the source
+    # tree is constructed in the compiler, so an operator no plan builds
+    # cannot come back unnoticed.
+    names = {
+        node.name for _rel, tree in modules()
+        for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+        if any(isinstance(b, ast.Name) and b.id == "Operator"
+               for b in node.bases)
+    }
+    compiler = dict(modules())[os.path.join("query", "compiler.py")]
+    built = {called_name(node) for node in ast.walk(compiler)
+             if isinstance(node, ast.Call)}
+    assert {"TermJoinScan", "StructuralFilter", "Materialize"} <= names
+    assert names <= built, sorted(names - built)
+
+
+def test_no_feedback_command(capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["feedback", "audit.jsonl"])
+    assert exc.value.code == 2  # argparse: invalid choice
+    assert "invalid choice: 'feedback'" in capsys.readouterr().err
 
 
 # -- one request record, one producer per fact, one renderer per view --

@@ -112,6 +112,18 @@ class TestParserBasics:
         assert q.body.threshold.stop_after == 5
         assert isinstance(q.body.threshold.condition, Comparison)
 
+    @pytest.mark.parametrize("count", ["0", "00", "2.5", "1.0", "$a"])
+    def test_stop_after_needs_a_positive_integer(self, count):
+        # Regression: 0 meant "all rows" to the evaluator, "no rows" to
+        # a compiled Limit and an untyped ValueError in TopK; 2.5 was
+        # silently truncated to 2.
+        text = ('For $a in document("d")//x Return $a Sortby(score)\n'
+                f'Threshold $a/@score > 0 stop after {count}')
+        with pytest.raises(QuerySyntaxError, match="positive integer") \
+                as exc:
+            parse_query(text)
+        assert (exc.value.line, exc.value.column) == (2, 36)
+
     def test_threshold_before_sortby_accepted(self):
         q = parse_query(
             'For $a in document("d")//x Return $a '

@@ -6,7 +6,9 @@ import time
 import pytest
 
 from repro import obs
-from repro.engine import Limit, Materialize, Sort, TagScan, TermJoinScan
+from repro.access.termjoin import TermJoin
+from repro.core.scoring import WeightedCountScorer
+from repro.engine import Materialize, Sort, TermJoinScan
 from repro.engine.base import Operator, execute
 from repro.errors import (
     QueryAbortedError,
@@ -34,6 +36,11 @@ from repro.resilience import guard as guard_module
 @pytest.fixture()
 def store():
     return example_store()
+
+
+def _scan(store, term="search"):
+    return TermJoinScan(store, [term],
+                        TermJoin(store, WeightedCountScorer([term])))
 
 
 class TestHierarchy:
@@ -124,20 +131,20 @@ class TestInstall:
 
 class TestExecuteGuarded:
     def test_unguarded_semantics_preserved(self, store):
-        plain = execute(TagScan(store, "p"))
-        res = execute_guarded(TagScan(store, "p"), QueryGuard())
+        plain = execute(_scan(store))
+        res = execute_guarded(_scan(store), QueryGuard())
         assert not res.truncated
         assert [t.root.source for t in res.results] == \
             [t.root.source for t in plain]
 
     def test_row_budget_strict(self, store):
         with pytest.raises(ResourceExhaustedError, match="row budget"):
-            execute_guarded(TagScan(store, "p"), QueryGuard(max_rows=1))
+            execute_guarded(_scan(store), QueryGuard(max_rows=1))
 
     def test_row_budget_degrade_returns_prefix(self, store):
-        full = execute(Sort(TagScan(store, "p")))
+        full = execute(Sort(_scan(store)))
         res = execute_guarded(
-            Sort(TagScan(store, "p")), QueryGuard(max_rows=2, degrade=True)
+            Sort(_scan(store)), QueryGuard(max_rows=2, degrade=True)
         )
         assert res.truncated
         assert isinstance(res.error, ResourceExhaustedError)
@@ -147,7 +154,7 @@ class TestExecuteGuarded:
 
     def test_zero_row_budget_degrade(self, store):
         res = execute_guarded(
-            TagScan(store, "p"), QueryGuard(max_rows=0, degrade=True)
+            _scan(store), QueryGuard(max_rows=0, degrade=True)
         )
         assert res.truncated and res.n_results == 0
 
@@ -155,21 +162,21 @@ class TestExecuteGuarded:
         # The budget is a hard cap, not a LIMIT: a plan producing exactly
         # max_rows rows trips too (the governor cannot know no more rows
         # would come without computing the next one).
-        n = len(execute(TagScan(store, "p")))
+        n = len(execute(_scan(store)))
         res = execute_guarded(
-            TagScan(store, "p"), QueryGuard(max_rows=n, degrade=True)
+            _scan(store), QueryGuard(max_rows=n, degrade=True)
         )
         assert res.truncated and res.n_results == n
 
     def test_timeout_degrade_closes_cleanly(self, store):
         g = QueryGuard(timeout_ms=0, degrade=True)
         time.sleep(0.002)
-        plan = TagScan(store, "p")
+        plan = _scan(store)
         res = execute_guarded(plan, g)
         assert res.truncated
         assert isinstance(res.error, QueryTimeoutError)
         # pipeline was closed: the operator is reusable afterwards
-        assert len(execute(plan)) == 3
+        assert len(execute(plan)) == len(execute(_scan(store))) > 0
 
     def test_cancellation_mid_stream(self, store):
         tok = CancellationToken()
@@ -187,7 +194,7 @@ class TestExecuteGuarded:
                 return self.children[0].next()
 
         g = QueryGuard(token=tok, degrade=True)
-        res = execute_guarded(CancelAfter(TagScan(store, "p"), 1), g)
+        res = execute_guarded(CancelAfter(_scan(store), 1), g)
         assert res.truncated
         assert isinstance(res.error, QueryCancelledError)
         assert res.n_results >= 1
@@ -197,48 +204,39 @@ class TestExecuteGuarded:
         # deadline trips there, before any row reaches the sink.
         g = QueryGuard(timeout_ms=0, degrade=True)
         time.sleep(0.002)
-        res = execute_guarded(Sort(TagScan(store, "p")), g)
+        res = execute_guarded(Sort(_scan(store)), g)
         assert res.truncated and res.n_results == 0
 
     def test_guard_result_iterable(self, store):
-        res = execute_guarded(TagScan(store, "p"), QueryGuard())
+        res = execute_guarded(_scan(store), QueryGuard())
         assert len(list(res)) == res.n_results
 
 
 class TestMaterializationBudget:
-    def _scan(self, store):
-        from repro.access.termjoin import TermJoin
-        from repro.core.scoring import WeightedCountScorer
-
-        scorer = WeightedCountScorer(["technologies"])
-        return TermJoinScan(
-            store, ["technologies"], TermJoin(store, scorer)
-        )
-
     def test_materialize_budget_trips(self, store):
-        plan = Materialize(self._scan(store), store)
+        plan = Materialize(_scan(store, "technologies"))
         with pytest.raises(ResourceExhaustedError, match="materialization"):
             execute_guarded(plan, QueryGuard(max_materialized=0))
 
     def test_materialize_budget_degrade(self, store):
-        plan = Materialize(self._scan(store), store)
+        plan = Materialize(_scan(store, "technologies"))
         res = execute_guarded(
             plan, QueryGuard(max_materialized=1, degrade=True)
         )
         assert res.truncated
         assert res.n_results == 1
 
-    def test_tagscan_counts_materializations(self, store):
+    def test_materialize_counts_materializations(self, store):
         with guarded(QueryGuard()) as g:
-            execute(TagScan(store, "p"))
-        assert g.materialized == 3
+            out = execute(Materialize(_scan(store)))
+        assert g.materialized == len(out) > 0
 
 
 class TestObsIntegration:
     def test_trips_and_checks_are_counted(self, store):
         with obs.collecting() as col:
             res = execute_guarded(
-                TagScan(store, "p"), QueryGuard(max_rows=1, degrade=True)
+                _scan(store), QueryGuard(max_rows=1, degrade=True)
             )
         assert res.truncated
         snap = col.metrics.snapshot()
@@ -248,7 +246,7 @@ class TestObsIntegration:
 
     def test_no_collector_no_error(self, store):
         res = execute_guarded(
-            TagScan(store, "p"), QueryGuard(max_rows=1, degrade=True)
+            _scan(store), QueryGuard(max_rows=1, degrade=True)
         )
         assert res.truncated  # publish() was a silent no-op
 

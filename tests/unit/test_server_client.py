@@ -146,6 +146,23 @@ class TestBadRequests:
         resp = self._raw(server, request("query", 1, q="   "))
         assert resp["error"]["code"] == "BAD_REQUEST"
 
+    @pytest.mark.parametrize("count", ["0", "2.5"])
+    def test_non_positive_stop_after_is_a_syntax_error(self, server, count):
+        # Regression: 'stop after 0' with Sortby reached TopK's untyped
+        # ValueError and came back INTERNAL; 2.5 silently meant 2.
+        from repro.resilience import QueryGuard, run_query_guarded
+
+        text = ('For $x in document("articles.xml")'
+                '//article/descendant-or-self::* '
+                'Score $x using ScoreFooExact($x, {"search"}) '
+                'Return $x Sortby(score) '
+                f'Threshold $x/@score > 0 stop after {count}')
+        with pytest.raises(QuerySyntaxError, match="positive integer"):
+            run_query_guarded(server.store, text, QueryGuard())
+        resp = self._raw(server, request("query", 1, q=text))
+        assert resp["ok"] is False
+        assert resp["error"]["code"] == "SYNTAX"
+
     def test_malformed_budgets_are_typed_not_a_dead_thread(self, server):
         # On cd4c019 each of these escaped as an uncaught ValueError:
         # the connection thread died and the client read EOF.

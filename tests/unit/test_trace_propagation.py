@@ -404,9 +404,8 @@ def _v2_record():
 
 class TestAuditV3RoundTrip:
     """Mixed v1/v2/v3 audit files list without loss in ``tix events``
-    (it renders whatever JSON it is given), ``tix feedback`` aggregates
-    the current version only, and the v3 ``trace_id`` joins records to
-    retained traces."""
+    (it renders whatever JSON it is given), and the v3 ``trace_id``
+    joins records to retained traces."""
 
     def _mixed_file(self, tmp_path, v3_extra=None):
         ev = events.QueryEvent("query text")
@@ -435,13 +434,6 @@ class TestAuditV3RoundTrip:
         assert cli.main(["events", str(path)]) == 0
         out = capsys.readouterr().out
         assert "(3 of 3 events)" in out
-
-    def test_tix_feedback_skips_the_old_versions(self, tmp_path, capsys):
-        path, _ = self._mixed_file(tmp_path)
-        assert cli.main(["feedback", str(path), "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["n_records"] == 1  # the v3 line
-        assert report["n_skipped"] == 2  # v1 + v2: counted, not read
 
     def test_served_query_trace_id_joins_audit_to_trace(
             self, server, client, tmp_path):
