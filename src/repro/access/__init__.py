@@ -30,7 +30,7 @@ from repro.access.composite import Comp1, Comp2, Comp3
 from repro.access.phrasefinder import PhraseFinder, PhraseOccurrence
 from repro.access.phrasejoin import PhraseJoin
 from repro.access.pick import PickAccess
-from repro.access.results import PhraseMatch, ScoredElement
+from repro.access.results import PhraseMatch, ScoredColumns, ScoredElement
 from repro.access.termjoin import EnhancedTermJoin, TermJoin
 from repro.joins.meet import generalized_meet
 
@@ -43,6 +43,7 @@ __all__ = [
     "PhraseJoin",
     "PickAccess",
     "PhraseMatch",
+    "ScoredColumns",
     "ScoredElement",
     "EnhancedTermJoin",
     "TermJoin",

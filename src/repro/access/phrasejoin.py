@@ -22,7 +22,7 @@ from typing import Dict, List, Sequence
 
 from repro import obs as _obs
 from repro.access.phrasefinder import PhraseFinder
-from repro.access.results import ScoredElement
+from repro.access.results import ScoredColumns
 from repro.access.termjoin import TermJoin, merge_runs
 from repro.xmldb.store import XMLStore
 from repro.xmldb.text import tokenize_phrase
@@ -74,7 +74,7 @@ class PhraseJoin:
             weights.append(weight)
         return cls(store, phrases, weights)
 
-    def run(self, phrases: Sequence[str] = ()) -> List[ScoredElement]:
+    def run(self, phrases: Sequence[str] = ()) -> ScoredColumns:
         """Run the join.  ``phrases`` (if given) overrides the
         constructor's phrase list, keeping the constructor weights when
         the count matches (source-compatibility with the TermJoinScan

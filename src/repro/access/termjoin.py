@@ -32,6 +32,14 @@ its node id, its ``lo``, and (complex mode) its relevant-child count —
 and a pop reads the element's counters from per-term prefix sums
 (``cum[i] - cum[lo]``) or its occurrence buffer from one slice;
 nothing is merged or copied a level up.
+
+**Output, as columns.**  A pop appends the element's document id, node
+id and score to three parallel columns — two ``array('i')`` and a list
+of the scorer's own return values — returned as one
+:class:`~repro.access.results.ScoredColumns`.  No per-element object is
+allocated: a :class:`~repro.access.results.ScoredElement` exists only
+for a row that is read one by one, and the engine's scan filters the
+score column and wraps only the rows that survive.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro import obs as _obs
 from repro.resilience import guard as _resguard
-from repro.access.results import ScoredElement
+from repro.access.results import ScoredColumns
 from repro.index.inverted import INT
 from repro.xmldb.document import Document
 from repro.xmldb.store import XMLStore
@@ -107,7 +115,7 @@ class TermJoin:
     # The merge pass
     # ------------------------------------------------------------------
 
-    def run(self, terms: Sequence[str]) -> List[ScoredElement]:
+    def run(self, terms: Sequence[str]) -> ScoredColumns:
         """Score every element whose subtree contains at least one
         occurrence of any term in ``terms``.  Output order is pop order =
         ascending end key (children before parents)."""
@@ -165,7 +173,7 @@ class TermJoin:
 
     def stack_pass(self, docs: Sequence[int], poss: Sequence[int],
                    nodes: Sequence[int], labels: Sequence[Hashable],
-                   offsets: Sequence[int] = ()) -> List[ScoredElement]:
+                   offsets: Sequence[int] = ()) -> ScoredColumns:
         """The stack pass over one ``(doc, pos)``-ordered occurrence
         stream given as parallel columns.  ``labels`` names what each
         occurrence counts towards — a term here, a phrase for
@@ -191,8 +199,12 @@ class TermJoin:
             ]
             score_counts = scorer.score_from_counts
 
-        out: List[ScoredElement] = []
-        emit = out.append
+        out_doc = array(INT)
+        out_node = array(INT)
+        out_score: List[Any] = []
+        emit_doc = out_doc.append
+        emit_node = out_node.append
+        emit_score = out_score.append
         # The stack of ancestors, root first, as parallel int lists.
         st_node: List[int] = []
         st_lo: List[int] = []    # first posting of the element's span
@@ -245,7 +257,9 @@ class TermJoin:
                         if count:
                             counts[label] = count
                     score = score_counts(counts)
-                emit(ScoredElement(cur_doc_id, node, score))
+                emit_doc(cur_doc_id)
+                emit_node(node)
+                emit_score(score)
                 if st_node:
                     top = st_node[-1]
                     top_end = ends[top]
@@ -277,7 +291,7 @@ class TermJoin:
                 top = node_id
                 top_end = ends[top]
 
-        return out
+        return ScoredColumns(out_doc, out_node, out_score)
 
 
 def merge_runs(docs: Sequence[int], poss: Sequence[int],

@@ -8,8 +8,11 @@ stored nodes.
 
 from __future__ import annotations
 
+from itertools import compress, repeat
+from operator import gt, itemgetter
 from typing import Callable, List, Optional, Sequence
 
+from repro.access.results import ScoredColumns
 from repro.resilience import guard as _resguard
 from repro.core.trees import STree, StoredTree
 from repro.engine.base import Operator
@@ -17,11 +20,13 @@ from repro.xmldb.store import XMLStore
 
 
 class TermJoinScan(Operator):
-    """Source wrapping a score-generating access method (TermJoin or a
-    baseline with the same ``run(terms)`` interface): one
-    :class:`StoredTree` row per scored element, a reference to the
-    stored node that builds no tree unless a downstream operator reads
-    its ``root``."""
+    """Source wrapping a score-generating access method (TermJoin or
+    PhraseJoin), whose ``run(terms)`` returns
+    :class:`~repro.access.results.ScoredColumns`: one
+    :class:`StoredTree` row per scored element that passes ``> min_score``,
+    a reference to the stored node that builds no tree unless a
+    downstream operator reads its ``root``.  The score filter is one pass
+    over the score column; a row is built only when it is handed out."""
 
     name = "termjoin-scan"
 
@@ -32,7 +37,8 @@ class TermJoinScan(Operator):
         self.terms = list(terms)
         self.method = method
         self.min_score = min_score
-        self._results: List = []
+        self._results: Optional[ScoredColumns] = None
+        self._rows: Sequence[int] = ()
         self._i = 0
 
     def describe(self) -> str:
@@ -42,20 +48,26 @@ class TermJoinScan(Operator):
         )
 
     def _open(self) -> None:
-        self._results = self.method.run(self.terms)
+        results = self.method.run(self.terms)
         self.stats.counters.update(getattr(self.method, "last_stats", {}))
+        scores = results.score
+        rows: Sequence[int] = range(len(scores))
         if self.min_score is not None:
-            self._results = [
-                r for r in self._results if r.score > self.min_score
-            ]
+            keep = map(gt, scores, repeat(self.min_score))
+            rows = list(compress(rows, keep))
+        self._results = results
+        self._rows = rows
         self._i = 0
 
     def _next(self) -> Optional[STree]:
-        if self._i >= len(self._results):
+        i = self._i
+        if i >= len(self._rows):
             return None
-        r = self._results[self._i]
-        self._i += 1
-        return StoredTree(self.store.document(r.doc_id), r.node_id, r.score)
+        self._i = i + 1
+        row = self._rows[i]
+        results = self._results
+        return StoredTree(self.store.document(results.doc[row]),
+                          results.node[row], results.score[row])
 
 
 class Sort(Operator):
@@ -75,12 +87,15 @@ class Sort(Operator):
         self._buffer: List[STree] = []
 
     def _open(self) -> None:
+        # Stable sort, then reversed so that rows are handed out from
+        # the end of the buffer in O(1).
         self._buffer = sorted(
             self.children[0], key=self.key, reverse=self.descending
         )
+        self._buffer.reverse()
 
     def _next(self) -> Optional[STree]:
-        return self._buffer.pop(0) if self._buffer else None
+        return self._buffer.pop() if self._buffer else None
 
 
 class Limit(Operator):
@@ -139,12 +154,14 @@ class TopK(Operator):
                 heapq.heappush(heap, entry)
             elif entry[:2] > heap[0][:2]:
                 heapq.heapreplace(heap, entry)
+        # Ascending (score, -arrival) is the output order reversed:
+        # rows are handed out from the end of the buffer in O(1).
         self._buffer = [
-            t for _s, _a, t in sorted(heap, key=lambda e: (-e[0], -e[1]))
+            t for _s, _a, t in sorted(heap, key=itemgetter(0, 1))
         ]
 
     def _next(self) -> Optional[STree]:
-        return self._buffer.pop(0) if self._buffer else None
+        return self._buffer.pop() if self._buffer else None
 
 
 class Materialize(Operator):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.access.termjoin import TermJoin
 from repro.core.scoring import WeightedCountScorer
+from repro.core.trees import StoredTree
 from repro.engine import (
     Limit,
     Materialize,
@@ -13,6 +14,7 @@ from repro.engine import (
     execute,
     explain,
 )
+from repro.engine.base import Operator
 from repro.errors import PlanError
 from repro.exampledata import example_store
 from repro.query.compiler import StructuralFilter
@@ -144,6 +146,61 @@ class TestScoreUtilizing:
         biggest = max(out, key=lambda t: t.n_nodes())
         assert biggest.n_nodes() > 1
         assert biggest.score is not None
+
+
+class _Rows(Operator):
+    """A source handing out fixed rows in order."""
+
+    name = "rows"
+
+    def __init__(self, rows):
+        super().__init__()
+        self.rows = rows
+
+    def _open(self):
+        self._it = iter(self.rows)
+
+    def _next(self):
+        return next(self._it, None)
+
+
+class TestRankOrder:
+    """The order Sort and TopK hand rows out in, ties included.  Rows
+    are tagged by node id; ``None`` scores rank as ``-inf``."""
+
+    SCORES = [1.0, 3.0, None, 2.0, 3.0, 1.0, 2.0, None, 3.0, 0.5]
+
+    def _rows(self, store):
+        doc = store.document("articles.xml")
+        return [StoredTree(doc, nid, score)
+                for nid, score in enumerate(self.SCORES)]
+
+    def test_sort_is_stable_descending(self, store):
+        out = execute(Sort(_Rows(self._rows(store))))
+        assert [t.node_id for t in out] == [1, 4, 8, 3, 6, 0, 5, 9, 2, 7]
+
+    def test_sort_ascending_is_stable(self, store):
+        out = execute(Sort(_Rows(self._rows(store)), descending=False))
+        assert [t.node_id for t in out] == [2, 7, 9, 0, 5, 3, 6, 1, 4, 8]
+
+    @pytest.mark.parametrize("k, expected", [
+        (1, [1]),
+        (2, [1, 4]),
+        (5, [1, 4, 8, 3, 6]),
+        (6, [1, 4, 8, 3, 6, 0]),
+        (10, [1, 4, 8, 3, 6, 0, 5, 9, 2, 7]),
+        (20, [1, 4, 8, 3, 6, 0, 5, 9, 2, 7]),
+    ])
+    def test_topk_earlier_arrival_wins_a_tie(self, store, k, expected):
+        out = execute(TopK(_Rows(self._rows(store)), k))
+        assert [t.node_id for t in out] == expected
+
+    def test_topk_equals_sort_then_limit(self, store):
+        rows = self._rows(store)
+        for k in range(1, len(rows) + 2):
+            assert ([t.node_id for t in execute(TopK(_Rows(rows), k))]
+                    == [t.node_id
+                        for t in execute(Limit(Sort(_Rows(rows)), k))])
 
 
 class TestExplain:

@@ -1,7 +1,10 @@
 """Unit tests for TermJoin and Enhanced TermJoin."""
 
+import gc
+
 import pytest
 
+from repro.access.phrasejoin import PhraseJoin
 from repro.access.termjoin import EnhancedTermJoin, TermJoin
 from repro.core.scoring import ProximityScorer, WeightedCountScorer
 from repro.xmldb.store import XMLStore
@@ -177,3 +180,39 @@ class TestResultRecords:
         assert hash(m) == hash(PhraseMatch(0, 3, 2, 2.0))
         assert repr(m) == \
             "PhraseMatch(doc_id=0, node_id=3, count=2, score=2.0)"
+
+
+def _held_growth(run):
+    """How many collector-tracked objects a held result adds: ``run``
+    once to build the indexes and load the documents, then count the
+    tracked objects around a second run whose result is kept."""
+    run()
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        held = run()
+        grown = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    return held, grown
+
+
+def test_result_holds_no_per_row_objects():
+    # The stack pass emits columns: a held result costs the collector a
+    # constant number of objects, not one per scored element.
+    for n_paras in (9, 5000):
+        store = XMLStore.from_sources({
+            "r.xml": "<r>" + "<p>alpha beta</p>" * n_paras + "</r>",
+        })
+        methods = [
+            (TermJoin(store, WeightedCountScorer(["alpha"], ["beta"])),
+             ["alpha", "beta"]),
+            (EnhancedTermJoin(store, ProximityScorer(["alpha", "beta"]),
+                              complex_scoring=True), ["alpha", "beta"]),
+            (PhraseJoin(store, ["alpha beta"], [1.0]), ["alpha beta"]),
+        ]
+        for method, terms in methods:
+            held, grown = _held_growth(lambda: method.run(terms))
+            assert len(held) == n_paras + 1
+            assert grown <= 8, (method.name, n_paras, grown)
