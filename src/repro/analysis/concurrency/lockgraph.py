@@ -515,7 +515,7 @@ class _Builder:
                                         root, held, trail + (step,),
                                         depth + 1)
                 return
-        # unresolved — blocking matchers apply if any lock is held
+        # unresolved — the blocking-call checks apply if any lock is held
         if held:
             desc = self._blocking_reason(call, cls, env, held)
             if desc is not None:

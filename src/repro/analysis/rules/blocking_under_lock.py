@@ -7,7 +7,7 @@ socket read, a ``time.sleep``, or an unbounded ``Queue.get``.  The
 interprocedural walk (:mod:`repro.analysis.concurrency.lockgraph`)
 records each blocking operation executed inside a held-lock region —
 including operations reached *through* calls, so hiding the sleep in
-a helper does not hide the finding.  The curated matcher set:
+a helper does not hide the finding.  The curated blocking calls:
 
 - ``time.sleep`` (and a bare imported ``sleep``);
 - socket ``recv`` / ``recv_into`` / ``sendall`` / ``accept`` (always)

@@ -891,6 +891,19 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 1 if result.count_at_least(Severity(args.fail_on)) else 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for cutoffs and tail limits: 0 and negative values
+    would silently mean "everything" or "drop the oldest"."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not an integer: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tix",
@@ -976,7 +989,8 @@ def build_parser() -> argparse.ArgumentParser:
     nx.add_argument("--doc", action="append",
                     help="load a document: name=path (repeatable)")
     nx.add_argument("--store", help="load a saved store directory")
-    nx.add_argument("--top", type=int, default=10, help="top-k cutoff")
+    nx.add_argument("--top", type=_positive_int, default=10,
+                    help="top-k cutoff (default 10)")
     nx.add_argument("--show", action="store_true",
                     help="print a snippet of each hit")
     nx.set_defaults(fn=_cmd_nexi)
@@ -1172,7 +1186,7 @@ def build_parser() -> argparse.ArgumentParser:
     tp.add_argument("--iterations", type=int, default=0, metavar="N",
                     help="refresh N times then exit (default 0 = "
                          "until Ctrl-C)")
-    tp.add_argument("--limit", type=int, default=10, metavar="N",
+    tp.add_argument("--limit", type=_positive_int, default=10, metavar="N",
                     help="rows per trace table (default 10)")
     tp.add_argument("--call-timeout", type=float, default=5.0,
                     metavar="S",
@@ -1196,7 +1210,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--id", metavar="TRACE_ID",
                     help="one trace's full span tree; without it, the "
                          "in-flight/retained listing")
-    tr.add_argument("--limit", type=int, default=20, metavar="N",
+    tr.add_argument("--limit", type=_positive_int, default=20, metavar="N",
                     help="listing rows (default 20)")
     tr.add_argument("--chrome-out", metavar="FILE",
                     help="write the trace in Chrome traceEvents format "
@@ -1223,7 +1237,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="keep only queries at least this slow")
     ev.add_argument("--slow-only", action="store_true",
                     help="keep only slow-threshold force-logged queries")
-    ev.add_argument("--limit", type=int, metavar="N",
+    ev.add_argument("--limit", type=_positive_int, metavar="N",
                     help="show only the last N matching events")
     ev.add_argument("--json", action="store_true",
                     help="print raw JSON records instead of the "

@@ -196,21 +196,14 @@ def _build_witness(
 def scored_selection(
     collection: Sequence[STree],
     pattern: ScoredPatternTree,
-    matcher: Optional[Callable[[ScoredPatternTree, STree], List[Match]]]
-    = None,
 ) -> List[STree]:
-    """One witness tree per embedding of ``pattern`` into each input tree,
-    with scores per the pattern's scoring specification.
-
-    ``matcher`` overrides the embedding enumeration — pass
-    ``repro.core.twigmatch.find_embeddings_auto`` partially applied to a
-    store to route tag-constrained AD patterns through the holistic twig
-    join."""
-    find = matcher or find_embeddings
+    """One witness tree per embedding of ``pattern`` into each input tree
+    (enumerated by :func:`repro.core.matching.find_embeddings`), with
+    scores per the pattern's scoring specification."""
     out: List[STree] = []
     for tree in collection:
         tree.renumber()
-        for match in find(pattern, tree):
+        for match in find_embeddings(pattern, tree):
             scores = evaluate_match_scores(pattern, match)
             out.append(_build_witness(pattern, match, scores))
     return out

@@ -10,9 +10,9 @@
 - :mod:`repro.index.compress`: a delta + varint codec for those columns;
   no index stores its output.
 - :mod:`repro.index.structure`: the structure index — parent pointers,
-  child counts, and per-tag element lists sorted by start key.  Enhanced
+  child counts, and the element list sorted by start key.  Enhanced
   TermJoin reads child counts here instead of navigating the data, and the
-  structural-join baselines scan the per-tag element lists.
+  Comp2 baseline scans the element list.
 """
 
 from repro.index.inverted import InvertedIndex, PostingColumns, PostingList

@@ -1,4 +1,4 @@
-"""Structure index: parents, child counts, per-tag element lists.
+"""Structure index: parents, child counts, the global element list.
 
 Two consumers:
 
@@ -6,13 +6,13 @@ Two consumers:
   a given node.  Along with the parent information, the number of children
   of this parent is returned."  :meth:`StructureIndex.parent_and_fanout`
   is exactly that O(1) lookup.
-- the **structural-join baselines** (Comp1/Comp2) and the twig join,
-  which need the element lists (optionally per tag) sorted by start key.
+- the **Comp2 baseline**, which joins each term's postings against every
+  element sorted by start key.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple, TYPE_CHECKING
+from typing import List, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.xmldb.store import XMLStore
@@ -35,31 +35,26 @@ class StructureIndex:
         self,
         parents: List[List[int]],
         fanouts: List[List[int]],
-        by_tag: Dict[str, List[ElementRef]],
         all_elements: List[ElementRef],
     ):
         self._parents = parents       # per doc: node -> parent id
         self._fanouts = fanouts       # per doc: node -> child count
-        self._by_tag = by_tag         # tag -> element refs (doc order)
         self._all = all_elements      # every element ref (doc order)
 
     @classmethod
     def build(cls, store: "XMLStore") -> "StructureIndex":
         parents: List[List[int]] = []
         fanouts: List[List[int]] = []
-        by_tag: Dict[str, List[ElementRef]] = {}
         all_elements: List[ElementRef] = []
         for doc in store.documents():
             parents.append(list(doc.parents))
             fanouts.append([doc.n_children(n) for n in range(len(doc))])
             d = doc.doc_id
             for nid in range(len(doc)):
-                ref: ElementRef = (
-                    d, doc.starts[nid], doc.ends[nid], doc.levels[nid], nid
+                all_elements.append(
+                    (d, doc.starts[nid], doc.ends[nid], doc.levels[nid], nid)
                 )
-                all_elements.append(ref)
-                by_tag.setdefault(doc.tags[nid], []).append(ref)
-        return cls(parents, fanouts, by_tag, all_elements)
+        return cls(parents, fanouts, all_elements)
 
     # ------------------------------------------------------------------
     # O(1) lookups
@@ -85,10 +80,6 @@ class StructureIndex:
     # Scans
     # ------------------------------------------------------------------
 
-    def elements_with_tag(self, tag: str) -> List[ElementRef]:
-        """Element refs with the given tag, in global document order."""
-        return self._by_tag.get(tag, [])
-
     def all_elements(self) -> List[ElementRef]:
         """Every element ref in global document order.  The Comp2 baseline
         scans this list: its cost is what makes Comp2 frequency-independent
@@ -98,7 +89,3 @@ class StructureIndex:
     @property
     def n_elements(self) -> int:
         return len(self._all)
-
-    def tags(self) -> List[str]:
-        """All distinct tags."""
-        return list(self._by_tag.keys())

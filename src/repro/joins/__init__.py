@@ -19,14 +19,10 @@ from repro.joins.structural import (
     ancestors_of_postings,
 )
 from repro.joins.meet import generalized_meet
-from repro.joins.twig import TwigNode, path_stack, twig_join
 
 __all__ = [
     "stack_tree_join",
     "naive_structural_join",
     "ancestors_of_postings",
     "generalized_meet",
-    "TwigNode",
-    "path_stack",
-    "twig_join",
 ]

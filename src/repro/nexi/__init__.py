@@ -7,9 +7,11 @@ content-and-structure queries such as::
     //article[about(.//sec, "search engine")]//sec[about(., ranking)]
 
 This package parses the NEXI subset INEX topics actually use and
-evaluates it on the TIX machinery: structural constraints via the
-holistic twig join, ``about`` relevance via the scoring-function library
-and TermJoin-style subtree scoring, ranking via the standard top-k path.
+evaluates it on the TIX machinery: the tag path is matched and scored in
+one pass per step over each document's columns, ``about`` relevance via
+the scoring-function library and subtree scoring, then ranked with an
+optional top-k cutoff.  It is an offline library front end (and
+``tix nexi``): not served, guarded or cached.
 
 Entry point::
 

@@ -2,9 +2,13 @@
 
 Pipeline:
 
-1. **Structure**: the query's tag path becomes a linear AD twig; full
-   path matches come from :func:`repro.joins.twig.path_stack` (wildcard
-   steps stream every element).
+1. **Structure and scoring, one pass per step**: step *i* of the tag
+   path walks each document's tag column (every element for ``*``) and
+   keeps an element only if a strict ancestor — found by walking
+   ``doc.parents`` — was kept by step *i-1*.  The element's partial
+   score is the best such ancestor's plus its own predicate score,
+   added in step order; an element whose predicate scores 0 is dropped.
+   The last step's survivors are the targets.
 2. **Relevance**: every step's ``about`` predicate scores the bound
    element — the clause's relative path descends from it, and the terms
    are scored over subtree text with the paper's weighted phrase counts
@@ -14,12 +18,17 @@ Pipeline:
    operand is zero (strict conjunctive filtering with graded scores);
    ``or`` takes the max.  A path match's score is the sum over all its
    steps' predicate scores; a *target* element's final score is the max
-   over the path matches that end at it.
-4. **Ranking**: descending score, zero-scored targets dropped, optional
-   top-k.
+   over the path matches that end at it.  Step 1 computes exactly that
+   without enumerating the matches: rounded addition is monotone, so
+   taking the best ancestor first and then adding equals adding along
+   every match and then taking the best.
+4. **Ranking**: descending score (a purely structural query returns
+   its targets unscored, in document order), optional top-k.
 
-These combination choices are documented ones among NEXI's deliberately
-"vague" interpretations; they are the common strict-CAS reading.
+NEXI is an offline library front end: it is not served, guarded or
+cached.  These combination choices are documented ones among NEXI's
+deliberately "vague" interpretations; they are the common strict-CAS
+reading.
 """
 
 from __future__ import annotations
@@ -28,10 +37,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.scoring import WeightedCountScorer
-from repro.joins.twig import TwigNode, path_stack
-from repro.nexi.ast import AboutClause, NexiPath, Predicate
+from repro.nexi.ast import AboutClause, NexiPath, NexiStep, Predicate
 from repro.nexi.parser import parse_nexi
-from repro.xmldb.document import Document
+from repro.xmldb.document import NO_PARENT, Document
 from repro.xmldb.store import XMLStore
 
 
@@ -57,9 +65,6 @@ class NexiEvaluator:
 
     def __init__(self, store: XMLStore):
         self.store = store
-        # (id(clause), doc, node) -> score memo: the same about clause is
-        # evaluated for every path match binding the same element.
-        self._about_memo: Dict[Tuple[int, int, int], float] = {}
         self._scorers: Dict[int, WeightedCountScorer] = {}
 
     # ------------------------------------------------------------------
@@ -83,10 +88,6 @@ class NexiEvaluator:
 
     def score_about(self, clause: AboutClause, doc: Document,
                     node_id: int) -> float:
-        key = (id(clause), doc.doc_id, node_id)
-        memo = self._about_memo.get(key)
-        if memo is not None:
-            return memo
         scorer = self._scorers.get(id(clause))
         if scorer is None:
             scorer = _about_scorer(clause.phrases)
@@ -96,7 +97,6 @@ class NexiEvaluator:
             s = scorer.score_words(doc.subtree_words(target))
             if s > best:
                 best = s
-        self._about_memo[key] = best
         return best
 
     def score_predicate(self, predicate: Predicate, doc: Document,
@@ -115,53 +115,68 @@ class NexiEvaluator:
     # Full query
     # ------------------------------------------------------------------
 
+    def _target_scores(self, doc: Document,
+                       steps: Sequence[NexiStep]) -> Dict[int, float]:
+        """One pass per step over ``doc``'s columns: step *i* keeps each
+        element whose tag matches (any element for ``*``) and that has a
+        strict ancestor kept by step *i-1*, at the best such ancestor's
+        partial score plus its own predicate score.  An element whose
+        predicate scores <= 0 is dropped.  The last step's dict maps each
+        target to its best path-match score."""
+        tags = doc.tags
+        parents = doc.parents
+        prev: Optional[Dict[int, float]] = None
+        kept: Dict[int, float] = {}
+        for step in steps:
+            kept = {}
+            candidates = (
+                range(len(tags)) if step.tag == "*"
+                else doc.find_by_tag(step.tag)
+            )
+            for node_id in candidates:
+                score = 0.0
+                if prev is not None:
+                    best: Optional[float] = None
+                    anc = parents[node_id]
+                    while anc != NO_PARENT:
+                        up = prev.get(anc)
+                        if up is not None and (best is None or up > best):
+                            best = up
+                        anc = parents[anc]
+                    if best is None:
+                        continue
+                    score = best
+                if step.predicate is not None:
+                    s = self.score_predicate(step.predicate, doc, node_id)
+                    if s <= 0.0:
+                        continue
+                    score += s
+                kept[node_id] = score
+            if not kept:
+                break
+            prev = kept
+        return kept
+
     def evaluate(self, query: NexiPath,
                  top_k: Optional[int] = None) -> List[NexiHit]:
-        steps = query.steps
-        twig_nodes = [
-            TwigNode(f"${i}", step.tag) for i, step in enumerate(steps)
-        ]
-        for parent, child in zip(twig_nodes, twig_nodes[1:]):
-            parent.add_child(child)
-        matches = path_stack(self.store, twig_nodes)
-
-        target_label = f"${len(steps) - 1}"
-        if all(step.predicate is None for step in steps):
-            # Purely structural query: every target matches, unranked.
-            seen = {match[target_label] for match in matches}
-            return sorted(
-                (NexiHit(d, n, 0.0) for d, n in seen),
-                key=lambda h: (h.doc_id, h.node_id),
-            )[: top_k if top_k is not None else None]
-        best: Dict[Tuple[int, int], float] = {}
-        for match in matches:
-            score = 0.0
-            dead = False
-            doc = self.store.document(match[target_label][0])
-            for i, step in enumerate(steps):
-                if step.predicate is None:
-                    continue
-                _d, node_id = match[f"${i}"]
-                s = self.score_predicate(step.predicate, doc, node_id)
-                if s <= 0.0:
-                    dead = True
-                    break
-                score += s
-            if dead:
-                continue
-            key = match[target_label]
-            if score > best.get(key, -1.0):
-                best[key] = score
-
+        if top_k is not None and (
+                isinstance(top_k, bool) or not isinstance(top_k, int)
+                or top_k <= 0):
+            raise ValueError(
+                f"top_k must be None or a positive int, got {top_k!r}"
+            )
         hits = [
-            NexiHit(doc_id, node_id, score)
-            for (doc_id, node_id), score in best.items()
-            if score > 0.0
+            NexiHit(doc.doc_id, node_id, score)
+            for doc in self.store.documents()
+            for node_id, score in self._target_scores(
+                doc, query.steps).items()
         ]
-        hits.sort(key=lambda h: (-h.score, h.doc_id, h.node_id))
-        if top_k is not None:
-            hits = hits[:top_k]
-        return hits
+        if all(step.predicate is None for step in query.steps):
+            # Purely structural query: every target matches, unranked.
+            hits.sort(key=lambda h: (h.doc_id, h.node_id))
+        else:
+            hits.sort(key=lambda h: (-h.score, h.doc_id, h.node_id))
+        return hits[:top_k]
 
 
 def evaluate_nexi(store: XMLStore, query: NexiPath,

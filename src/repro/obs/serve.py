@@ -14,7 +14,7 @@ around three read-only endpoints:
   summaries (``tix top`` polls this), ``/traces?id=<trace_id>`` one
   trace's record and full span tree (``tix trace --chrome-out``
   converts it client-side).  404 when no trace store is attached or
-  the id is unknown.
+  the id is unknown; 400 when ``?limit=`` is not a positive integer.
 
 The server observes itself: every request increments a
 ``serve.requests.<endpoint>`` counter and lands its handling latency in
@@ -103,10 +103,12 @@ class _Handler(BaseHTTPRequestHandler):
         trace_ids = params.get("id")
         if not trace_ids:
             try:
-                limit = int(params.get("limit", ["50"])[0])
-            except ValueError:
-                limit = 50
-            payload: Dict[str, object] = store.snapshot(limit=limit)
+                payload: Dict[str, object] = store.snapshot(
+                    limit=int(params.get("limit", ["50"])[0]))
+            except ValueError as exc:
+                self._reply(400, "text/plain; charset=utf-8",
+                            f"bad limit: {exc}\n")
+                return
         else:
             trace = store.get(trace_ids[0])
             if trace is None:

@@ -288,7 +288,14 @@ class TraceStore:
     def snapshot(self, limit: int = 50) -> Dict[str, Any]:
         """The ``/traces`` payload: counters plus in-flight and
         retained summaries (retained newest-first, capped at
-        ``limit``)."""
+        ``limit``).  ``limit`` must be a positive int: it arrives from
+        the wire and from URLs, and 0 or a negative value would slice
+        to "everything" or "all but the newest"."""
+        if isinstance(limit, bool) or not isinstance(limit, int) \
+                or limit <= 0:
+            raise ValueError(
+                f"trace limit must be a positive integer, got {limit!r}"
+            )
         with self._lock:
             inflight = list(self._inflight.values())
             retained = list(self._retained.values())

@@ -429,8 +429,9 @@ class PooledClient:
         retained/in-flight trace with its full span tree (render it
         with :func:`repro.obs.trace.chrome_trace_events` /
         :func:`~repro.obs.trace.render_span_tree`).  Raises
-        ``NOT_FOUND`` for an unknown id and ``BAD_REQUEST`` on an old
-        server without the ``traces`` op."""
+        ``NOT_FOUND`` for an unknown id, and ``BAD_REQUEST`` for a
+        ``limit`` that is not a positive int or on an old server
+        without the ``traces`` op."""
         fields: Dict[str, Any] = {"limit": limit}
         if trace_id is not None:
             fields["trace_id"] = trace_id

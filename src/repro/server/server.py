@@ -386,11 +386,14 @@ class QueryServer:
         id (its record and full span tree)."""
         trace_id = req.get("trace_id")
         if trace_id is None:
-            limit = req.get("limit")
-            limit = int(limit) if isinstance(limit, (int, float)) else 50
-            return self._send(conn, ok_response(
-                rid, traces=self.trace_store.snapshot(limit=limit),
-            ))
+            try:
+                snapshot = self.trace_store.snapshot(
+                    limit=req.get("limit", 50))
+            except ValueError as exc:
+                return self._send(conn, error_response(
+                    rid, ProtocolError(str(exc)), code="BAD_REQUEST",
+                ))
+            return self._send(conn, ok_response(rid, traces=snapshot))
         trace = self.trace_store.get(str(trace_id))
         if trace is None:
             return self._send(conn, error_response(

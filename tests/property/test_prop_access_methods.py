@@ -127,6 +127,7 @@ def test_stack_tree_join_equals_naive(shape, term):
     assert stack_tree_join(ancestors, postings) == \
         naive_structural_join(ancestors, postings)
     # element-vs-element as well
-    desc = store.structure.elements_with_tag("b")
+    doc = store.document(0)
+    desc = [ref for ref in ancestors if doc.tags[ref[4]] == "b"]
     assert stack_tree_join(ancestors, desc) == \
         naive_structural_join(ancestors, desc)

@@ -121,11 +121,6 @@ class TestStructureIndex:
         assert (parent, fanout) == (0, 2)
         assert si.parent_and_fanout(0, 0) == (-1, 0)
 
-    def test_elements_with_tag_in_order(self, idx_store):
-        refs = idx_store.structure.elements_with_tag("b")
-        assert len(refs) == 1 and refs[0][4] == 1
-        assert idx_store.structure.elements_with_tag("nope") == []
-
     def test_all_elements_sorted(self, idx_store):
         refs = idx_store.structure.all_elements()
         keys = [(r[0], r[1]) for r in refs]
@@ -133,7 +128,11 @@ class TestStructureIndex:
         assert len(refs) == idx_store.n_elements
 
     def test_tags(self, idx_store):
-        assert set(idx_store.structure.tags()) == {"a", "b", "c", "x", "y"}
+        tags = {
+            idx_store.document(ref[0]).tags[ref[4]]
+            for ref in idx_store.structure.all_elements()
+        }
+        assert tags == {"a", "b", "c", "x", "y"}
 
 
 class TestConcurrentFirstFetch:

@@ -16,6 +16,13 @@ def join_store():
     })
 
 
+def refs_with_tag(store, tag):
+    return [
+        ref for ref in store.structure.all_elements()
+        if store.document(ref[0]).tags[ref[4]] == tag
+    ]
+
+
 def refs_and_postings(store, term):
     ancestors = store.structure.all_elements()
     postings = store.index.postings(term).postings
@@ -31,9 +38,8 @@ class TestStackTreeJoin:
             assert fast == slow
 
     def test_element_vs_element(self, join_store):
-        si = join_store.structure
-        anc = si.elements_with_tag("a")
-        desc = si.elements_with_tag("c")
+        anc = refs_with_tag(join_store, "a")
+        desc = refs_with_tag(join_store, "c")
         out = stack_tree_join(anc, desc)
         assert len(out) == 2
         for a, d in out:

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro import cli
 from repro.errors import QuerySyntaxError
-from repro.exampledata import example_store
+from repro.exampledata import ARTICLES_XML, example_store
 from repro.nexi import (
     AboutClause,
     BoolOp,
@@ -140,6 +141,13 @@ class TestEvaluator:
         hits = run_nexi(store, 'search retrieval internet', top_k=2)
         assert len(hits) == 2
 
+    @pytest.mark.parametrize("bad", [0, -1, -2, 2.5, True])
+    def test_non_positive_top_k_raises(self, store, bad):
+        # ``hits[:top_k]`` made -1 drop the last hit and 0 return none.
+        with pytest.raises(ValueError, match="positive int"):
+            run_nexi(store, "//*", top_k=bad)
+        assert len(run_nexi(store, "//*")) == 33
+
     def test_no_matches(self, store):
         assert run_nexi(store, '//nosuchtag[about(., x)]') == []
 
@@ -148,3 +156,40 @@ class TestEvaluator:
         doc = store.document("reviews.xml")
         assert {doc.tags[h.node_id] for h in hits} == {"review"}
         assert all(h.doc_id == 1 for h in hits)
+
+
+class TestCli:
+    """``tix nexi`` on the articles example, through ``cli.main``."""
+
+    QUERY = '//article//section[about(., "search engine")]'
+
+    @pytest.fixture()
+    def doc_arg(self, tmp_path):
+        path = tmp_path / "articles.xml"
+        path.write_text(ARTICLES_XML, encoding="utf-8")
+        return f"articles.xml={path}"
+
+    def test_hits(self, doc_arg, capsys):
+        assert cli.main(["nexi", "--doc", doc_arg, "-q", self.QUERY]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "  1. score=0.8      <section> in articles.xml",
+            "  2. score=0.8      <section> in articles.xml",
+            "(2 hits)",
+        ]
+
+    def test_show_and_top(self, doc_arg, capsys):
+        assert cli.main(["nexi", "--doc", doc_arg, "-q", self.QUERY,
+                         "--top", "1", "--show"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "  1. score=0.8      <section> in articles.xml"
+        assert lines[1].startswith("     <section>")
+        assert "Search Engine Basics" in "".join(lines[1:-1])
+        assert lines[-1] == "(1 hits)"
+
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_non_positive_top_exits_2(self, doc_arg, capsys, top):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["nexi", "--doc", doc_arg, "-q", self.QUERY,
+                      "--top", top])
+        assert exc.value.code == 2
+        assert "must be positive" in capsys.readouterr().err

@@ -541,6 +541,30 @@ class TestObsServer:
         finally:
             obs.uninstall()
 
+    def test_traces_limit_must_be_a_positive_int(self):
+        from repro.obs.tracestore import RetentionPolicy, TraceStore
+
+        store = TraceStore(policy=RetentionPolicy(slow_ms=0.0))
+        for _ in range(3):
+            store.complete(store.begin(op="query"))
+        srv = ObsServer(obs.Collector().metrics, trace_store=store)
+        srv.start()
+        try:
+            for bad in ("0", "-1", "2.7", "abc"):
+                with pytest.raises(urllib.error.HTTPError) as err:
+                    urllib.request.urlopen(
+                        srv.url + f"/traces?limit={bad}", timeout=5)
+                assert err.value.code == 400, bad
+                assert b"bad limit" in err.value.read()
+            snap = json.loads(urllib.request.urlopen(
+                srv.url + "/traces?limit=2", timeout=5).read())
+            assert len(snap["retained"]) == 2
+            snap = json.loads(urllib.request.urlopen(
+                srv.url + "/traces", timeout=5).read())
+            assert len(snap["retained"]) == 3
+        finally:
+            srv.stop()
+
 
 class TestObsServerShutdown:
     """Regression tests for the draining stop(): a stalled client must

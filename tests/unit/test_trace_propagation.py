@@ -215,6 +215,27 @@ class TestTracesWireOp:
         assert events_ and events_[0]["name"] == "server.request"
         assert all(e["ph"] == "X" for e in events_)
 
+    def test_bad_limit_is_bad_request_on_a_live_connection(
+            self, server, client):
+        # The old handler took 2.7 as 2, true as 1, and sliced 0 to
+        # "everything" and -1 to "all but the newest".
+        for _ in range(3):
+            client.query(QUERY)
+        bad = [0, -1, 2.7, True, "5", None]
+        with socket.create_connection(
+                (server.host, server.port), timeout=5.0) as sock:
+            for rid, limit in enumerate(bad, 1):
+                write_frame(sock, request("traces", rid, limit=limit))
+                resp = read_frame(sock)
+                assert resp is not None, limit  # not EOF
+                assert resp["ok"] is False and resp["id"] == rid, limit
+                assert resp["error"]["code"] == "BAD_REQUEST", limit
+            # The same connection answers the next frame.
+            write_frame(sock, request("traces", 99, limit=1))
+            resp = read_frame(sock)
+        assert resp["ok"] is True and resp["id"] == 99
+        assert len(resp["traces"]["retained"]) == 1
+
     def test_unknown_trace_id_raises_typed(self, server, client):
         with pytest.raises(DocumentNotFoundError):
             client.traces("0000000000000000")
@@ -434,6 +455,28 @@ class TestAuditV3RoundTrip:
         assert cli.main(["events", str(path)]) == 0
         out = capsys.readouterr().out
         assert "(3 of 3 events)" in out
+
+    def test_tix_events_limit_keeps_the_newest(self, tmp_path, capsys):
+        path, v3 = self._mixed_file(tmp_path)
+        assert cli.main(["events", str(path), "--limit", "1",
+                         "--json"]) == 0
+        (line,) = capsys.readouterr().out.splitlines()
+        assert json.loads(line)["trace_id"] == v3["trace_id"]
+
+    @pytest.mark.parametrize("argv", [
+        ["events", "{path}", "--limit", "0"],
+        ["events", "{path}", "--limit", "-1"],
+        ["trace", "{path}", "--limit", "0"],
+        ["top", "--limit", "-1", "--iterations", "1"],
+    ])
+    def test_non_positive_cli_limits_exit_2(self, tmp_path, capsys, argv):
+        # ``selected[-n:]`` printed every record for 0 and dropped the
+        # oldest for -1; argparse now refuses both before any work.
+        path, _ = self._mixed_file(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main([a.format(path=path) for a in argv])
+        assert exc.value.code == 2
+        assert "must be positive" in capsys.readouterr().err
 
     def test_served_query_trace_id_joins_audit_to_trace(
             self, server, client, tmp_path):

@@ -222,6 +222,17 @@ class TestTraceStore:
         assert row["retained_for"] == "slow"
         json.dumps(snap)  # wire/HTTP payload must be serializable
 
+    @pytest.mark.parametrize("bad", [0, -1, -2, 2.7, True, "5", None])
+    def test_snapshot_limit_must_be_a_positive_int(self, bad):
+        # ``retained[-limit:]`` made 0 mean "everything" and -1 "all
+        # but the newest"; the limit comes from the wire and from URLs.
+        store = TraceStore(policy=RetentionPolicy(slow_ms=0.0))
+        for _ in range(3):
+            _completed(store)
+        with pytest.raises(ValueError, match="positive integer"):
+            store.snapshot(limit=bad)
+        assert len(store.snapshot(limit=1)["retained"]) == 1
+
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             TraceStore(capacity=0)
