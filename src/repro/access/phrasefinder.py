@@ -13,7 +13,7 @@ to generate appropriate score values").
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro import obs as _obs
 from repro.resilience import guard as _resguard
@@ -67,12 +67,14 @@ class PhraseFinder:
         return out
 
     def occurrences(
-        self, phrase_terms: Sequence[str]
+        self, phrase_terms: Sequence[str],
+        only_doc: Optional[int] = None,
     ) -> List[PhraseOccurrence]:
         """Every phrase occurrence, with the start word's region
         position — the input :class:`~repro.access.phrasejoin.PhraseJoin`
         needs to score *ancestors* by phrase counts.  Sorted by
-        (doc, pos)."""
+        (doc, pos).  ``only_doc`` restricts every term's postings to
+        that document (``None``: every document)."""
         if not phrase_terms:
             self.last_stats = {
                 "postings_scanned": 0, "offset_comparisons": 0,
@@ -98,6 +100,8 @@ class PhraseFinder:
         # the first term's ``pos`` column is read (a phrase is *at* its
         # first word); later terms are checked on doc/node/offset alone.
         first = index.postings(phrase_terms[0], strict=self.strict).postings
+        if only_doc is not None:
+            first = first.for_document(only_doc)
         counters.index_lookups += 1
         counters.postings_read += len(first)
         scanned += len(first)
@@ -116,6 +120,8 @@ class PhraseFinder:
             if guard_active:
                 guard.tick()
             cols = index.postings(term, strict=self.strict).postings
+            if only_doc is not None:
+                cols = cols.for_document(only_doc)
             counters.index_lookups += 1
             counters.postings_read += len(cols)
             scanned += len(cols)

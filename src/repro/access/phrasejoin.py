@@ -18,7 +18,7 @@ element boundary does not count.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro import obs as _obs
 from repro.access.phrasefinder import PhraseFinder
@@ -74,11 +74,14 @@ class PhraseJoin:
             weights.append(weight)
         return cls(store, phrases, weights)
 
-    def run(self, phrases: Sequence[str] = ()) -> ScoredColumns:
+    def run(self, phrases: Sequence[str] = (),
+            only_doc: Optional[int] = None) -> ScoredColumns:
         """Run the join.  ``phrases`` (if given) overrides the
         constructor's phrase list, keeping the constructor weights when
         the count matches (source-compatibility with the TermJoinScan
-        operator, which passes its term list through)."""
+        operator, which passes its term list through).  ``only_doc``
+        restricts the join to that document, as for
+        :meth:`TermJoin.run <repro.access.termjoin.TermJoin.run>`."""
         phrase_lists = (
             [tokenize_phrase(p) for p in phrases] if phrases
             else self.phrases
@@ -97,7 +100,7 @@ class PhraseJoin:
         runs = 0
         finder_totals: Dict[str, int] = {}
         for pi, terms in enumerate(phrase_lists):
-            occs = self._finder.occurrences(terms)
+            occs = self._finder.occurrences(terms, only_doc)
             if occs:
                 runs += 1
                 d, p, n, _offsets = zip(*occs)

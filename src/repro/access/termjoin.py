@@ -115,10 +115,18 @@ class TermJoin:
     # The merge pass
     # ------------------------------------------------------------------
 
-    def run(self, terms: Sequence[str]) -> ScoredColumns:
+    def run(self, terms: Sequence[str],
+            only_doc: Optional[int] = None) -> ScoredColumns:
         """Score every element whose subtree contains at least one
         occurrence of any term in ``terms``.  Output order is pop order =
-        ascending end key (children before parents)."""
+        ascending end key (children before parents).
+
+        Each distinct term is fetched once, however often ``terms``
+        names it.  ``only_doc`` restricts the pass to that document's
+        postings (``None``: every document); since the stack empties at
+        every document change, the output is then exactly the
+        unrestricted output's rows for that document, in the same order
+        and with the same scores."""
         index = self.store.index
         counters = self.store.counters
         guard = _resguard.GUARD
@@ -132,11 +140,13 @@ class TermJoin:
         offsets = array(INT)
         labels: List[str] = []
         runs = 0
-        for term in terms:
+        for term in dict.fromkeys(t.lower() for t in terms):
             if guard_active:
                 guard.tick()
             fetched = index.postings(term, strict=self.strict)
             cols = fetched.postings
+            if only_doc is not None:
+                cols = cols.for_document(only_doc)
             counters.index_lookups += 1
             counters.postings_read += len(cols)
             if len(cols):

@@ -101,11 +101,14 @@ class WeightedCountScorer(ScoringFunction):
         for phrase in secondary:
             self._phrases.append((self._prep(phrase), secondary_weight))
         # Fixed at construction: TermJoin scores once per popped element.
-        self._term_weights: Dict[str, float] = {
-            terms[0]: weight
+        # The single-term phrases in phrase order, repeats kept: a term
+        # in both sets scores with both weights, added as score_words
+        # adds them.
+        self._singles: List[Tuple[str, float]] = [
+            (terms[0], weight)
             for terms, weight in self._phrases
             if len(terms) == 1
-        }
+        ]
 
     def _prep(self, phrase: str) -> List[str]:
         terms = tokenize_phrase(phrase)
@@ -120,8 +123,9 @@ class WeightedCountScorer(ScoringFunction):
 
     def term_weights(self) -> Dict[str, float]:
         """``{term: weight}`` for single-term phrases — the interface the
-        TermJoin access method consumes (it scores per-term counters)."""
-        return dict(self._term_weights)
+        TermJoin access method consumes (it scores per-term counters);
+        a term in several phrases maps to its last weight."""
+        return dict(self._singles)
 
     def score_words(self, words: Sequence[str]) -> float:
         if self.stem:
@@ -136,12 +140,12 @@ class WeightedCountScorer(ScoringFunction):
 
     def score_from_counts(self, counts: Mapping[str, int]) -> float:
         """Score from per-term counters (simple-mode TermJoin).  Only
-        meaningful when every phrase is a single term."""
-        weights = self._term_weights
+        meaningful when every phrase is a single term.  The sum runs
+        over the phrases in phrase order, as :meth:`score_words` runs
+        it, so both give the same float."""
         score = 0.0
-        for term, count in counts.items():
-            if term in weights:
-                score += weights[term] * count
+        for term, weight in self._singles:
+            score += weight * counts.get(term, 0)
         return score
 
 

@@ -26,17 +26,21 @@ class TermJoinScan(Operator):
     :class:`StoredTree` row per scored element that passes ``> min_score``,
     a reference to the stored node that builds no tree unless a
     downstream operator reads its ``root``.  The score filter is one pass
-    over the score column; a row is built only when it is handed out."""
+    over the score column; a row is built only when it is handed out.
+    ``doc_id`` restricts the scan to one document's postings (``None``:
+    every document)."""
 
     name = "termjoin-scan"
 
     def __init__(self, store: XMLStore, terms: Sequence[str],
-                 method, min_score: Optional[float] = None):
+                 method, min_score: Optional[float] = None,
+                 doc_id: Optional[int] = None):
         super().__init__()
         self.store = store
         self.terms = list(terms)
         self.method = method
         self.min_score = min_score
+        self.doc_id = doc_id
         self._results: Optional[ScoredColumns] = None
         self._rows: Sequence[int] = ()
         self._i = 0
@@ -48,7 +52,7 @@ class TermJoinScan(Operator):
         )
 
     def _open(self) -> None:
-        results = self.method.run(self.terms)
+        results = self.method.run(self.terms, self.doc_id)
         self.stats.counters.update(getattr(self.method, "last_stats", {}))
         scores = results.score
         rows: Sequence[int] = range(len(scores))

@@ -7,12 +7,20 @@ computed *before* execution from :class:`~repro.xmldb.stats.
 StoreStatistics` alone:
 
 - **the score-generating leaf** (``termjoin-scan``) estimates from
-  catalog term frequencies: a single-term leaf's estimate is exactly
-  ``stats.frequency(term)`` (asserted by the unit tests), a multi-term
-  leaf sums its terms, and each additional word of a phrase multiplies
-  the rarest term's frequency by :data:`PHRASE_ADJACENCY`;
+  catalog term frequencies: a multi-term leaf sums its terms, and each
+  additional word of a phrase multiplies the rarest term's frequency
+  by :data:`PHRASE_ADJACENCY`.  A scan restricted to one document
+  (``doc_id``) scales that corpus sum by the document's share of the
+  corpus words, so a single-term leaf's estimate is exactly
+  ``stats.frequency(term) * (len(doc.word_terms) / stats.n_words)``
+  (asserted by the unit tests); an unrestricted leaf keeps the plain
+  catalog frequency;
 - **structural predicates** (``structural-filter``) turn their
-  (doc, start, end) regions into a fraction of the corpus region span;
+  (doc, start, end) regions into a fraction of the corpus region span
+  (:func:`~repro.plan.rules.region_fraction`); over a restricted scan
+  that fraction is divided by the scanned document's share of the
+  corpus span, clamped to 1, since the input holds that document's
+  rows only;
 - **rank and output operators** (``top-k``, ``limit``, ``sort``,
   ``materialize``) pass their child's estimate through, clamped to
   ``k`` where they cut; every intermediate is clamped to ``[0, bound]``
@@ -105,6 +113,18 @@ def phrase_estimate(stats: "StoreStatistics", terms) -> float:
     return low * (PHRASE_ADJACENCY ** (len(freqs) - 1))
 
 
+def _span_share(store: "XMLStore", doc_id: int) -> float:
+    """The document's share of the corpus region span (the denominator
+    :func:`~repro.plan.rules.region_fraction` uses); 1.0 when the
+    document spans nothing."""
+    total = sum(d.ends[0] - d.starts[0] + 1
+                for d in store.documents() if len(d))
+    doc = store.document(doc_id)
+    if not len(doc) or total <= 0:
+        return 1.0
+    return (doc.ends[0] - doc.starts[0] + 1) / total
+
+
 def _clamp(value: float, upper: Optional[float] = None) -> float:
     if value < 0.0:
         return 0.0
@@ -128,14 +148,21 @@ def _estimate_node(op: Any, stats: "StoreStatistics",
     if name == "termjoin-scan":
         terms = getattr(op, "terms", ())
         est = sum(term_estimate(stats, t) for t in terms)
+        doc_id = getattr(op, "doc_id", None)
+        if doc_id is not None and stats.n_words:
+            doc = op.store.document(doc_id)
+            est *= len(doc.word_terms) / stats.n_words
         if getattr(op, "min_score", None) is not None \
                 and op.min_score > 0:
             est *= SCORE_SELECTIVITY
         cost = est * _COST_POSTING + est * _log2(est) * _COST_COMPARE
         return est, cost
     if name == "structural-filter":
-        est = first * region_fraction(op.store, op.regions)
-        return est, first * _COST_COMPARE
+        fraction = region_fraction(op.store, op.regions)
+        doc_id = getattr(op.children[0], "doc_id", None)
+        if doc_id is not None:
+            fraction = min(fraction / _span_share(op.store, doc_id), 1.0)
+        return first * fraction, first * _COST_COMPARE
     if name in ("limit", "top-k"):
         k = float(getattr(op, "k", 0) or 0)
         bound = _clamp(first, k) if k else first

@@ -17,9 +17,13 @@ and lowers it to one pipelined engine plan with no choice points:
 
 The scan runs :class:`~repro.access.phrasejoin.PhraseJoin` when any
 query item has several words and :class:`~repro.access.termjoin.
-TermJoin` otherwise; the rank is §5.3's bounded heap (``TopK``) when
-Sortby and ``stop after`` are both present, else ``Sort`` and/or
-``Limit``.  The structural filter's regions are the For path's prefix
+TermJoin` otherwise, and reads only the postings of the document the
+For path names: the stack pass, the score filter and the row wrapping
+never see another document's rows (a pass over one document yields
+exactly the rows, order and scores the corpus-wide pass yields for it,
+because the stack empties at every document change).  The rank is
+§5.3's bounded heap (``TopK``) when Sortby and ``stop after`` are both
+present, else ``Sort`` and/or ``Limit``.  The structural filter's regions are the For path's prefix
 (``//tag[preds]``) resolved at compile time on the stored document's
 node columns (tags, child lists, preorder id ranges); no tree of the
 volume is built, and only a predicate step calls the evaluator, on each
@@ -184,10 +188,9 @@ def _compile_query(store: XMLStore, query: Query,
 
     method = (PhraseJoin.from_scorer(store, scorer) if phrase_mode
               else TermJoin(store, scorer))
-    plan: Operator = StructuralFilter(
-        TermJoinScan(store, items, method, min_score=min_score),
-        store, regions,
-    )
+    scan = TermJoinScan(store, items, method, min_score=min_score,
+                        doc_id=store.document(doc_name).doc_id)
+    plan: Operator = StructuralFilter(scan, store, regions)
     if flwor.sortby is not None and stop_after is not None:
         plan = TopK(plan, stop_after)  # ranked + cut: §5.3's bounded heap
     else:

@@ -31,6 +31,17 @@ generated cross-path oracle (ROADMAP item 6):
    tag separates (tags take word positions).  Random documents are full
    of mixed content, so phrase queries run on the many-``<article>``
    store only, whose phrases sit inside single text nodes.
+
+One more divergence was the compiled plan's fault, and is fixed:
+
+5. A term in both the primary and the secondary set scored
+   ``weight · 2 · count`` with only the secondary weight: the scorer's
+   term→weight map kept the last weight, and TermJoin fetched the term
+   once per mention, doubling its count.  TermJoin now fetches each
+   distinct term once, and ``score_from_counts`` adds ``weight ·
+   count`` over the single-term phrases in phrase order, as the
+   evaluator does; :func:`test_term_in_both_sets_scores_as_the_oracle`
+   pins it.
 """
 
 import functools
@@ -128,3 +139,28 @@ def test_compiled_matches_the_oracle(label, make, path, items, tail):
     assert compiled == oracle
     if tail == "ge":
         assert any(score == v for _src, score in compiled)
+
+
+#: (primary, secondary, expected distinct non-zero scores, high first)
+#: over ``<article><sec>xml xml data</sec><sec>xml</sec></article>``.
+BOTH_SETS = [
+    ('{"xml"}, {"xml"}', [4.2, 2.8, 1.4]),      # 0.8 + 0.6 per "xml"
+    ('{"xml", "xml"}', [4.8, 3.2, 1.6]),        # 0.8 twice per "xml"
+    ('{"xml data"}, {"xml data"}', [1.4]),      # phrase: PhraseJoin
+]
+
+
+@pytest.mark.parametrize(("items", "want"), BOTH_SETS,
+                         ids=[c[0] for c in BOTH_SETS])
+def test_term_in_both_sets_scores_as_the_oracle(items, want):
+    store = XMLStore.from_sources({"both.xml": (
+        "<article><sec>xml xml data</sec><sec>xml</sec></article>")})
+    text = query('document("both.xml")//article', items, "")
+    res = run_query_guarded(store, text)
+    assert res.plan is not None
+    compiled = distinct(res.results)
+    oracle = {row for row in distinct(run_query(store, text))
+              if row[1] > 0}
+    assert compiled == oracle
+    assert sorted({score for _src, score in compiled}, reverse=True) \
+        == pytest.approx(want)

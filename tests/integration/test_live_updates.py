@@ -156,3 +156,45 @@ class TestLiveUpdates:
                 == n_mutations + 1
         finally:
             obs.uninstall()
+
+
+def test_cached_plan_for_the_last_document_survives_renumbering():
+    """The compiled scan bakes the For path's document id into the plan.
+    Removing the first document renumbers the last one; the cached plan
+    and answer are keyed on the old generation, so the next run compiles
+    against the new id, reads that document's postings alone and
+    answers what the oracle answers."""
+    from repro.engine.base import plan_nodes
+    from repro.perf import QueryCache
+    from repro.query import run_query
+    from repro.resilience import run_query_guarded
+
+    store = XMLStore.from_sources({
+        f"v{n}.xml": ("<vol><art><t>alpha beta</t>"
+                      + "<sec>alpha gamma</sec>" * n + "</art></vol>")
+        for n in (1, 2, 3)})
+    text = ('For $x in document("v3.xml")//art/descendant-or-self::*\n'
+            'Score $x using ScoreFooExact($x, {"alpha"}, {"gamma"})\n'
+            'Return $x\nSortby(score)')
+    cache = QueryCache(store)
+
+    def answer(res):
+        return [(t.doc.name, t.node_id, t.score) for t in res.results]
+
+    before = run_query_guarded(store, text, cache=cache)
+    assert before.plan is not None
+    assert answer(run_query_guarded(store, text, cache=cache)) \
+        == answer(before)  # served from the result tier
+    store.remove_document("v1.xml")
+    assert store.document("v3.xml").doc_id == 1  # renumbered from 2
+    after = run_query_guarded(store, text, cache=cache)
+    assert after.plan is not None  # recompiled, not the cached answer
+    assert answer(after) == answer(before)
+    assert {(t.root.source, t.score) for t in after.results} == {
+        (t.root.source, t.score) for t in run_query(store, text)
+        if t.score > 0}
+    scan = next(n for n in plan_nodes(after.plan)
+                if n["operator"] == "termjoin-scan")
+    assert scan["counters"]["postings_scanned"] == sum(
+        len(store.index.postings(t).postings.for_document(1))
+        for t in ("alpha", "gamma"))

@@ -122,11 +122,15 @@ class TestPlanAnnotation:
         while leaf.children:
             leaf = leaf.children[0]
         assert leaf.name == "termjoin-scan"
-        # No-threshold leaf: estimate is EXACTLY the summed catalog
-        # frequencies of the query terms (alpha=6 + beta=4).
+        # No-threshold leaf restricted to a.xml: estimate is EXACTLY the
+        # summed catalog frequencies of the query terms (alpha=6 +
+        # beta=4) scaled by a.xml's share of the corpus words (9 of 13).
+        stats = store.stats
+        assert stats.n_words == 13
+        assert leaf.doc_id == store.document("a.xml").doc_id
         assert leaf.est_rows == float(
-            store.stats.frequency("alpha") + store.stats.frequency("beta")
-        )
+            stats.frequency("alpha") + stats.frequency("beta")
+        ) * (9 / 13)
 
     def test_every_operator_annotated_with_monotone_cost(self):
         store = make_store()
@@ -207,7 +211,8 @@ class TestExplainRendering:
         store = make_store()
         plan = compile_query(store, parse_query(QUERY))
         text = explain(plan)
-        assert "(est_rows=10)" in text  # the termjoin leaf: 6 + 4
+        # the termjoin leaf: (6 + 4) * 9/13 words in a.xml = 6.92
+        assert "(est_rows=7)" in text
 
     def test_analyze_shows_est_actual_and_qerror(self):
         store = make_store()

@@ -234,3 +234,36 @@ def test_greater_or_equal_threshold_keeps_rows_at_the_bound(store):
                          call_timeout_s=30.0) as client:
         served = client.query(GE_THRESHOLD, with_scores=True)
     assert sorted(r.score for r in served.rows) == expected
+
+
+def _volume(n):
+    return (f"<vol><art><t>xml data {n}</t>"
+            + "<sec>xml xml data</sec>" * n
+            + "<sec>text only</sec></art></vol>")
+
+
+@pytest.mark.parametrize("items", ['{"xml"}, {"data"}', '{"xml data"}'])
+def test_scan_reads_only_the_named_document(items):
+    """The For path's document is pushed into the access method: the
+    scan's ``postings_scanned`` counts that document's postings alone,
+    not the corpus's."""
+    from repro.engine.base import execute, plan_nodes
+
+    store = XMLStore.from_sources(
+        {f"v{n}.xml": _volume(n) for n in (1, 2, 3)})
+    for name in ("v1.xml", "v2.xml", "v3.xml"):
+        doc_id = store.document(name).doc_id
+        want = sum(
+            len(store.index.postings(t).postings.for_document(doc_id))
+            for t in ("xml", "data"))
+        assert want < sum(len(store.index.postings(t))
+                          for t in ("xml", "data"))
+        plan = compile_query(store, parse_query(
+            f'For $a in document("{name}")//art/descendant-or-self::*\n'
+            f'Score $a using ScoreFooExact($a, {items})\n'
+            f'Return $a\nSortby(score)'))
+        got = execute(plan)
+        assert got and all(t.doc.doc_id == doc_id for t in got)
+        scan = next(n for n in plan_nodes(plan)
+                    if n["operator"] == "termjoin-scan")
+        assert scan["counters"]["postings_scanned"] == want, name
