@@ -17,7 +17,7 @@ __all__ = ["CONCURRENT_MODULE_PREFIXES", "is_concurrent_module"]
 #: threads: the cache hierarchy shared by the batch executor's pool
 #: (``repro/perf``), the threaded query server with its admission
 #: controller and pooled client (``repro/server``), and the metrics /
-#: tracing / HTTP-scrape observability stack (``repro/obs``).
+#: tracing / audit-log observability stack (``repro/obs``).
 CONCURRENT_MODULE_PREFIXES: Tuple[str, ...] = (
     "repro/perf/",
     "repro/server/",

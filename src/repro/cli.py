@@ -40,19 +40,18 @@ Subcommands:
   table of the paper's evaluation section (``--scale`` shrinks planted
   frequencies for quick runs; ``--profile`` adds per-access-method
   metric breakdowns).
-- ``tix serve --store DIR|--doc name=path …`` — expose the telemetry
-  pipeline over HTTP (stdlib only): ``/metrics`` in the OpenMetrics
-  text format, ``/healthz`` liveness, ``/varz`` JSON (registry snapshot
-  + windowed rates from the time-series ring), ``/traces`` for the
-  distributed trace store.  ``-q``/``-f`` run a warmup batch at
+- ``tix serve --store DIR|--doc name=path …`` — serve queries on
+  ``--port`` over the length-prefixed JSON wire protocol
+  (:mod:`repro.server`) with admission control (``--max-inflight``,
+  ``--queue-timeout-ms``) and a draining shutdown
+  (``--drain-timeout``).  The same port answers the telemetry: the
+  ``stats`` op carries the metrics registry, ``traces`` the trace
+  store, ``ping`` liveness.  ``-q``/``-f`` run a warmup batch at
   startup; ``--audit-log FILE`` appends one JSONL record per query
-  with ``--sample-rate``/``--slow-ms`` controls.
-  ``--query-port N`` additionally serves the length-prefixed JSON
-  wire protocol (:mod:`repro.server`) with admission control
-  (``--max-inflight``, ``--queue-timeout-ms``) and a draining
-  shutdown (``--drain-timeout``); served requests are traced with
-  tail-based retention (``--trace-capacity``, ``--trace-slow-ms``,
-  ``--trace-sample`` — see ``docs/observability.md``).
+  with ``--sample-rate``/``--slow-ms`` controls; served requests are
+  traced with tail-based retention (``--trace-capacity``,
+  ``--trace-slow-ms``, ``--trace-sample`` — see
+  ``docs/observability.md``).
 - ``tix client --port N -q QUERY`` — query a running server over the
   wire protocol: ``--timeout``/``--max-rows`` set server-side budgets,
   ``--no-degrade`` requests strict execution, ``--ping``/``--stats``
@@ -61,16 +60,17 @@ Subcommands:
   ``--clients`` concurrent workers sending ``--total`` requests and
   report the outcome mix (ok/truncated/rejected/error/transport plus
   latency quantiles); exit status 3 on any transport error.
-- ``tix top`` — live view of a running ``tix serve``: polls ``/varz``
-  and ``/traces`` every ``--interval`` seconds and renders request
-  latency, admission state, and the in-flight / slowest-retained trace
-  tables (``--iterations N --plain`` for a one-shot scriptable dump).
+- ``tix top`` — live view of a running ``tix serve``: polls its
+  ``stats`` and ``traces`` ops every ``--interval`` seconds and renders
+  request latency, admission state, and the in-flight /
+  slowest-retained trace tables (``--iterations N --plain`` for a
+  one-shot scriptable dump).
 - ``tix trace FILE | --server HOST:PORT`` — fetch, inspect, or export
   distributed traces: without ``--id`` the in-flight/retained listing,
   with ``--id`` one trace's full span tree with per-span self time,
   ``--chrome-out FILE`` the Chrome ``traceEvents`` export (converted
   here from the span tree; Perfetto-loadable), ``--json`` the raw
-  payload.  ``--server`` talks the wire protocol to the *query*
+  payload.  ``--server`` talks the wire protocol to ``tix serve``'s
   port; ``FILE`` re-reads a previously saved ``--json`` payload.
 - ``tix events FILE`` — inspect a query audit log: filter by
   ``--outcome``, ``--kind``, ``--min-wall MS`` or ``--slow-only``,
@@ -467,15 +467,17 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
+    import time as _time
 
     from repro import obs as _obs
     from repro.obs import events as _events
-    from repro.obs.serve import ObsServer
-    from repro.obs.snapshot import Snapshotter
+    from repro.obs.tracestore import RetentionPolicy, TraceStore
+    from repro.perf import QueryCache, execute_batch
+    from repro.server import QueryServer
 
     # SIGTERM (and a SIGINT left at SIG_IGN by a backgrounding shell)
     # must take the same clean-teardown path as Ctrl-C, or supervisors
-    # would kill the process without closing the sink and snapshotter.
+    # would kill the process without draining and closing the sink.
     def _terminate(signum: int, frame: object) -> None:
         raise KeyboardInterrupt
 
@@ -493,68 +495,49 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         _events.install_sink(sink)
     # Build the lazy index/structure under the collector so the store
-    # gauges (index.n_terms, …) are populated before the first scrape.
+    # gauges (index.n_terms, …) are populated before the first stats.
     store.index
     store.structure
     if args.query or args.file:
-        from repro.perf import QueryCache, execute_batch
-
         queries = _read_batch_queries(args)
         warm = execute_batch(store, queries, cache=QueryCache(store))
         print(f"warmup: {warm.n_queries} queries, "
               f"{warm.n_failed} failed", file=sys.stderr)
-    snap = Snapshotter(col.metrics, interval_s=args.snapshot_interval,
-                       capacity=args.snapshot_capacity)
-    snap.start()
-    from repro.obs.tracestore import RetentionPolicy, TraceStore
-
     tstore = TraceStore(
         capacity=args.trace_capacity,
         policy=RetentionPolicy(slow_ms=args.trace_slow_ms,
                                sample_rate=args.trace_sample),
     )
-    qserver = None
-    if args.query_port is not None:
-        from repro.perf import QueryCache as _QC
-        from repro.server import QueryServer
-
-        qserver = QueryServer(
-            store, host=args.host, port=args.query_port,
-            max_inflight=args.max_inflight,
-            queue_timeout_ms=args.queue_timeout_ms,
-            max_timeout_ms=args.max_timeout,
-            cache=None if args.no_query_cache else _QC(store),
-            trace_store=tstore,
-        )
-        qserver.start()
-        print(f"serving queries on {qserver.address}  "
-              f"(wire protocol v1; max_inflight={args.max_inflight})",
-              file=sys.stderr)
-    server = ObsServer(col.metrics, snapshotter=snap, trace_store=tstore,
-                       host=args.host, port=args.port)
-    print(f"serving metrics on {server.url}  "
-          f"(/metrics /healthz /varz /traces; Ctrl-C to stop)",
+    server = QueryServer(
+        store, host=args.host, port=args.port,
+        max_inflight=args.max_inflight,
+        queue_timeout_ms=args.queue_timeout_ms,
+        max_timeout_ms=args.max_timeout,
+        cache=None if args.no_query_cache else QueryCache(store),
+        trace_store=tstore,
+    )
+    server.start()
+    print(f"serving on {server.address}  (wire protocol v1; "
+          f"max_inflight={args.max_inflight}; Ctrl-C to stop)",
           file=sys.stderr)
     try:
-        server.serve_forever()
+        while True:
+            _time.sleep(3600)
     except KeyboardInterrupt:
         pass
     finally:
-        if qserver is not None:
-            # Drain before the telemetry teardown so every accepted
-            # request is answered while metrics are still live.
-            drained = qserver.close(drain_s=args.drain_timeout)
-            stats = qserver.admission.snapshot()
-            state = "drained clean" if drained else "drain timed out"
-            print(f"query server {state}: {stats['admitted']} admitted, "
-                  f"{stats['rejected_overload']} rejected overloaded, "
-                  f"{stats['degraded']} degraded", file=sys.stderr)
-            ts = tstore.stats()
-            print(f"traces: {ts['retained']} retained "
-                  f"({ts['retained_total']} promoted, "
-                  f"{ts['dropped']} dropped)", file=sys.stderr)
-        server.server_close()
-        snap.stop()
+        # Drain before the telemetry teardown so every accepted
+        # request is answered while metrics are still live.
+        drained = server.close(drain_s=args.drain_timeout)
+        stats = server.admission.snapshot()
+        state = "drained clean" if drained else "drain timed out"
+        print(f"query server {state}: {stats['admitted']} admitted, "
+              f"{stats['rejected_overload']} rejected overloaded, "
+              f"{stats['degraded']} degraded", file=sys.stderr)
+        ts = tstore.stats()
+        print(f"traces: {ts['retained']} retained "
+              f"({ts['retained_total']} promoted, "
+              f"{ts['dropped']} dropped)", file=sys.stderr)
         if sink is not None:
             _events.uninstall_sink()
             sink.close()
@@ -650,16 +633,15 @@ _TRACE_HEADER = (f"  {'trace':<18} {'op':<6} {'wall ms':>9} {'queued':>8} "
                  f"{'outcome':<9} {'kept':<8} {'spans':>5}  query")
 
 
-def _render_top(base: str, varz: dict, traces: Optional[dict],
-                limit: int) -> str:
-    metrics = varz.get("metrics") or {}
+def _render_top(base: str, stats: dict, traces: dict, limit: int) -> str:
+    metrics = stats.get("metrics") or {}
 
     def num(name: str) -> float:
         v = metrics.get(name, 0)
         return float(v) if isinstance(v, (int, float)) else 0.0
 
     lines = [f"tix top — {base}  "
-             f"uptime {float(varz.get('uptime_s', 0.0)):.0f}s"]
+             f"uptime {float(stats.get('uptime_s', 0.0)):.0f}s"]
     req = metrics.get("server.request_ms")
     if isinstance(req, dict):
         lines.append(
@@ -671,9 +653,6 @@ def _render_top(base: str, varz: dict, traces: Optional[dict],
         f"admitted {num('server.admitted'):g}  "
         f"rejected {num('server.rejected.overload'):g}  "
         f"degraded {num('server.degraded'):g}")
-    if traces is None:
-        lines.append("  traces: (no trace store attached)")
-        return "\n".join(lines)
     st = traces.get("stats") or {}
     lines.append(
         f"  traces: {st.get('inflight', 0)} in flight  "
@@ -695,33 +674,26 @@ def _render_top(base: str, varz: dict, traces: Optional[dict],
 
 def _cmd_top(args: argparse.Namespace) -> int:
     import time as _time
-    import urllib.error
-    import urllib.request
 
-    base = f"http://{args.host}:{args.port}"
+    from repro.server import PooledClient
 
-    def fetch(path: str) -> Optional[dict]:
-        try:
-            with urllib.request.urlopen(
-                    base + path, timeout=args.call_timeout) as resp:
-                return json.loads(resp.read().decode("utf-8"))
-        except urllib.error.HTTPError:
-            return None  # endpoint 404s when no trace store is attached
-
+    base = f"{args.host}:{args.port}"
     done = 0
     try:
-        while True:
-            varz = fetch("/varz")
-            traces = fetch(f"/traces?limit={args.limit}")
-            body = _render_top(base, varz or {}, traces, args.limit)
-            if not args.plain:
-                sys.stdout.write("\x1b[2J\x1b[H")
-            print(body)
-            sys.stdout.flush()
-            done += 1
-            if args.iterations and done >= args.iterations:
-                return 0
-            _time.sleep(args.interval)
+        with PooledClient(args.host, args.port,
+                          call_timeout_s=args.call_timeout) as client:
+            while True:
+                body = _render_top(base, client.stats(),
+                                   client.traces(limit=args.limit),
+                                   args.limit)
+                if not args.plain:
+                    sys.stdout.write("\x1b[2J\x1b[H")
+                print(body)
+                sys.stdout.flush()
+                done += 1
+                if args.iterations and done >= args.iterations:
+                    return 0
+                _time.sleep(args.interval)
     except KeyboardInterrupt:
         return 0
     except OSError as exc:
@@ -904,6 +876,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _probability(text: str) -> float:
+    """argparse type for sampling rates: outside [0, 1] the sink and
+    the trace store's retention policy refuse the value at startup."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a number: {text!r}") from None
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"must be in [0, 1], got {value:g}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tix",
@@ -1038,8 +1024,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sv = sub.add_parser(
         "serve",
-        help="expose an OpenMetrics /metrics endpoint (plus /healthz "
-             "and /varz) for a loaded store",
+        help="serve queries, metrics and traces for a loaded store on "
+             "one wire-protocol port",
     )
     sv.add_argument("--doc", action="append",
                     help="load a document: name=path (repeatable)")
@@ -1053,26 +1039,17 @@ def build_parser() -> argparse.ArgumentParser:
                          "the metrics (repeatable)")
     sv.add_argument("-f", "--file",
                     help="file of warmup queries (tix batch format)")
-    sv.add_argument("--snapshot-interval", type=float, default=1.0,
-                    metavar="S",
-                    help="time-series sampling period in seconds "
-                         "(default 1.0)")
-    sv.add_argument("--snapshot-capacity", type=int, default=600,
-                    metavar="N",
-                    help="time-series ring slots kept (default 600)")
     sv.add_argument("--audit-log", metavar="FILE",
                     help="append one JSONL audit record per query "
                          "to FILE")
-    sv.add_argument("--sample-rate", type=float, default=1.0,
+    sv.add_argument("--sample-rate", type=_probability, default=1.0,
                     metavar="P",
                     help="audit-log sampling probability (default 1.0)")
     sv.add_argument("--slow-ms", type=float, default=None, metavar="MS",
                     help="force-log queries slower than MS even when "
                          "sampled out")
-    sv.add_argument("--query-port", type=int, default=None, metavar="N",
-                    help="also serve the wire-protocol query endpoint "
-                         "on this port (0 = ephemeral)")
-    sv.add_argument("--max-inflight", type=int, default=8, metavar="N",
+    sv.add_argument("--max-inflight", type=_positive_int, default=8,
+                    metavar="N",
                     help="admission control: concurrent queries "
                          "executing at once (default 8)")
     sv.add_argument("--queue-timeout-ms", type=float, default=1000.0,
@@ -1090,7 +1067,7 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar="S",
                     help="on shutdown, wait up to S seconds for "
                          "in-flight queries to finish (default 5)")
-    sv.add_argument("--trace-capacity", type=int, default=256,
+    sv.add_argument("--trace-capacity", type=_positive_int, default=256,
                     metavar="N",
                     help="retained distributed traces kept before "
                          "oldest-first eviction (default 256)")
@@ -1098,7 +1075,7 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar="MS",
                     help="tail retention: always keep traces slower "
                          "than MS (default 250)")
-    sv.add_argument("--trace-sample", type=float, default=0.0,
+    sv.add_argument("--trace-sample", type=_probability, default=0.0,
                     metavar="P",
                     help="head-sample rate for fast successful traces "
                          "(default 0.0 — keep only the tail)")
@@ -1106,13 +1083,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     cl = sub.add_parser(
         "client",
-        help="query a running `tix serve --query-port` server over "
-             "the wire protocol",
+        help="query a running `tix serve` over the wire protocol",
     )
     cl.add_argument("--host", default="127.0.0.1",
                     help="server address (default 127.0.0.1)")
     cl.add_argument("--port", type=int, required=True,
-                    help="server query port")
+                    help="tix serve's port")
     cl.add_argument("-q", "--query", help="query text")
     cl.add_argument("-f", "--file", help="file containing the query")
     cl.add_argument("--timeout", type=float, metavar="MS",
@@ -1132,7 +1108,8 @@ def build_parser() -> argparse.ArgumentParser:
     cl.add_argument("--ping", action="store_true",
                     help="health-check the server and exit")
     cl.add_argument("--stats", action="store_true",
-                    help="print the server's admission statistics")
+                    help="print the server's admission statistics, "
+                         "metrics registry and uptime as JSON")
     cl.add_argument("--json", action="store_true",
                     help="emit the response as JSON")
     cl.set_defaults(fn=_cmd_client)
@@ -1145,7 +1122,7 @@ def build_parser() -> argparse.ArgumentParser:
     lt.add_argument("--host", default="127.0.0.1",
                     help="server address (default 127.0.0.1)")
     lt.add_argument("--port", type=int, required=True,
-                    help="server query port")
+                    help="tix serve's port")
     lt.add_argument("-q", "--query", action="append",
                     help="query text (repeatable; requests round-robin "
                          "over the set)")
@@ -1173,14 +1150,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     tp = sub.add_parser(
         "top",
-        help="live view of a running `tix serve`: polls /varz and "
-             "/traces for admission, latency, and trace tables",
+        help="live view of a running `tix serve`: polls its stats and "
+             "traces ops for admission, latency, and trace tables",
     )
     tp.add_argument("--host", default="127.0.0.1",
                     help="server address (default 127.0.0.1)")
     tp.add_argument("--port", type=int, default=9184,
-                    help="the *metrics* port of tix serve, not the "
-                         "query port (default 9184)")
+                    help="tix serve's port (default 9184)")
     tp.add_argument("--interval", type=float, default=2.0, metavar="S",
                     help="refresh period in seconds (default 2)")
     tp.add_argument("--iterations", type=int, default=0, metavar="N",
@@ -1190,7 +1166,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="rows per trace table (default 10)")
     tp.add_argument("--call-timeout", type=float, default=5.0,
                     metavar="S",
-                    help="HTTP timeout per poll (default 5)")
+                    help="socket timeout per poll (default 5)")
     tp.add_argument("--plain", action="store_true",
                     help="append refreshes instead of redrawing the "
                          "screen (for logs and CI)")

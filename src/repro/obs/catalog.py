@@ -152,17 +152,13 @@ CATALOG: Dict[str, Tuple[str, str]] = {
         "counter",
         "audit-log records kept by the slow-query threshold despite "
         "losing the sampling draw"),
-    "obs.snapshot.ticks": (
-        "counter", "registry snapshots appended to the time-series ring"),
-    "serve.requests.*": (
-        "counter", "tix serve HTTP requests per endpoint"),
-    "serve.request_ms": (
-        "histogram", "tix serve HTTP request handling latency"),
     # -- query serving (wire protocol) -----------------------------------
     "server.connections": (
         "counter", "client connections accepted by the query server"),
     "server.requests.*": (
-        "counter", "wire-protocol requests per op (query/ping/stats)"),
+        "counter",
+        "wire-protocol requests per op (query/ping/stats/traces, "
+        "other for an unknown op)"),
     "server.request_ms": (
         "histogram", "wire-protocol request handling latency"),
     "server.admitted": (

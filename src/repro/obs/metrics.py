@@ -29,10 +29,7 @@ import math
 import threading
 from typing import Dict, List, Optional, Tuple, Type, TypeVar, Union
 
-__all__ = [
-    "Counter", "Gauge", "Histogram", "MetricsRegistry",
-    "bucket_upper_bound", "quantile_from_buckets",
-]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
 #: Geometric bucket growth factor: 4 buckets per octave.
 _BUCKET_BASE = 2.0 ** 0.25
@@ -96,8 +93,7 @@ class Histogram:
     recent exemplars plus the largest-valued one ever seen, so a
     latency spike in ``server.request_ms`` is joinable to the retained
     trace that explains it.  Exemplars surface in :meth:`snapshot`
-    (and hence ``/varz``) only; the OpenMetrics text format is left
-    untouched.
+    (and hence in the ``stats`` wire op's ``metrics``).
     """
 
     #: Most-recent exemplars kept per histogram.
@@ -161,10 +157,8 @@ class Histogram:
         """A consistent ``(zero_count, {bucket index: count})`` copy.
 
         Bucket ``i`` covers ``(base**i, base**(i+1)]`` for
-        ``base = 2**(1/4)`` (:data:`bucket_base`); the zero bucket holds
-        observations ``<= 0``.  The snapshotter diffs these between
-        ticks to answer windowed quantiles, and the OpenMetrics exporter
-        renders them as cumulative ``le`` buckets.
+        ``base = 2**(1/4)``; the zero bucket holds observations
+        ``<= 0``.
         """
         with self._lock:
             return self._zero, dict(self._buckets)
@@ -224,42 +218,6 @@ class Histogram:
         if ex:
             d["exemplars"] = ex
         return d
-
-
-def bucket_upper_bound(idx: int) -> float:
-    """Exclusive upper bound of geometric bucket ``idx``
-    (``base**(idx+1)``) — what the OpenMetrics exporter renders as the
-    bucket's ``le`` label."""
-    return _BUCKET_BASE ** (idx + 1)
-
-
-def quantile_from_buckets(zero: int, buckets: Dict[int, int],
-                          q: float) -> float:
-    """The ``q``-quantile of a raw ``(zero, {idx: count})`` bucket set.
-
-    Same estimator as :meth:`Histogram.quantile` but over *free-
-    standing* bucket counts — the snapshotter diffs two
-    :meth:`Histogram.bucket_counts` copies and feeds the delta here to
-    answer windowed quantiles (no min/max clamp is available for a
-    window, so estimates are pure bucket midpoints).
-    """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile {q} outside [0, 1]")
-    count = zero + sum(buckets.values())
-    if count == 0:
-        return 0.0
-    rank = q * count
-    cum = zero
-    if cum >= rank:
-        return 0.0
-    last = 0.0
-    for idx in sorted(buckets):
-        cum += buckets[idx]
-        lo = _BUCKET_BASE ** idx
-        last = math.sqrt(lo * lo * _BUCKET_BASE)
-        if cum >= rank:
-            return last
-    return last
 
 
 class MetricsRegistry:
@@ -329,8 +287,8 @@ class MetricsRegistry:
 
     def items(self) -> List[Tuple[str, Union[Counter, Gauge, Histogram]]]:
         """A consistent ``(name, metric)`` listing, sorted by name —
-        what the snapshotter and the exporters iterate (the plain dict
-        could grow under them mid-iteration)."""
+        what :meth:`snapshot` and :meth:`render` iterate (the plain
+        dict could grow under them mid-iteration)."""
         with self._lock:
             return sorted(self._metrics.items())
 

@@ -418,7 +418,9 @@ class PooledClient:
             return False
 
     def stats(self) -> Dict[str, Any]:
-        """The server's admission/inflight snapshot."""
+        """The server's admission counters (top-level keys), its
+        collector's registry snapshot under ``metrics`` (``{}`` when
+        none is installed) and ``uptime_s``."""
         resp = self._call("stats")
         stats = resp.get("stats")
         return stats if isinstance(stats, dict) else {}

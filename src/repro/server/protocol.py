@@ -11,7 +11,11 @@ plus per-op fields:
 - ``query`` — ``q`` (source text), optional ``timeout_ms``,
   ``max_rows``, ``degrade`` (default true), ``with_scores``;
 - ``ping`` — liveness/health check, answered without admission;
-- ``stats`` — the server's admission/inflight snapshot.
+- ``stats`` — the server's admission/inflight counters, plus
+  ``metrics`` (the installed collector's registry snapshot, ``{}``
+  without one) and ``uptime_s``;
+- ``traces`` — optional ``trace_id`` or ``limit``: the trace store's
+  listing, or one trace's record and span tree.
 
 **Responses** echo ``v`` and ``id``.  Success is ``{"ok": true, ...}``
 (for ``query``: ``rows`` as ``[{"score": …, "xml": …}, …]``, ``n``,

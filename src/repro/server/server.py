@@ -47,8 +47,12 @@ Robustness properties:
   record goes to the audit sink (when one is installed) and, with its
   span tree, to the :class:`~repro.obs.tracestore.TraceStore`, which
   retains it by the tail-based policy (slow / error / degraded /
-  head-sampled) for the ``traces`` wire op and the ObsServer's
-  ``/traces`` endpoint.
+  head-sampled) for the ``traces`` wire op.
+
+The wire protocol is the one door to the server's telemetry: ``ping``
+answers liveness, ``stats`` the admission counters plus the installed
+collector's registry snapshot (histogram quantiles and trace-id
+exemplars included) and uptime, ``traces`` the trace store.
 
 One thread per connection (requests on a connection answered in
 order); the accept loop runs on its own thread.  Guard installation is
@@ -61,7 +65,7 @@ from __future__ import annotations
 import socket
 import threading
 from contextlib import ExitStack
-from time import perf_counter
+from time import monotonic, perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set
 
 from repro import obs as _obs
@@ -175,6 +179,7 @@ class QueryServer:
         self._accept_thread: Optional[threading.Thread] = None
         self._closing = False
         self._closed = False
+        self._started = monotonic()
 
     # -- addressing ------------------------------------------------------
 
@@ -360,9 +365,7 @@ class QueryServer:
                 draining=self.admission.draining,
             ))
         elif op == "stats":
-            sent = self._send(conn, ok_response(
-                rid, stats=self.admission.snapshot(),
-            ))
+            sent = self._send(conn, ok_response(rid, stats=self._stats()))
         elif op == "traces":
             sent = self._handle_traces(conn, rid, req)
         elif op == "query":
@@ -379,6 +382,18 @@ class QueryServer:
                         (perf_counter() - t0) * 1000.0,
                         exemplar=trace_id or None)
         return sent
+
+    def _stats(self) -> Dict[str, Any]:
+        """The ``stats`` payload: the admission counters at the top
+        level, the installed collector's registry snapshot under
+        ``metrics`` (``{}`` when none is installed) and ``uptime_s``."""
+        rec = _obs.RECORDER
+        return {
+            **self.admission.snapshot(),
+            "metrics": (rec.metrics.snapshot()
+                        if isinstance(rec, _obs.Collector) else {}),
+            "uptime_s": round(monotonic() - self._started, 3),
+        }
 
     def _handle_traces(self, conn: socket.socket, rid: Any,
                        req: Dict[str, Any]) -> bool:

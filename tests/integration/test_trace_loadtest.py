@@ -1,16 +1,17 @@
 """Satellite loadtest coverage for distributed tracing: an 8-client
 fleet against a live server yields exactly one trace tree per request
-with correct span nesting, and trace-store eviction under pressure
-counts ``trace.dropped`` without corrupting retained trees."""
+with correct span nesting, trace-store eviction under pressure counts
+``trace.dropped`` without corrupting retained trees, and ``tix top``
+renders the served telemetry from the query port."""
 
 import time
 
 import pytest
 
-from repro import obs
+from repro import cli, obs
 from repro.exampledata import example_store
 from repro.obs.tracestore import RetentionPolicy, TraceStore
-from repro.server import QueryServer, run_loadtest
+from repro.server import PooledClient, QueryServer, run_loadtest
 
 QUERIES = [
     'For $x in document("articles.xml")/article/descendant-or-self::* '
@@ -55,7 +56,7 @@ def traced_server():
 
 class TestLoadtestTracing:
     def test_one_trace_tree_per_request(self, traced_server):
-        srv, col = traced_server
+        srv, _ = traced_server
         report = run_loadtest(
             srv.host, srv.port, QUERIES,
             clients=CLIENTS, total=TOTAL, seed=42,
@@ -108,8 +109,9 @@ class TestLoadtestTracing:
         assert slow == sorted(slow, key=lambda t: -t["elapsed_ms"])
 
         # The request-latency histogram carries trace-id exemplars
-        # joinable back to retained traces.
-        snap = col.metrics.snapshot()["server.request_ms"]
+        # joinable back to retained traces, read over the wire.
+        with PooledClient(srv.host, srv.port) as client:
+            snap = client.stats()["metrics"]["server.request_ms"]
         assert snap["count"] == TOTAL
         exemplars = snap["exemplars"]
         assert any(store.get(e["trace_id"]) is not None
@@ -138,3 +140,26 @@ class TestLoadtestTracing:
         snap = srv.trace_store.snapshot(limit=10)
         assert len(snap["retained"]) == 4
         assert snap["inflight"] == []
+
+    def test_tix_top_reads_the_query_port(self, traced_server, capsys):
+        srv, col = traced_server
+        with PooledClient(srv.host, srv.port) as client:
+            for q in QUERIES:
+                assert client.query(q).n_results > 0
+        # A request's latency lands after its response is written.
+        deadline = time.monotonic() + 5.0
+        while (col.metrics.snapshot().get("server.request_ms", {})
+               .get("count", 0) < len(QUERIES)
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        _quiesce(srv.trace_store, len(QUERIES))
+        assert cli.main(["top", "--port", str(srv.port),
+                         "--iterations", "1", "--plain"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith(f"tix top — {srv.address}  uptime ")
+        assert lines[1].startswith("  requests: 2 served  p50/p95/p99 ")
+        assert lines[2] == ("  admission: inflight 0  admitted 2  "
+                            "rejected 0  degraded 0")
+        assert lines[3] == ("  traces: 0 in flight  2/64 retained  "
+                            "2 promoted  0 dropped")
+        assert "  SLOWEST RETAINED" in lines

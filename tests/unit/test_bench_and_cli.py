@@ -1,7 +1,12 @@
 """Unit tests for the bench harness and the CLI."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.bench.harness import BenchResult, render_table, timed_trimmed_mean
 from repro.cli import main
 
@@ -171,6 +176,31 @@ class TestCLI:
         usage = capsys.readouterr().out
         for flag in ("--planner", "--force-op", "--feedback"):
             assert flag not in usage
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--trace-capacity", "0"], "must be positive, got 0"),
+        (["--max-inflight", "0"], "must be positive, got 0"),
+        (["--trace-sample", "2"], "must be in [0, 1], got 2"),
+        (["--sample-rate", "2", "--audit-log", "audit.jsonl"],
+         "must be in [0, 1], got 2"),
+    ], ids=["trace-capacity", "max-inflight", "trace-sample", "sample-rate"])
+    def test_serve_rejects_out_of_range_options(self, tmp_path, flags,
+                                                message):
+        # The ValueError of the trace store, admission controller or
+        # audit sink used to escape as a traceback with status 1.  In a
+        # child process with a timeout: a server that did start would
+        # otherwise block the suite.
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             *flags],
+            cwd=tmp_path, capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1].endswith(message)
+        assert not (tmp_path / "audit.jsonl").exists()
 
     def test_bench_pick_small(self, capsys, monkeypatch):
         import repro.cli as cli_mod

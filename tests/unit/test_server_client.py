@@ -110,6 +110,13 @@ class TestQueryRoundTrip:
         stats = client.stats()
         assert stats["draining"] is False
         assert stats["admitted"] >= 0
+        # The admission counters stay top-level keys (the benchmark
+        # reads them there); no collector installed, no metrics.
+        for key in ("admitted", "rejected_overload", "rejected_shutdown",
+                    "degraded"):
+            assert isinstance(stats[key], int), key
+        assert stats["metrics"] == {}
+        assert stats["uptime_s"] >= 0
 
     def test_sequential_calls_reuse_the_pooled_connection(
             self, server, client):

@@ -2,37 +2,20 @@
 
 Covers the thread-safe obs core (8-worker counter parity with a
 sequential run, cross-thread Chrome-trace validity), the query audit
-log (schema, nesting, sampling determinism, slow-query force-log), the
-time-series snapshotter (ring eviction, windowed rate/quantile math),
-the OpenMetrics exporter and its validating parser, and the HTTP serve
-surface on an ephemeral port.
+log (schema, nesting, sampling determinism, slow-query force-log), and
+the disabled-path overhead of the telemetry hooks.
 """
 
 import io
 import json
 import threading
 import time
-import urllib.error
-import urllib.request
 
 import pytest
 
 from repro import obs
 from repro.obs import events
-from repro.obs.export import (
-    OpenMetricsError,
-    metric_name,
-    parse_openmetrics,
-    render_openmetrics,
-)
-from repro.obs.metrics import (
-    Histogram,
-    MetricsRegistry,
-    bucket_upper_bound,
-    quantile_from_buckets,
-)
-from repro.obs.serve import ObsServer
-from repro.obs.snapshot import Snapshotter
+from repro.obs.metrics import Histogram
 from repro.perf import QueryCache, execute_batch
 from repro.resilience.guard import QueryGuard
 from repro.resilience.run import run_query_guarded
@@ -315,331 +298,15 @@ class TestAuditLogSampling:
 
 
 # ----------------------------------------------------------------------
-# Snapshotter
-# ----------------------------------------------------------------------
-
-class TestSnapshotter:
-    def test_ring_eviction(self):
-        reg = MetricsRegistry()
-        snap = Snapshotter(reg, capacity=4)
-        for _ in range(10):
-            snap.tick()
-        assert len(snap) == 4
-        assert snap.stats()["ticks"] == 10
-
-    def test_rate_and_delta_over_window(self):
-        reg = MetricsRegistry()
-        now = [0.0]
-        snap = Snapshotter(reg, capacity=100, clock=lambda: now[0])
-        reg.count("q", 10)
-        snap.tick()
-        now[0] = 10.0
-        reg.count("q", 40)
-        snap.tick()
-        assert snap.delta("q", 60.0) == 40.0
-        assert snap.rate("q", 60.0) == pytest.approx(4.0)
-        # the window selects the oldest snapshot *inside* it
-        now[0] = 15.0
-        reg.count("q", 5)
-        snap.tick()
-        assert snap.delta("q", 6.0) == 5.0      # only the last interval
-        assert snap.delta("q", 60.0) == 45.0    # the whole history
-
-    def test_insufficient_ticks_return_zero(self):
-        reg = MetricsRegistry()
-        snap = Snapshotter(reg, capacity=10)
-        assert snap.rate("q", 60.0) == 0.0
-        snap.tick()
-        assert snap.rate("q", 60.0) == 0.0
-        assert snap.quantile_over("h", 0.5, 60.0) == 0.0
-
-    def test_hit_rate(self):
-        reg = MetricsRegistry()
-        now = [0.0]
-        snap = Snapshotter(reg, capacity=10, clock=lambda: now[0])
-        snap.tick()
-        reg.count("hits", 30)
-        reg.count("misses", 10)
-        now[0] = 1.0
-        snap.tick()
-        assert snap.hit_rate("hits", "misses", 60.0) == \
-            pytest.approx(0.75)
-        assert snap.hit_rate("absent", "gone", 60.0) == 0.0
-
-    def test_windowed_quantile_ages_out_old_spikes(self):
-        reg = MetricsRegistry()
-        now = [0.0]
-        snap = Snapshotter(reg, capacity=10, clock=lambda: now[0])
-        for _ in range(100):
-            reg.observe("lat", 1000.0)          # old spike
-        snap.tick()
-        now[0] = 50.0
-        for _ in range(100):
-            reg.observe("lat", 2.0)             # recent traffic
-        snap.tick()
-        recent = snap.quantile_over("lat", 0.9, 60.0)
-        lifetime = reg.histogram("lat").quantile(0.9)
-        assert recent == pytest.approx(2.0, rel=0.15)
-        assert lifetime > 100.0                 # spike still dominates
-
-    def test_quantile_from_buckets_matches_histogram(self):
-        hist = Histogram("h")
-        for v in [1.0, 2.0, 4.0, 8.0, 16.0]:
-            hist.observe(v)
-        zero, buckets = hist.bucket_counts()
-        est = quantile_from_buckets(zero, buckets, 0.5)
-        # same bucket the histogram's own estimator picks, minus the
-        # min/max clamp: within half a bucket of the true median
-        assert est == pytest.approx(4.0, rel=0.2)
-
-    def test_background_thread_ticks(self):
-        reg = MetricsRegistry()
-        with Snapshotter(reg, interval_s=0.02, capacity=50) as snap:
-            deadline = time.time() + 2.0
-            while len(snap) < 3 and time.time() < deadline:
-                time.sleep(0.01)
-        assert len(snap) >= 3
-        assert snap._thread is None  # stopped cleanly
-
-    def test_tick_emits_metric_when_collecting(self):
-        reg = MetricsRegistry()
-        snap = Snapshotter(reg, capacity=5)
-        with obs.collecting() as col:
-            snap.tick()
-        assert col.metrics.counter("obs.snapshot.ticks").value == 1
-
-    def test_constructor_validation(self):
-        reg = MetricsRegistry()
-        with pytest.raises(ValueError):
-            Snapshotter(reg, interval_s=0.0)
-        with pytest.raises(ValueError):
-            Snapshotter(reg, capacity=1)
-
-
-# ----------------------------------------------------------------------
-# OpenMetrics exporter
-# ----------------------------------------------------------------------
-
-class TestOpenMetrics:
-    def make_registry(self):
-        reg = MetricsRegistry()
-        reg.count("cache.plan.hits", 7)
-        reg.set_gauge("index.n_terms", 123)
-        for v in [0.0, 0.5, 2.0, 100.0, 100.0]:
-            reg.observe("batch.query_ms", v)
-        return reg
-
-    def test_render_parse_roundtrip(self):
-        text = render_openmetrics(self.make_registry())
-        fams = parse_openmetrics(text)
-        assert set(fams) == {
-            "tix_cache_plan_hits", "tix_index_n_terms",
-            "tix_batch_query_ms",
-        }
-        assert fams["tix_cache_plan_hits"]["type"] == "counter"
-        (name, labels, value), = fams["tix_cache_plan_hits"]["samples"]
-        assert name == "tix_cache_plan_hits_total" and value == 7
-        assert fams["tix_index_n_terms"]["samples"][0][2] == 123
-        hist = fams["tix_batch_query_ms"]
-        assert hist["type"] == "histogram"
-        count = [s for s in hist["samples"]
-                 if s[0] == "tix_batch_query_ms_count"][0]
-        assert count[2] == 5
-        # catalog help text flows into # HELP
-        assert "plan-tier hits" in str(
-            fams["tix_cache_plan_hits"]["help"]
-        )
-
-    def test_histogram_buckets_cumulative_and_bounded(self):
-        text = render_openmetrics(self.make_registry())
-        fams = parse_openmetrics(text)  # parser enforces monotonicity
-        buckets = [s for s in fams["tix_batch_query_ms"]["samples"]
-                   if s[0] == "tix_batch_query_ms_bucket"]
-        assert buckets[0][1]["le"] == "0.0" and buckets[0][2] == 1
-        assert buckets[-1][1]["le"] == "+Inf" and buckets[-1][2] == 5
-        # every finite le is a real geometric bucket bound
-        for _, labels, _ in buckets[1:-1]:
-            le = float(labels["le"])
-            assert any(
-                abs(le - bucket_upper_bound(i)) < 1e-9
-                for i in range(-40, 40)
-            )
-
-    def test_empty_registry_renders_eof_only(self):
-        text = render_openmetrics(MetricsRegistry())
-        assert text == "# EOF\n"
-        assert parse_openmetrics(text) == {}
-
-    def test_metric_name_mapping(self):
-        assert metric_name("cache.plan.hits") == "tix_cache_plan_hits"
-        assert metric_name("a.b", prefix="x_") == "x_a_b"
-
-    @pytest.mark.parametrize("bad,msg", [
-        ("tix_x_total 1\n", "EOF"),
-        ("tix_x_total 1\n# EOF", "outside its family"),
-        ("# TYPE tix_x counter\ntix_x 1\n# EOF", "lacks _total"),
-        ("# TYPE tix_x gauge\ntix_x_total 1\n# EOF", "has a suffix"),
-        ("# TYPE tix_x wat\n# EOF", "unknown type"),
-        ("# TYPE tix_x counter\ntix_x_total nan-ish\n# EOF",
-         "bad sample value"),
-    ])
-    def test_parser_rejects_malformed(self, bad, msg):
-        with pytest.raises(OpenMetricsError, match=msg):
-            parse_openmetrics(bad)
-
-    def test_parser_rejects_noncumulative_histogram(self):
-        bad = "\n".join([
-            "# TYPE tix_h histogram",
-            'tix_h_bucket{le="1.0"} 5',
-            'tix_h_bucket{le="2.0"} 3',   # decreasing!
-            'tix_h_bucket{le="+Inf"} 5',
-            "tix_h_count 5",
-            "tix_h_sum 9.0",
-            "# EOF",
-        ])
-        with pytest.raises(OpenMetricsError, match="cumulative"):
-            parse_openmetrics(bad)
-
-
-# ----------------------------------------------------------------------
-# HTTP serve surface
-# ----------------------------------------------------------------------
-
-class TestObsServer:
-    def test_endpoints(self):
-        col = obs.Collector()
-        obs.install(col)
-        try:
-            col.metrics.count("batch.queries", 3)
-            snap = Snapshotter(col.metrics, capacity=5)
-            snap.tick()
-            snap.tick()
-            with ObsServer(col.metrics, snapshotter=snap) as srv:
-                base = srv.url
-                assert srv.port > 0
-                body = urllib.request.urlopen(
-                    base + "/healthz", timeout=5).read()
-                assert body == b"ok\n"
-                text = urllib.request.urlopen(
-                    base + "/metrics", timeout=5).read().decode()
-                fams = parse_openmetrics(text)
-                assert fams["tix_batch_queries"]["samples"][0][2] == 3
-                varz = json.loads(urllib.request.urlopen(
-                    base + "/varz", timeout=5).read().decode())
-                assert "metrics" in varz and "uptime_s" in varz
-                assert set(varz["snapshot"]["windows"]) == {"1m", "5m"}
-                # the server observes itself: next scrape sees the
-                # serve.* metrics of the previous requests
-                text2 = urllib.request.urlopen(
-                    base + "/metrics", timeout=5).read().decode()
-                fams2 = parse_openmetrics(text2)
-                assert "tix_serve_requests_metrics" in fams2
-                assert "tix_serve_request_ms" in fams2
-                with pytest.raises(urllib.error.HTTPError) as exc:
-                    urllib.request.urlopen(base + "/nope", timeout=5)
-                assert exc.value.code == 404
-        finally:
-            obs.uninstall()
-
-    def test_traces_limit_must_be_a_positive_int(self):
-        from repro.obs.tracestore import RetentionPolicy, TraceStore
-
-        store = TraceStore(policy=RetentionPolicy(slow_ms=0.0))
-        for _ in range(3):
-            store.complete(store.begin(op="query"))
-        srv = ObsServer(obs.Collector().metrics, trace_store=store)
-        srv.start()
-        try:
-            for bad in ("0", "-1", "2.7", "abc"):
-                with pytest.raises(urllib.error.HTTPError) as err:
-                    urllib.request.urlopen(
-                        srv.url + f"/traces?limit={bad}", timeout=5)
-                assert err.value.code == 400, bad
-                assert b"bad limit" in err.value.read()
-            snap = json.loads(urllib.request.urlopen(
-                srv.url + "/traces?limit=2", timeout=5).read())
-            assert len(snap["retained"]) == 2
-            snap = json.loads(urllib.request.urlopen(
-                srv.url + "/traces", timeout=5).read())
-            assert len(snap["retained"]) == 3
-        finally:
-            srv.stop()
-
-
-class TestObsServerShutdown:
-    """Regression tests for the draining stop(): a stalled client must
-    not hang shutdown (ThreadingMixIn's unbounded handler join), and an
-    in-flight scrape must complete before the socket teardown."""
-
-    def test_stop_bounded_with_stalled_client(self):
-        import socket
-
-        col = obs.Collector()
-        srv = ObsServer(col.metrics)
-        srv.start()
-        # a slowloris peer: connects, sends half a request line, stalls
-        stall = socket.create_connection(("127.0.0.1", srv.port),
-                                         timeout=5.0)
-        stall.sendall(b"GET /met")
-        time.sleep(0.1)  # let the handler thread block in recv
-        t0 = time.monotonic()
-        srv.stop(timeout=1.0)
-        elapsed = time.monotonic() - t0
-        stall.close()
-        # without the bounded drain this join never returns (the
-        # handler sits in a 30 s socket read)
-        assert elapsed < 5.0
-
-    def test_stop_drains_inflight_scrape(self, monkeypatch):
-        col = obs.Collector()
-        col.metrics.count("batch.queries", 1)
-        srv = ObsServer(col.metrics)
-        slow = threading.Event()
-
-        def slow_varz():
-            slow.set()
-            time.sleep(0.3)
-            return {"uptime_s": 0.0, "metrics": {}}
-
-        monkeypatch.setattr(srv, "varz", slow_varz)
-        srv.start()
-        got = []
-
-        def scrape():
-            body = urllib.request.urlopen(
-                srv.url + "/varz", timeout=10).read()
-            got.append(json.loads(body.decode()))
-
-        th = threading.Thread(target=scrape)
-        th.start()
-        assert slow.wait(5.0)  # the scrape is now in flight
-        srv.stop(timeout=5.0)
-        th.join(5.0)
-        # the in-flight response completed despite the shutdown
-        assert got and "metrics" in got[0]
-
-    def test_stop_idempotent_after_drain(self):
-        col = obs.Collector()
-        srv = ObsServer(col.metrics)
-        srv.start()
-        body = urllib.request.urlopen(
-            srv.url + "/healthz", timeout=5).read()
-        assert body == b"ok\n"
-        srv.stop()
-        srv.stop()  # second stop must not raise
-
-
-# ----------------------------------------------------------------------
 # Disabled-path overhead (extends the zero-overhead contract to the
-# event log and snapshotter; see test_explain_analyze's TermJoin test)
+# event log; see test_explain_analyze's TermJoin test)
 # ----------------------------------------------------------------------
 
 class TestDisabledTelemetryOverhead:
     """With the null recorder installed and no audit sink, the
     telemetry hooks a query crosses (observe_query enter/exit plus the
     current_event annotation probes) must cost under 5% of a
-    Table-1-shaped guarded query; an idle (never-started) snapshotter
-    must not add anything at all to the query path."""
+    Table-1-shaped guarded query."""
 
     N_HOOK_ITERS = 2000
 
@@ -688,15 +355,3 @@ class TestDisabledTelemetryOverhead:
             "disabled telemetry hooks >= 5% of a guarded query in "
             "every attempt: " + ", ".join(f"{r:.4f}" for r in ratios)
         )
-
-    def test_idle_snapshotter_touches_nothing_on_query_path(self):
-        """A constructed-but-not-started snapshotter takes no locks and
-        samples nothing unless ticked — the query path never sees it."""
-        reg = MetricsRegistry()
-        snap = Snapshotter(reg, interval_s=60.0, capacity=10)
-        store = make_store(1)
-        run_query_guarded(store, query_for(0),
-                          QueryGuard(max_rows=100, degrade=True))
-        assert len(snap) == 0
-        assert snap.stats()["ticks"] == 0
-        assert snap._thread is None
