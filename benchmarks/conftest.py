@@ -1,9 +1,11 @@
-"""Shared benchmark fixtures: full-scale synthetic corpora.
+"""Shared fixtures for the ablation benchmarks: a full-scale synthetic
+corpus.
 
 ``TIX_BENCH_SCALE`` (default 1.0) scales every planted term frequency;
-the paper's nominal frequencies are used verbatim at 1.0.  Corpora are
-session-scoped — they are built once and shared by all benchmarks in the
-session.
+the paper's nominal frequencies are used verbatim at 1.0.  The corpus is
+session-scoped — it is built once and shared by all ablations in the
+session.  The paper's tables themselves are regenerated by
+``make_report.py`` and ``tix bench``, not here.
 """
 
 from __future__ import annotations
@@ -12,43 +14,13 @@ import os
 
 import pytest
 
-from repro.workload import (
-    generate_corpus,
-    table123_spec,
-    table4_spec,
-    table5_spec,
-)
+from repro.workload import generate_corpus, table123_spec
 
 SCALE = float(os.environ.get("TIX_BENCH_SCALE", "1.0"))
-PROFILE = os.environ.get("TIX_BENCH_PROFILE", "0") not in ("", "0")
 
 
 def pytest_report_header(config):
-    return (
-        f"TIX bench scale: {SCALE} (set TIX_BENCH_SCALE to change); "
-        f"profile: {'on' if PROFILE else 'off'} (TIX_BENCH_PROFILE=1)"
-    )
-
-
-@pytest.fixture
-def profiled(benchmark):
-    """Attach a per-access-method metric breakdown to the benchmark.
-
-    With ``TIX_BENCH_PROFILE=1``, calling ``profiled(fn, *args)`` runs
-    the workload once more under the observability collector — outside
-    the timed rounds, so the reported wall-clock numbers stay clean —
-    and stores the breakdown in ``benchmark.extra_info["metrics"]``,
-    which ``--benchmark-json`` carries into the report.  Without the
-    env var it is a no-op.
-    """
-    def attach(fn, *args, **kwargs):
-        if PROFILE:
-            from repro.bench.harness import profiled_run
-
-            benchmark.extra_info["metrics"] = profiled_run(
-                lambda: fn(*args, **kwargs)
-            )
-    return attach
+    return f"TIX bench scale: {SCALE} (set TIX_BENCH_SCALE to change)"
 
 
 @pytest.fixture(scope="session")
@@ -61,24 +33,4 @@ def corpus123():
     store = generate_corpus(spec)
     store.index          # build the inverted index up front
     store.structure      # and the structure index
-    return store, rows
-
-
-@pytest.fixture(scope="session")
-def corpus4():
-    """Corpus + rows for Table 4."""
-    spec, rows = table4_spec(scale=SCALE, n_articles=400)
-    store = generate_corpus(spec)
-    store.index
-    store.structure
-    return store, rows
-
-
-@pytest.fixture(scope="session")
-def corpus5():
-    """Corpus + rows for Table 5 (phrase frequencies scaled 20× down
-    from the paper's at SCALE=1.0; see EXPERIMENTS.md)."""
-    spec, rows = table5_spec(scale=0.05 * SCALE, n_articles=400)
-    store = generate_corpus(spec)
-    store.index
     return store, rows

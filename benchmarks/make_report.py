@@ -22,8 +22,6 @@ import time
 from typing import List
 
 from repro.bench import (
-    run_batch_experiment,
-    run_cache_experiment,
     run_pick_experiment,
     run_table1,
     run_table2,
@@ -91,10 +89,16 @@ PAPER_TABLE5 = {  # query -> (Comp3, PhraseFinder)
 
 def md_table(result: BenchResult, paper: dict, paper_cols: List[str]) -> str:
     """Render a BenchResult as a Markdown table with the paper's numbers
-    interleaved (``paper[label] = tuple aligned with paper_cols``)."""
+    interleaved (``paper[label] = tuple aligned with paper_cols``).
+
+    Only timing columns (float cells) carry the seconds unit, and Pick's
+    ``seconds`` column already names it; counts such as frequencies and
+    result sizes are labelled ``(ours)``."""
     cols = ["param"]
-    for c in result.columns[1:]:
-        cols.append(f"{c} (ours, s)")
+    for i, c in enumerate(result.columns[1:], start=1):
+        timed = all(isinstance(row[i], float) for row in result.rows)
+        unit = ", s" if timed and c != "seconds" else ""
+        cols.append(f"{c} (ours{unit})")
     for c in paper_cols:
         cols.append(f"{c} (paper, s)")
     lines = ["| " + " | ".join(cols) + " |",
@@ -148,20 +152,12 @@ def main(argv=None) -> int:
 
     rp = run_pick_experiment(runs=args.runs, profile=profile)
 
-    print("running cache-hierarchy experiment …")
-    cache_rows = [r for r in rows123["table1"]
-                  if r.label in (20, 200, 1000, 3000, 10000)]
-    rc = run_cache_experiment(store123, cache_rows, runs=args.runs)
-    print(rc.render())
-    rb = run_batch_experiment(store123, cache_rows, runs=min(args.runs, 3))
-    print(rb.render())
-
     if args.json:
         report = {
             "scale": args.scale,
             "runs": args.runs,
             "tables": [r.to_json()
-                       for r in (r1, r2, r3, r4, r5, rp, rc, rb)],
+                       for r in (r1, r2, r3, r4, r5, rp)],
         }
         with open(args.json, "w", encoding="utf-8") as f:
             json.dump(report, f, indent=2, sort_keys=True)
@@ -248,27 +244,6 @@ harness reports *measured* result sizes (random planting can split or
 coincidentally form a few phrase occurrences).
 
 {md_table(r5, PAPER_TABLE5, ["Comp3", "PhraseFinder"])}
-
-## Cache hierarchy + batch executor (beyond the paper; `repro.perf`)
-
-Not a paper experiment — the paper ran every query cold.  These measure
-the serving-workload layers of `repro.perf` on the Table-1 corpus and
-query shape (see `docs/performance.md`): the same compilable two-term
-scoring query executed cold (parse + compile + execute every call),
-warm through the compiled-plan cache, and warm through the result
-cache, plus an INEX-style topic batch (each query × 4) sequential-cold
-vs. `execute_batch` with a shared cache.
-
-{md_table(rc, {}, [])}
-
-Warm-result speedup at the heaviest row (freq 10,000):
-**{rc.cell(10000, 'warm_speedup'):.0f}×** over cold execution.
-
-{md_table(rb, {}, [])}
-
-The batch speedup is cache sharing — duplicate queries are answered
-once — not CPU parallelism (pure-Python execution serializes on the
-GIL).
 
 ## Pick (in-text experiment, §6)
 

@@ -5,13 +5,10 @@
   monospace table rendering;
 - :mod:`repro.bench.tables` — one ``run_table*`` function per table and
   figure of §6, each returning the rows it printed so EXPERIMENTS.md and
-  the tests can assert on the shapes;
-- :mod:`repro.bench.cachebench` — the :mod:`repro.perf` experiments:
-  warm-cache speedups per tier and batch-executor throughput.
+  the tests can assert on the shapes.
 """
 
 from repro.bench.harness import timed_trimmed_mean, render_table, BenchResult
-from repro.bench.cachebench import run_batch_experiment, run_cache_experiment
 from repro.bench.tables import (
     run_table1,
     run_table2,
@@ -31,6 +28,4 @@ __all__ = [
     "run_table4",
     "run_table5",
     "run_pick_experiment",
-    "run_cache_experiment",
-    "run_batch_experiment",
 ]

@@ -36,10 +36,10 @@ Subcommands:
   ``-f FILE`` holds a JSON array of query strings, or plain text with
   queries separated by lines containing only ``---``.  Results print in
   submission order; the exit status is 3 when any query failed.
-- ``tix bench {table1,table2,table3,table4,table5,pick}`` — regenerate a
-  table of the paper's evaluation section (``--scale`` shrinks planted
-  frequencies for quick runs; ``--profile`` adds per-access-method
-  metric breakdowns).
+- ``tix bench {table1,table2,table3,table4,table5,pick,quality}`` —
+  regenerate a table of the paper's evaluation section (``--scale``
+  shrinks planted frequencies for quick runs; ``--profile`` adds
+  per-access-method metric breakdowns).
 - ``tix serve --store DIR|--doc name=path …`` — serve queries on
   ``--port`` over the length-prefixed JSON wire protocol
   (:mod:`repro.server`) with admission control (``--max-inflight``,
@@ -433,9 +433,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     runs = args.runs
     profile = args.profile
     if which == "pick":
-        run_pick_experiment(runs=runs, profile=profile)
-        return 0
-    if which == "quality":
+        res = run_pick_experiment(runs=runs, profile=profile)
+    elif which == "quality":
         from repro.workload import (
             build_relevance_workload, score_quality_experiment,
         )
@@ -447,21 +446,29 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print(f"{r.scorer_name:<10} {r.precision_at_10:>6.2f} "
                   f"{r.average_precision:>6.2f} {r.ndcg_at_10:>8.2f}")
         return 0
-    if which in ("table1", "table2", "table3"):
+    elif which in ("table1", "table2", "table3"):
         spec, rows = table123_spec(scale=args.scale)
         store = generate_corpus(spec)
         if which == "table1":
-            run_table1(store, rows["table1"], runs=runs, profile=profile)
+            res = run_table1(store, rows["table1"], runs=runs,
+                             profile=profile)
         elif which == "table2":
-            run_table2(store, rows["table1"], runs=runs, profile=profile)
+            res = run_table2(store, rows["table1"], runs=runs,
+                             profile=profile)
         else:
-            run_table3(store, rows["table3"], runs=runs, profile=profile)
+            res = run_table3(store, rows["table3"], runs=runs,
+                             profile=profile)
     elif which == "table4":
         spec, rows4 = table4_spec(scale=args.scale)
-        run_table4(generate_corpus(spec), rows4, runs=runs, profile=profile)
+        res = run_table4(generate_corpus(spec), rows4, runs=runs,
+                         profile=profile)
     else:
         spec, rows5 = table5_spec(scale=args.scale * 0.05)
-        run_table5(generate_corpus(spec), rows5, runs=runs, profile=profile)
+        res = run_table5(generate_corpus(spec), rows5, runs=runs,
+                         profile=profile)
+    if profile:
+        # per cell: {row label: {technique: {metric: value}}}
+        print(json.dumps(res.profiles, indent=2, sort_keys=True))
     return 0
 
 

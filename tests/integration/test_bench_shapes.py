@@ -8,6 +8,7 @@ from repro.bench import (
     run_pick_experiment,
     run_table1,
     run_table2,
+    run_table3,
     run_table4,
     run_table5,
 )
@@ -72,6 +73,24 @@ class TestTable2Shape:
             termjoin = row[result.columns.index("TermJoin")]
             enhanced = row[result.columns.index("EnhTermJoin")]
             assert enhanced < termjoin
+
+
+class TestTable3Shape:
+    @pytest.fixture(scope="class")
+    def result(self, store123):
+        store, rows = store123
+        # runs=5 so the trimmed mean is not a single sample
+        return run_table3(store, rows["table3"], runs=5)
+
+    def test_comp1_grows_with_term2_frequency(self, result):
+        comp1 = result.column("Comp1")
+        assert comp1[-1] >= 3 * comp1[0]
+
+    def test_enhanced_beats_composites(self, result):
+        for row in result.rows:
+            enhanced = row[result.columns.index("EnhTermJoin")]
+            assert enhanced < row[result.columns.index("Comp1")]
+            assert enhanced < row[result.columns.index("Comp2")]
 
 
 class TestTable4Shape:

@@ -1,5 +1,6 @@
 """Unit tests for the bench harness and the CLI."""
 
+import json
 import os
 import subprocess
 import sys
@@ -201,6 +202,16 @@ class TestCLI:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.splitlines()[-1].endswith(message)
         assert not (tmp_path / "audit.jsonl").exists()
+
+    def test_bench_profile_prints_each_cell(self, capsys):
+        assert main(["bench", "table5", "--scale", "0.02", "--runs", "1",
+                     "--profile"]) == 0
+        out = capsys.readouterr().out
+        profiles = json.loads(out[out.index("\n{") + 1:])
+        assert set(profiles) == {str(q) for q in range(1, 14)}
+        cell = profiles["1"]["PhraseFinder"]
+        assert cell["wall_clock_s"] > 0
+        assert len(cell) > 1  # metrics beside the wall clock
 
     def test_bench_pick_small(self, capsys, monkeypatch):
         import repro.cli as cli_mod

@@ -202,6 +202,16 @@ class TestRankOrder:
                     == [t.node_id
                         for t in execute(Limit(Sort(_Rows(rows)), k))])
 
+    def test_topk_invalid_k(self):
+        with pytest.raises(ValueError):
+            TopK(_Rows([]), 0)
+
+    def test_topk_none_scores_rank_last(self, store):
+        doc = store.document("articles.xml")
+        rows = [StoredTree(doc, 0, None), StoredTree(doc, 1, 1.0)]
+        out = execute(TopK(_Rows(rows), 2))
+        assert [t.node_id for t in out] == [1, 0]
+
 
 class TestExplain:
     def test_explain_shows_rows(self, store):
