@@ -32,7 +32,7 @@ Subcommands:
   over one shared store (``repro.perf.execute_batch``): per-query
   ``--timeout``/``--max-rows`` guards with ``--no-degrade`` for strict
   mode, ``--workers`` for pool width, ``--no-cache`` to disable the
-  shared plan/result cache, ``--json`` for machine-readable output.
+  shared answer cache, ``--json`` for machine-readable output.
   ``-f FILE`` holds a JSON array of query strings, or plain text with
   queries separated by lines containing only ``---``.  Results print in
   submission order; the exit status is 3 when any query failed.
@@ -1010,7 +1010,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="record guard trips as per-query failures "
                          "instead of partial truncated results")
     ba.add_argument("--no-cache", action="store_true",
-                    help="disable the shared plan/result cache")
+                    help="disable the shared answer cache")
     ba.add_argument("--json", action="store_true",
                     help="emit the batch report as JSON")
     ba.set_defaults(fn=_cmd_batch)
@@ -1069,7 +1069,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="cap every remote query's deadline at MS even "
                          "if the client asks for more")
     sv.add_argument("--no-query-cache", action="store_true",
-                    help="serve queries without the result/plan cache")
+                    help="serve queries without the answer cache")
     sv.add_argument("--drain-timeout", type=float, default=5.0,
                     metavar="S",
                     help="on shutdown, wait up to S seconds for "

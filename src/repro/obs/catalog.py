@@ -95,12 +95,7 @@ CATALOG: Dict[str, Tuple[str, str]] = {
         "publish time"),
     "persist.documents_skipped": (
         "counter", "documents skipped by a partial store load"),
-    # -- cache hierarchy -------------------------------------------------
-    "cache.plan.hits": (
-        "counter",
-        "plan-tier hits (compile avoided, incl. cached "
-        "non-compilable verdicts)"),
-    "cache.plan.misses": ("counter", "plan-tier misses (a compile ran)"),
+    # -- answer cache ----------------------------------------------------
     "cache.result.hits": ("counter", "result-tier cache hits"),
     "cache.result.misses": ("counter", "result-tier cache misses"),
     "cache.result.evictions": ("counter", "result-tier LRU evictions"),

@@ -21,7 +21,7 @@ carrying
 - the outcome (``ok`` / ``truncated`` / ``error``) with the guard
   verdict and degradation flag,
 - wall time and row count,
-- result-cache and plan-cache hit/miss,
+- result-cache hit/miss,
 - the top operators of the executed plan (from
   :func:`repro.engine.base.plan_stats`).
 
@@ -85,8 +85,10 @@ __all__ = [
 #:   plans the estimator never annotated);
 #: - v3: ``trace_id`` joins the record to the server's retained
 #:   distributed trace ("" for untraced executions).  Added since:
-#:   ``error_code`` (the wire code of a served failure).
-SCHEMA_VERSION = 3
+#:   ``error_code`` (the wire code of a served failure);
+#: - v4: the plan-tier verdict is dropped — plans are no longer cached,
+#:   so ``cache`` (the answer tier) is the one cache verdict.
+SCHEMA_VERSION = 4
 
 
 def query_hash(source: str) -> str:
@@ -120,7 +122,7 @@ class QueryEvent:  # tix-lint: disable=shared-state-race
         "trace_id", "parent_span_id", "attempt", "kind", "query_sha256",
         "ts", "start_ns", "end_ns", "queued_ms",
         "outcome", "rows", "truncated", "reason", "error_type",
-        "error_code", "cache", "plan_cache", "guarded", "guard_degrade",
+        "error_code", "cache", "guarded", "guard_degrade",
         "guard_trip", "degraded", "ops",
         "retained_for", "head_sampled", "root", "store_key",
     )
@@ -147,7 +149,6 @@ class QueryEvent:  # tix-lint: disable=shared-state-race
         self.error_type = ""
         self.error_code = ""           # wire error code (server)
         self.cache = ""                # result tier: hit | miss | ""
-        self.plan_cache = ""           # plan tier:   hit | miss | ""
         self.guarded = False
         self.guard_degrade = False     # the guard ran in degrade mode
         self.guard_trip = ""           # exception type name of the trip
@@ -247,7 +248,6 @@ class QueryEvent:  # tix-lint: disable=shared-state-race
             "error_type": self.error_type,
             "error_code": self.error_code,
             "cache": self.cache,
-            "plan_cache": self.plan_cache,
             "guard": {
                 "active": self.guarded,
                 "degraded": self.guard_degrade,

@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro import obs
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import render_span_tree
 
 if TYPE_CHECKING:
+    from repro.query.functions import FunctionRegistry
     from repro.xmldb.store import XMLStore
 
 __all__ = ["ProfileReport", "profile_query"]
@@ -102,7 +102,7 @@ class ProfileReport:
 
 
 def profile_query(store: "XMLStore", source: str,
-                  registry: Optional[MetricsRegistry] = None,
+                  registry: "Optional[FunctionRegistry]" = None,
                   ) -> ProfileReport:
     """Execute ``source`` against ``store`` under a fresh collector.
 

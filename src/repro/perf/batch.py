@@ -17,8 +17,8 @@ elsewhere:
   built once *before* the pool spins up, so workers never race the
   builders;
 - the optional shared :class:`~repro.perf.querycache.QueryCache` is
-  thread-safe, and its plan tier hands each concurrent caller its own
-  pooled operator tree.
+  thread-safe, and every answer miss compiles its own operator tree,
+  so no two workers drive the same plan.
 
 Results come back as a :class:`BatchResult` whose outcomes sit in
 **submission order** regardless of completion order — slot ``i`` always
@@ -41,8 +41,8 @@ from repro.resilience.guard import NullGuard, QueryGuard
 from repro.resilience.run import run_query_guarded
 
 if TYPE_CHECKING:
-    from repro.obs.metrics import MetricsRegistry
     from repro.perf.querycache import QueryCache
+    from repro.query.functions import FunctionRegistry
     from repro.xmldb.store import XMLStore
 
 __all__ = ["BatchOutcome", "BatchResult", "execute_batch"]
@@ -106,7 +106,7 @@ class BatchResult:
 def _run_one(store: "XMLStore", outcome: BatchOutcome, *,
              timeout_ms: Optional[float], max_rows: Optional[int],
              degrade: bool, cache: "Optional[QueryCache]",
-             registry: "Optional[MetricsRegistry]") -> BatchOutcome:
+             registry: "Optional[FunctionRegistry]") -> BatchOutcome:
     """Execute one query into its pre-slotted outcome (worker body)."""
     t0 = perf_counter()
     guard = (
@@ -139,7 +139,7 @@ def execute_batch(store: "XMLStore", sources: Sequence[str], *,
                   max_rows: Optional[int] = None,
                   degrade: bool = True,
                   cache: "Optional[QueryCache]" = None,
-                  registry: "Optional[MetricsRegistry]" = None,
+                  registry: "Optional[FunctionRegistry]" = None,
                   ) -> BatchResult:
     """Run every query in ``sources`` against ``store`` on a thread pool.
 

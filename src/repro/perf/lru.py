@@ -1,7 +1,7 @@
 """Size-bounded, thread-safe LRU cache with ``cache.*`` metrics.
 
-One implementation serves every tier of the hierarchy (plans, results,
-normalised query texts).  Entries carry an explicit *weight* (trees
+One implementation serves both tiers of the query cache (answers and
+parsed query sources).  Entries carry an explicit *weight* (trees
 stored, …) so capacity bounds memory-like quantities rather than entry
 counts alone; eviction is strict LRU on access order.
 
@@ -13,7 +13,7 @@ installed.
 
 The lock makes the cache safe under the batch executor's thread pool;
 uncontended acquisition is tens of nanoseconds — invisible next to a
-plan compile.
+query parse.
 """
 
 from __future__ import annotations
@@ -39,10 +39,8 @@ class LRUCache:
         answer cannot wipe the working set).
     :param metric_prefix: dotted prefix for the ``hits`` / ``misses`` /
         ``evictions`` counters, e.g. ``"cache.result"``.
-    :param record: emit obs metrics.  Tiers that wrap this cache behind
-        their own hit/miss semantics (e.g. the plan cache, where a
-        *pooled plan*, not an entry lookup, is the real hit) pass
-        ``False`` so the metric namespace carries one meaning.
+    :param record: emit obs metrics.  The normalization tier passes
+        ``False``: only the answer tier's traffic is published.
     """
 
     def __init__(self, capacity: int, metric_prefix: str = "cache",
@@ -111,9 +109,9 @@ class LRUCache:
     def get_or_create(self, key: Hashable,
                       factory: Callable[[], Tuple[Any, int]]) -> Any:
         """``get`` or build-and-``put``: ``factory`` returns
-        ``(value, weight)`` and runs *outside* the lock (it may be an
-        expensive decode/compile), so concurrent misses on the same key
-        may each build once — last insert wins, all results identical by
+        ``(value, weight)`` and runs *outside* the lock (it may be a
+        parse), so concurrent misses on the same key may each build
+        once — last insert wins, all results identical by
         construction."""
         found = self.get(key)
         if found is not None:
@@ -121,20 +119,6 @@ class LRUCache:
         value, weight = factory()
         self.put(key, value, weight)
         return value
-
-    def invalidate(self, key: Hashable) -> bool:
-        """Drop one entry; returns whether it was present."""
-        with self._lock:
-            old = self._data.pop(key, _MISSING)
-            if old is _MISSING:
-                return False
-            self._weight -= old[1]
-            return True
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-            self._weight = 0
 
     # ------------------------------------------------------------------
     # Introspection

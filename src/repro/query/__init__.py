@@ -31,7 +31,6 @@ from repro.query.functions import (
 from repro.query.parser import parse_query
 from repro.query.evaluator import evaluate_query, run_query
 from repro.query.compiler import compile_query, explain_query
-from repro.query.unparse import unparse
 
 __all__ = [
     "Query",
@@ -43,5 +42,4 @@ __all__ = [
     "run_query",
     "compile_query",
     "explain_query",
-    "unparse",
 ]

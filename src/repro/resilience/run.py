@@ -1,5 +1,5 @@
 """The execution pipeline: :func:`run_query_guarded` stages every served
-query (normalize → cache lookup → plan acquire → run → store → record),
+query (normalize → cache lookup → compile → run → store → record),
 running it under a :class:`~repro.resilience.guard.QueryGuard` with
 :func:`execute_guarded` (compiled plan) or :func:`evaluate_guarded`
 (reference evaluator).  Nothing else in ``repro`` calls those two.
@@ -33,8 +33,8 @@ from repro.resilience.guard import (
 )
 
 if TYPE_CHECKING:
-    from repro.obs.metrics import MetricsRegistry
     from repro.perf.querycache import QueryCache
+    from repro.query.functions import FunctionRegistry
     from repro.xmldb.store import XMLStore
 
 __all__ = [
@@ -57,8 +57,8 @@ class GuardedResult:
     :func:`run_query_guarded` also reports what ran: ``plan`` is the
     executed engine plan (``None`` on the evaluator fallback and on a
     result-cache hit) and ``compile_error`` the compiler's reason for
-    declining.  With a cache the plan is already back in its pool —
-    read its stats before the next query checks it out.
+    declining.  Every miss compiles its own plan, so the plan belongs
+    to this result whether or not a cache was passed.
     """
 
     results: List[object] = field(default_factory=list)
@@ -140,29 +140,28 @@ def execute_guarded(plan: Any, guard: NullGuard) -> GuardedResult:
 def run_query_guarded(store: "XMLStore", source: str,
                       guard: NullGuard = NullGuard(), *,
                       cache: "Optional[QueryCache]" = None,
-                      registry: "Optional[MetricsRegistry]" = None,
+                      registry: "Optional[FunctionRegistry]" = None,
                       ) -> GuardedResult:
     """Run a query string under ``guard``: the one execution pipeline
     (stage list and span names in ``docs/performance.md``).
 
-    normalize → ``cache.lookup`` → ``plan.acquire`` → run → store →
-    record.  Compilable queries run on the pipelined engine via
+    normalize → ``cache.lookup`` → compile → run → store → record.
+    Compilable queries run on the pipelined engine via
     :func:`execute_guarded` (streaming enforcement); the rest fall back
     to the reference evaluator via :func:`evaluate_guarded`.
 
     ``cache`` engages a shared :class:`~repro.perf.querycache.
     QueryCache`: a result-tier hit is re-checked against the guard's
-    row budget exactly like a finished evaluator run, the plan tier
-    pools compiled plans, and only complete, un-truncated answers are
-    stored.  The cache is bypassed when ``registry`` is passed: the
-    cache key cannot see it.
+    row budget exactly like a finished evaluator run, a miss compiles
+    afresh, and only complete, un-truncated answers are stored.  The
+    cache is bypassed when ``registry`` is passed: the cache key cannot
+    see it.
     """
     from repro.errors import QueryCompileError
     from repro.query import compile_query, parse_query
 
     if registry is not None:
         cache = None  # the cache key cannot see it
-    tier = None if cache is None else cache.results
     rec = _obs.RECORDER
     with _events.observe_query(source) as ev:
         with rec.span("parse"):
@@ -172,9 +171,9 @@ def run_query_guarded(store: "XMLStore", source: str,
                 norm = cache.normalize(source)
                 query = norm.query
         cached = None
-        if tier is not None:
+        if cache is not None:
             cspan = rec.begin_span("cache.lookup") if rec.enabled else None
-            cached = tier.get(norm)
+            cached = cache.results.get(norm)
             if cspan is not None:
                 cspan.attrs["hit"] = cached is not None
                 rec.end_span(cspan)
@@ -186,29 +185,19 @@ def run_query_guarded(store: "XMLStore", source: str,
             res = _within_row_budget(cached, guard)
         else:
             compile_error = ""
-            # A first sighting compiles inside the acquire span
-            # (compile_query opens its own "compile" span under it).
-            with rec.span("plan.acquire"):
-                if cache is not None:
-                    plan = cache.plans.acquire(norm)
-                else:
-                    try:
-                        plan = compile_query(store, query, registry)
-                    except QueryCompileError as exc:
-                        plan = None
-                        compile_error = str(exc)
+            try:
+                plan = compile_query(store, query, registry)
+            except QueryCompileError as exc:
+                plan = None
+                compile_error = str(exc)
             if plan is None:
                 res = evaluate_guarded(store, query, guard, registry)
             else:
-                try:
-                    res = execute_guarded(plan, guard)
-                finally:
-                    if cache is not None:
-                        cache.plans.release(norm, plan)
+                res = execute_guarded(plan, guard)
             res.plan = plan
             res.compile_error = compile_error
-            if tier is not None and not res.truncated:
-                tier.put(norm, res.results)
+            if cache is not None and not res.truncated:
+                cache.results.put(norm, res.results)
         if ev is not None:
             ev.note_result(res.n_results, res.truncated, res.reason)
             if res.error is not None and not ev.guard_trip:
@@ -220,7 +209,7 @@ def run_query_guarded(store: "XMLStore", source: str,
 
 
 def evaluate_guarded(store: "XMLStore", query: Any, guard: NullGuard,
-                     registry: "Optional[MetricsRegistry]" = None,
+                     registry: "Optional[FunctionRegistry]" = None,
                      ) -> GuardedResult:
     """Run a *parsed* query on the reference evaluator under ``guard``.
 

@@ -7,13 +7,13 @@ For each seeded (corpus, query) — the compilable pipeline path
 (``ScoreFooExact``) and the evaluator fallback (``ScoreFoo`` has no
 compiler lowering) — the answer must be indistinguishable across
 
-- cache state: none, cold, warm (plan tier, result tier);
+- cache state: none, cold, warm (answer tier);
 - guard: none, a strict row budget, a degrading row budget;
 - front door: direct call, batch executor, loopback server:
 
 same scores, same source node ids, same serialized trees, same order,
 same truncation flag — and exactly one audit record per query with the
-same ``cache`` / ``plan_cache`` / ``ops`` fields.
+same ``cache`` / ``ops`` fields.
 """
 
 import io
@@ -92,12 +92,6 @@ def test_cached_equals_uncached(seed, query_fn):
     assert cache.results.hits == 1
     assert warm.plan is None and warm.compile_error == ""
 
-    plan_only = QueryCache(store, results=False)
-    run_query_guarded(store, source, cache=plan_only)
-    plan_warm = run_query_guarded(store, source, cache=plan_only)
-    assert fingerprint(plan_warm.results) == reference
-    assert plan_only.plans.hits == 1  # plan (or no-plan verdict) reused
-
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_normalized_spellings_share_results(seed):
@@ -157,8 +151,7 @@ def audited(call):
     assert len(records) == 1, records
     r = records[0]
     return value, {k: r[k] for k in (
-        "outcome", "rows", "truncated", "error_type", "cache",
-        "plan_cache", "ops",
+        "outcome", "rows", "truncated", "error_type", "cache", "ops",
     )}
 
 
@@ -220,7 +213,7 @@ def test_every_front_door_runs_the_one_pipeline(seed, query_fn):
                         lambda: run(cache, budget["max_rows"],
                                     budget["degrade"]))
                     assert got == expected[mode], (state, mode, door)
-                    if cache is not None and cache.results is not None:
+                    if cache is not None:
                         # only complete answers are ever stored
                         stored = len(cache.results)
                         assert stored == (
@@ -230,8 +223,6 @@ def test_every_front_door_runs_the_one_pipeline(seed, query_fn):
                 assert audits["server"] == audits["direct"], (state, mode)
                 tier = {"none": "", "cold": "miss", "warm": "hit"}[state]
                 assert audits["direct"]["cache"] == tier
-                assert audits["direct"]["plan_cache"] == (
-                    "miss" if state == "cold" else "")
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -250,6 +241,6 @@ def test_registry_bypasses_both_cache_tiers(seed):
         store, source, cache=cache, registry=default_registry()))
     assert "termjoin-scan" in explain(custom.plan)  # compiled here
     assert fingerprint(custom.results) == reference
-    assert audit["cache"] == "" and audit["plan_cache"] == ""
-    assert cache.stats() == before  # no probe, no store, no check-out
-    assert len(cache.plans) == 1 and len(cache.results) == 1
+    assert audit["cache"] == ""
+    assert cache.stats() == before  # no probe, no store
+    assert len(cache.results) == 1

@@ -160,10 +160,10 @@ class TestLiveUpdates:
 
 def test_cached_plan_for_the_last_document_survives_renumbering():
     """The compiled scan bakes the For path's document id into the plan.
-    Removing the first document renumbers the last one; the cached plan
-    and answer are keyed on the old generation, so the next run compiles
-    against the new id, reads that document's postings alone and
-    answers what the oracle answers."""
+    Removing the first document renumbers the last one; the cached
+    answer is keyed on the old generation, so the next run misses,
+    compiles against the new id, reads that document's postings alone
+    and answers what the oracle answers."""
     from repro.engine.base import plan_nodes
     from repro.perf import QueryCache
     from repro.query import run_query

@@ -1,5 +1,5 @@
-"""Unit tests for the repro.perf cache hierarchy: LRU semantics,
-plan/result tiers, and — the part that keeps the whole design honest —
+"""Unit tests for the repro.perf answer cache: LRU semantics, the
+parsed-query key, and — the part that keeps the whole design honest —
 generation-based invalidation: after a document add or remove, a stale
 answer (or a stale posting list kept by the index) must be
 unreachable."""
@@ -8,9 +8,8 @@ import pytest
 
 from repro import obs
 from repro.errors import ResourceExhaustedError
-from repro.perf import LRUCache, QueryCache, normalize_query
+from repro.perf import LRUCache, QueryCache
 from repro.perf.lru import LRUCache as _LRU
-from repro.query.parser import parse_query
 from repro.resilience import QueryGuard, run_query_guarded
 from repro.xmldb.parser import parse_document
 from repro.xmldb.store import XMLStore
@@ -93,15 +92,28 @@ class TestLRUCache:
 
 
 class TestNormalization:
+    """Answers are keyed by the parsed query: a spelling shares an
+    entry exactly when it parses to an equal AST."""
+
     def test_spellings_normalize_equal(self):
-        messy = COMPILABLE.replace(" Score", "\n\n   Score")
-        assert normalize_query(messy).text == \
-            normalize_query(COMPILABLE).text
+        cache = QueryCache(make_store())
+        run(cache, COMPILABLE)
+        run(cache, COMPILABLE.replace(" Score", "\n\n   Score"))
+        assert cache.results.hits == 1 and len(cache.results) == 1
 
     def test_different_queries_normalize_different(self):
-        other = COMPILABLE.replace('"alpha"', '"gamma"')
-        assert normalize_query(other).text != \
-            normalize_query(COMPILABLE).text
+        cache = QueryCache(make_store())
+        run(cache, COMPILABLE)
+        run(cache, COMPILABLE.replace('"alpha"', '"gamma"'))
+        assert cache.results.hits == 0 and len(cache.results) == 2
+
+    def test_comparison_operator_is_part_of_the_key(self):
+        cache = QueryCache(make_store())
+        where = ('For $x in document("a.xml")//article '
+                 "Where $x/@n {} 1 Return $x")
+        run(cache, where.format(">"))
+        run(cache, where.format(">="))
+        assert cache.results.hits == 0 and len(cache.results) == 2
 
 
 class TestQueryCache:
@@ -114,48 +126,6 @@ class TestQueryCache:
         assert cache.results.hits == 1
         assert b is not a  # callers get their own list
 
-    def test_plan_tier_pools_and_reuses(self):
-        store = make_store()
-        cache = QueryCache(store, results=False)
-        run(cache, COMPILABLE)
-        run(cache, COMPILABLE)
-        run(cache, COMPILABLE)
-        assert cache.plans.misses == 1  # one compile
-        assert cache.plans.hits == 2
-
-    def test_plan_tally_survives_concurrent_counting(self):
-        # Regression: hits/misses are bumped by batch-executor worker
-        # threads; the unlocked ``+= 1`` lost increments under load.
-        import threading
-
-        store = make_store()
-        cache = QueryCache(store, results=False)
-        run(cache, COMPILABLE)  # prime: one compile
-        per_thread, n_threads = 25, 4
-        barrier = threading.Barrier(n_threads)
-
-        def worker():
-            barrier.wait()
-            for _ in range(per_thread):
-                run(cache, COMPILABLE)
-
-        threads = [threading.Thread(target=worker)
-                   for _ in range(n_threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(30.0)
-        total = cache.plans.hits + cache.plans.misses
-        assert total == per_thread * n_threads + 1
-
-    def test_non_compilable_verdict_is_cached(self):
-        store = make_store()
-        cache = QueryCache(store, results=False)
-        run(cache, EVALUATOR_ONLY)
-        run(cache, EVALUATOR_ONLY)
-        assert cache.plans.misses == 1  # the compiler ran once
-        assert cache.plans.hits == 1    # the "no plan" verdict hit
-
     def test_custom_registry_bypasses_caching(self):
         from repro.query.functions import default_registry
 
@@ -165,7 +135,26 @@ class TestQueryCache:
         a = run(cache, COMPILABLE, registry=reg)
         run(cache, COMPILABLE, registry=reg)
         assert a
-        assert cache.results.hits == 0 and cache.plans.misses == 0
+        assert cache.results.hits == cache.results.misses == 0
+        assert len(cache.results) == 0
+
+    def test_cache_miss_reports_the_compile_error(self):
+        store = make_store()
+        uncached = run_query_guarded(store, EVALUATOR_ONLY)
+        cached = run_query_guarded(store, EVALUATOR_ONLY,
+                                   cache=QueryCache(store))
+        assert "ScoreFoo" in uncached.compile_error
+        assert cached.compile_error == uncached.compile_error
+
+    def test_each_miss_compiles_its_own_plan(self):
+        store = make_store()
+        cache = QueryCache(store)
+        cut = run_query_guarded(store, COMPILABLE,
+                                QueryGuard(max_rows=1, degrade=True),
+                                cache=cache)  # truncated: not stored
+        full = run_query_guarded(store, COMPILABLE, cache=cache)
+        assert cut.plan is not None and full.plan is not None
+        assert cut.plan is not full.plan
 
     def test_guarded_hit_enforces_row_budget(self):
         store = make_store()
@@ -251,15 +240,6 @@ class TestGenerationInvalidation:
         self.replace_queried_doc(store)
         fresh = run(cache, COMPILABLE)
         assert len(fresh) > len(warm)
-
-    def test_plan_cache_cannot_serve_stale(self):
-        store = make_store()
-        cache = QueryCache(store, results=False)
-        warm = run(cache, COMPILABLE)
-        self.replace_queried_doc(store)
-        fresh = run(cache, COMPILABLE)
-        assert len(fresh) > len(warm)
-        assert cache.plans.misses == 2  # recompiled for the new key
 
     def test_evaluator_path_cannot_serve_stale(self):
         store = make_store()

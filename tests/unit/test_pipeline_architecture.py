@@ -1,8 +1,8 @@
 """Architecture guard: one function stages a served query.
 
 ``repro.resilience.run.run_query_guarded`` is the only caller of the two
-guarded executors and the only place the cache tiers are probed, filled
-and checked out (docs/performance.md, "Execution pipeline").  These
+guarded executors and the only place the cache tiers are probed and
+filled (docs/performance.md, "Execution pipeline").  These
 tests walk the source tree so a later change cannot quietly re-fork the
 path with a second dispatcher.
 """
@@ -49,20 +49,30 @@ def test_guarded_executors_are_called_only_by_the_pipeline():
     assert callers_of("execute_guarded", "evaluate_guarded") == {PIPELINE}
 
 
-def test_plan_pool_is_checked_out_only_by_the_pipeline():
-    # PlanCache.acquire/release: the pool's one customer.  (``acquire``
-    # and ``release`` are also lock/admission verbs, so match the
-    # receiver too: ``<x>.plans.acquire``.)
-    users = set()
-    for rel, tree in modules():
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("acquire", "release")
-                    and isinstance(node.func.value, ast.Attribute)
-                    and node.func.value.attr == "plans"):
-                users.add(rel)
-    assert users == {PIPELINE}
+def test_no_module_checks_plans_out_of_the_cache():
+    # ``cache.plans`` is only the frozen benchmark harness's contract.
+    # (``acquire`` and ``release`` are also lock/admission verbs, so
+    # match the receiver too: ``<x>.plans.acquire``.)
+    users = {
+        rel for rel, tree in modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("acquire", "release")
+        and isinstance(node.func.value, ast.Attribute)
+        and node.func.value.attr == "plans"
+    }
+    assert users == set()
+
+
+def test_compile_query_is_called_only_by_the_pipeline():
+    # Every answer miss compiles afresh in the pipeline; besides it only
+    # the compiler's explain helpers, ``tix explain`` and the harness
+    # shim compile.
+    assert callers_of("compile_query") == {
+        PIPELINE, os.path.join("query", "compiler.py"), "cli.py",
+        os.path.join("perf", "querycache.py"),
+    }
 
 
 def test_query_cache_holds_tiers_and_runs_nothing():

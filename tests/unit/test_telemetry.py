@@ -154,14 +154,14 @@ class TestAuditLogSchema:
 
     def test_versioned_fields(self):
         r = self._one_record()
-        assert r["v"] == events.SCHEMA_VERSION == 3
+        assert r["v"] == events.SCHEMA_VERSION == 4
         for field in ("ts", "kind", "query_sha256", "outcome",
                       "wall_ms", "rows", "truncated", "reason",
-                      "error_type", "cache", "plan_cache", "guard",
+                      "error_type", "cache", "guard",
                       "ops", "slow", "trace_id"):
             assert field in r, f"missing field {field}"
-        # Untraced local execution: the v3 trace_id field is present
-        # but empty (the query server fills it per request).
+        # Untraced local execution: the trace_id field (since v3) is
+        # present but empty (the query server fills it per request).
         assert r["trace_id"] == ""
         assert r["kind"] == "query"
         assert r["outcome"] == "ok"

@@ -1,6 +1,6 @@
 """Trace-context propagation across the wire, mixed-version protocol
-compatibility, the ``traces`` wire op, and the audit-log v3 round trip
-(mixed v1/v2/v3 files stay readable and ``trace_id`` joins a record to
+compatibility, the ``traces`` wire op, and the audit-log round trip
+(mixed v1/v2/v3/v4 files stay readable and ``trace_id`` joins a record to
 its retained trace)."""
 
 import json
@@ -417,51 +417,56 @@ def _v1_record(trace_join=""):
 def _v2_record():
     r = _v1_record()
     r["v"] = 2
-    r["plan_cache"] = "hit"
     r["ops"] = [{"operator": "Scan", "rows": 3, "est_rows": 4.0,
                  "q_error": 1.33, "time_ms": 0.2}]
     return r
 
 
+def _v3_record():
+    r = _v2_record()
+    r["v"] = 3
+    r["trace_id"] = "ab" * 16
+    return r
+
+
 class TestAuditV3RoundTrip:
-    """Mixed v1/v2/v3 audit files list without loss in ``tix events``
+    """Mixed v1/v2/v3/v4 audit files list without loss in ``tix events``
     (it renders whatever JSON it is given), and the v3 ``trace_id``
     joins records to retained traces."""
 
-    def _mixed_file(self, tmp_path, v3_extra=None):
+    def _mixed_file(self, tmp_path):
         ev = events.QueryEvent("query text")
         ev.note_result(2)
-        v3 = ev.to_record()
-        if v3_extra:
-            v3.update(v3_extra)
+        v4 = ev.to_record()
         path = tmp_path / "audit.jsonl"
         with open(path, "w", encoding="utf-8") as f:
-            for rec in (_v1_record(), _v2_record(), v3):
+            for rec in (_v1_record(), _v2_record(), _v3_record(), v4):
                 f.write(json.dumps(rec) + "\n")
-        return path, v3
+        return path, v4
 
     def test_iter_and_filter_read_all_versions(self, tmp_path):
-        path, v3 = self._mixed_file(tmp_path)
+        path, v4 = self._mixed_file(tmp_path)
         with open(path, encoding="utf-8") as f:
             records = list(events.iter_events(f))
-        assert [r["v"] for r in records] == [1, 2, 3]
+        assert [r["v"] for r in records] == [1, 2, 3, 4]
         assert "trace_id" not in records[0]
-        assert records[2]["trace_id"] == v3["trace_id"]
+        assert records[2]["trace_id"] == "ab" * 16
+        assert records[3]["trace_id"] == v4["trace_id"]
         kept = list(events.filter_events(records, outcome="ok"))
-        assert len(kept) == 3  # no version is silently dropped
+        assert len(kept) == 4  # no version is silently dropped
 
     def test_tix_events_renders_mixed_file(self, tmp_path, capsys):
         path, _ = self._mixed_file(tmp_path)
         assert cli.main(["events", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "(3 of 3 events)" in out
+        assert "(4 of 4 events)" in out
 
     def test_tix_events_limit_keeps_the_newest(self, tmp_path, capsys):
-        path, v3 = self._mixed_file(tmp_path)
+        path, v4 = self._mixed_file(tmp_path)
         assert cli.main(["events", str(path), "--limit", "1",
                          "--json"]) == 0
         (line,) = capsys.readouterr().out.splitlines()
-        assert json.loads(line)["trace_id"] == v3["trace_id"]
+        assert json.loads(line)["trace_id"] == v4["trace_id"]
 
     @pytest.mark.parametrize("argv", [
         ["events", "{path}", "--limit", "0"],
@@ -490,7 +495,7 @@ class TestAuditV3RoundTrip:
             sink.close()
         with open(path, encoding="utf-8") as f:
             (record,) = list(events.iter_events(f))
-        assert record["v"] == 3
+        assert record["v"] == 4
         assert record["trace_id"] == res.trace_id
         trace = server.trace_store.get(record["trace_id"])
         assert trace is not None
