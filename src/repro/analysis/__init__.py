@@ -31,7 +31,6 @@ from repro.analysis.core import (
 )
 from repro.analysis.report import (
     JSON_VERSION,
-    findings_from_payload,
     render_human,
     render_json,
     to_dict,
@@ -55,7 +54,6 @@ __all__ = [
     "Severity",
     "build_project",
     "default_root",
-    "findings_from_payload",
     "get_rules",
     "lint",
     "register",

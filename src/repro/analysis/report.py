@@ -20,28 +20,18 @@ Version history:
   ``rule``/``severity``/``path``/``line``/``col``/``message``.
 - **2** — findings gain ``witness``, the concurrency rules'
   step-by-step evidence trail (empty list for single-site rules).
-
-:func:`findings_from_payload` reads the current version only; any
-other version raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Mapping
+from typing import Dict
 
-from repro.analysis.core import Finding
 from repro.analysis.runner import LintResult
 
-__all__ = [
-    "render_human", "render_json", "findings_from_payload",
-    "JSON_VERSION",
-]
+__all__ = ["render_human", "render_json", "JSON_VERSION"]
 
 JSON_VERSION = 2
-
-#: Versions :func:`findings_from_payload` understands.
-READABLE_VERSIONS = (JSON_VERSION,)
 
 
 def render_human(result: LintResult, verbose: bool = False) -> str:
@@ -73,32 +63,3 @@ def to_dict(result: LintResult) -> Dict[str, object]:
 
 def render_json(result: LintResult) -> str:
     return json.dumps(to_dict(result), indent=2, sort_keys=True)
-
-
-def findings_from_payload(
-    payload: Mapping[str, Any],
-) -> List[Finding]:
-    """Reconstruct the active findings from a parsed JSON report.
-
-    Any version outside :data:`READABLE_VERSIONS` raises
-    ``ValueError`` rather than silently dropping fields the caller
-    might depend on.
-    """
-    version = payload.get("version")
-    if version not in READABLE_VERSIONS:
-        raise ValueError(
-            f"unsupported lint report version {version!r}; "
-            f"readable: {READABLE_VERSIONS}"
-        )
-    out: List[Finding] = []
-    for raw in payload.get("findings", []):
-        out.append(Finding(
-            rule=raw["rule"],
-            severity=raw["severity"],
-            path=raw["path"],
-            line=raw["line"],
-            col=raw["col"],
-            message=raw["message"],
-            witness=tuple(raw["witness"]),
-        ))
-    return out

@@ -14,7 +14,6 @@ configuration.
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -137,10 +136,3 @@ def _is_suppressed(project: Project, finding: Finding,
     if module is None:
         return False
     return module.suppressed(finding.rule, finding.line)
-
-
-def parse_snippet(source: str, relpath: str = "snippet.py") -> ModuleInfo:
-    """Build a :class:`ModuleInfo` from an in-memory source string
-    (test helper — fixtures need no real files)."""
-    tree = ast.parse(source)
-    return ModuleInfo(Path("/" + relpath), relpath, source, tree)

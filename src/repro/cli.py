@@ -8,26 +8,21 @@ Subcommands:
 - ``tix query -q QUERY --doc name=path …`` — run an extended-XQuery
   query against XML files loaded into a fresh store (``-f FILE`` reads
   the query from a file).
-- ``tix explain -q QUERY --doc name=path …`` — show the compiled
-  pipelined plan for a compilable query, each operator annotated with
-  its estimated cardinality (``est_rows``, from the statistics
-  catalog).  ``--analyze`` executes the plan and shows estimated vs
-  actual rows with the per-operator q-error; ``--json`` emits the
-  plan tree (estimates, actuals, timings) as JSON.
-- ``tix profile -q QUERY --doc name=path …`` — execute the query under
-  the observability collector and print an EXPLAIN ANALYZE tree with
-  per-operator time/rows/loops and access-method counters, phase span
-  timings, and the metrics registry (``--json`` for machine-readable
-  output, ``--trace-out FILE`` for a Chrome trace).
-- ``tix query --analyze`` — run a query and append the EXPLAIN ANALYZE
-  tree to the normal output.
+- ``tix query --analyze`` — the one local way to run and inspect a
+  query: the results, then EXPLAIN ANALYZE (or the compiler's reason
+  for the evaluator fallback), phase spans, store counter deltas and
+  metrics; ``--json`` prints the report as JSON, ``--trace-out FILE``
+  writes a Chrome trace.
 - ``tix query --timeout MS --max-rows N [--degrade]`` — run under a
   resource guard (see ``docs/robustness.md``): strict mode exits with
   status 3 on a trip, ``--degrade`` prints the partial results flagged
-  truncated instead; combined with ``--analyze`` the metrics report
-  (including the ``guard.*`` counters) is appended to the output.
+  truncated instead; combined with ``--analyze`` the ``guard.*``
+  counters land in the report's metrics.
   ``--store-partial`` loads a damaged ``--store`` directory best-effort,
   reporting skipped documents on stderr.
+- ``tix explain -q QUERY --doc name=path …`` — compile, not run: the
+  plan with each operator's estimated cardinality (``est_rows``, from
+  the statistics catalog); ``--json`` emits the plan tree as JSON.
 - ``tix batch -q Q -q Q … | -f FILE`` — run many queries concurrently
   over one shared store (``repro.perf.execute_batch``): per-query
   ``--timeout``/``--max-rows`` guards with ``--no-degrade`` for strict
@@ -197,6 +192,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
     the served pipeline."""
     from repro.query import run_query
 
+    if (args.json or args.trace_out) and not args.analyze:
+        args.error("--json and --trace-out need --analyze")
     store = _load_store(args.doc or [], args.store,
                         partial=args.store_partial)
     guarded = (args.timeout is not None or args.max_rows is not None
@@ -213,13 +210,14 @@ def _query_pipeline(store, source: str, args: argparse.Namespace,
 
     Strict mode exits with status 3 on a guard trip; degrade mode
     prints the partial results with a truncation notice.  ``--analyze``
-    runs under a collector and appends the EXPLAIN ANALYZE tree (phase
-    timings when the query is not compilable), plus the metrics report
-    — where the ``guard.*`` counters land — on a guarded run."""
+    runs the query under a collector inside a ``query`` root span and
+    follows the results with :func:`_render_analysis` (``--json``
+    prints the report as JSON instead; ``--trace-out`` writes the
+    spans as a Chrome trace)."""
     from contextlib import nullcontext
 
     from repro import obs
-    from repro.engine.base import explain
+    from repro.engine.base import plan_stats
     from repro.errors import QueryAbortedError
     from repro.resilience import NullGuard, QueryGuard, run_query_guarded
 
@@ -227,48 +225,76 @@ def _query_pipeline(store, source: str, args: argparse.Namespace,
         timeout_ms=args.timeout, max_rows=args.max_rows,
         degrade=args.degrade,
     ) if guarded else NullGuard()
-    try:
-        with (obs.collecting() if args.analyze
-              else nullcontext()) as collector:
-            res = run_query_guarded(store, source, guard)
-    except QueryAbortedError as exc:
-        print(f"query aborted: {exc}", file=sys.stderr)
-        if collector is not None:
-            print(collector.metrics.render(), file=sys.stderr)
-        return 3
-    _print_results(res.results, args.scores, res.truncated, res.reason)
-    if collector is not None:
-        print()
-        if res.plan is not None:
-            print("EXPLAIN ANALYZE")
-            print(explain(res.plan, analyze=True))
-        else:
-            print("plan: not compilable (evaluator fallback)")
-            for span in collector.tracer.roots:
-                print(f"  {span.name}: {span.duration_ms:.3f}ms")
-        if guarded:
-            print()
-            print(collector.metrics.render())
-    return 0
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.obs.profile import profile_query
-
-    store = _load_store(args.doc or [], args.store)
-    report = profile_query(store, _read_query(args))
+    before = store.counters.snapshot()
+    with (obs.collecting() if args.analyze
+          else nullcontext()) as collector:
+        try:
+            with obs.RECORDER.span("query"):
+                res = run_query_guarded(store, source, guard)
+        except QueryAbortedError as exc:
+            print(f"query aborted: {exc}", file=sys.stderr)
+            if collector is not None:
+                print(collector.metrics.render(), file=sys.stderr)
+            return 3
+        store.counters.publish()
+    if not args.json:
+        _print_results(res.results, args.scores, res.truncated, res.reason)
+    if collector is None:
+        return 0
+    counters = {k: v - before[k]
+                for k, v in store.counters.snapshot().items()}
     if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        print(json.dumps({
+            "query": source,
+            "compiled": res.plan is not None,
+            "compile_error": res.compile_error or None,
+            "n_results": res.n_results,
+            "truncated": res.truncated,
+            "reason": res.reason,
+            "plan": plan_stats(res.plan) if res.plan is not None else None,
+            "metrics": collector.metrics.snapshot(),
+            "trace": collector.tracer.to_dict(),
+            "store_counters": counters,
+        }, indent=2, sort_keys=True))
     else:
-        print(report.render())
+        print()
+        print(_render_analysis(res, collector, counters))
     if args.trace_out:
-        report.write_chrome_trace(args.trace_out)
+        with open(args.trace_out, "w", encoding="utf-8") as f:
+            json.dump(collector.tracer.to_chrome_trace(), f, indent=2)
         if not args.json:
             print(f"chrome trace written to {args.trace_out}")
     return 0
 
 
+def _render_analysis(res, collector, counters) -> str:
+    """The ``--analyze`` report: EXPLAIN ANALYZE tree (or the compiler's
+    reason for the evaluator fallback), phase spans, store counter
+    deltas, metrics."""
+    from repro.engine.base import explain
+    from repro.obs.trace import render_span_tree
+
+    if res.plan is not None:
+        lines = ["EXPLAIN ANALYZE", explain(res.plan, analyze=True)]
+    else:
+        lines = ["plan: not compilable (evaluator fallback)"
+                 + (f" — {res.compile_error}" if res.compile_error
+                    else "")]
+    lines += ["", "phases:"]
+    for span in collector.tracer.to_dict()["spans"]:
+        lines += render_span_tree(span, 1, max_depth=3)
+    lines += ["", "store counters (logical I/O):"]
+    lines += [f"  {name}: {counters[name]}" for name in sorted(counters)]
+    metrics_text = collector.metrics.render()
+    if metrics_text:
+        lines += ["", "metrics:"]
+        lines += ["  " + ln for ln in metrics_text.splitlines()]
+    return "\n".join(lines)
+
+
 def _cmd_explain(args: argparse.Namespace) -> int:
+    """Compile only: the plan with its estimates, before execution
+    (``tix query --analyze`` runs the query and adds the actuals)."""
     from repro.engine.base import explain, plan_stats
     from repro.errors import QueryCompileError
     from repro.query import parse_query
@@ -280,18 +306,10 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     except QueryCompileError as exc:
         print(f"not compilable: {exc}", file=sys.stderr)
         return 2
-    if args.analyze:
-        from repro import obs
-        from repro.engine.base import execute
-        from repro.plan.estimate import publish_qerrors
-
-        with obs.collecting():
-            execute(plan)
-            publish_qerrors(plan)
     if args.json:
         print(json.dumps(plan_stats(plan), indent=2, sort_keys=True))
     else:
-        print(explain(plan, analyze=args.analyze))
+        print(explain(plan))
     return 0
 
 
@@ -505,9 +523,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # gauges (index.n_terms, …) are populated before the first stats.
     store.index
     store.structure
+    # One answer cache: the warmup fills the one the server answers from.
+    cache = None if args.no_query_cache else QueryCache(store)
     if args.query or args.file:
         queries = _read_batch_queries(args)
-        warm = execute_batch(store, queries, cache=QueryCache(store))
+        warm = execute_batch(store, queries, cache=cache)
         print(f"warmup: {warm.n_queries} queries, "
               f"{warm.n_failed} failed", file=sys.stderr)
     tstore = TraceStore(
@@ -520,7 +540,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_inflight=args.max_inflight,
         queue_timeout_ms=args.queue_timeout_ms,
         max_timeout_ms=args.max_timeout,
-        cache=None if args.no_query_cache else QueryCache(store),
+        cache=cache,
         trace_store=tstore,
     )
     server.start()
@@ -917,7 +937,14 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--scores", action="store_true",
                    help="serialize node scores as attributes")
     q.add_argument("--analyze", action="store_true",
-                   help="also print the EXPLAIN ANALYZE tree")
+                   help="also print the EXPLAIN ANALYZE tree, phase "
+                        "spans, store counters and metrics")
+    q.add_argument("--json", action="store_true",
+                   help="with --analyze: print the report as JSON "
+                        "instead")
+    q.add_argument("--trace-out", metavar="FILE",
+                   help="with --analyze: write a Chrome trace "
+                        "(chrome://tracing) to FILE")
     q.add_argument("--timeout", type=float, metavar="MS",
                    help="wall-clock deadline in milliseconds; exceeding "
                         "it aborts the query (exit status 3) unless "
@@ -931,23 +958,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--store-partial", action="store_true",
                    help="with --store: skip corrupt/missing documents "
                         "(reported on stderr) instead of failing")
-    q.set_defaults(fn=_cmd_query)
-
-    p = sub.add_parser(
-        "profile",
-        help="execute a query under the observability collector and "
-             "print EXPLAIN ANALYZE + metrics",
-    )
-    p.add_argument("-q", "--query", help="query text")
-    p.add_argument("-f", "--file", help="file containing the query")
-    p.add_argument("--doc", action="append",
-                   help="load a document: name=path (repeatable)")
-    p.add_argument("--store", help="load a saved store directory")
-    p.add_argument("--json", action="store_true",
-                   help="emit the full report as JSON")
-    p.add_argument("--trace-out", metavar="FILE",
-                   help="write a Chrome trace (chrome://tracing) to FILE")
-    p.set_defaults(fn=_cmd_profile)
+    q.set_defaults(fn=_cmd_query, error=q.error)
 
     e = sub.add_parser("explain", help="show the compiled plan with "
                                        "cardinality estimates")
@@ -956,12 +967,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--doc", action="append",
                    help="load a document: name=path (repeatable)")
     e.add_argument("--store", help="load a saved store directory")
-    e.add_argument("--analyze", action="store_true",
-                   help="execute the plan and show estimated vs actual "
-                        "rows with per-operator q-error")
     e.add_argument("--json", action="store_true",
-                   help="emit the plan tree (est_rows, rows, q_error, "
-                        "timings) as JSON")
+                   help="emit the plan tree with its estimates as JSON")
     e.set_defaults(fn=_cmd_explain)
 
     s = sub.add_parser("save", help="persist documents as a store dir")

@@ -17,9 +17,10 @@ context manager) flips ``enabled`` and routes everything into a fresh
 :class:`~repro.obs.trace.Tracer`::
 
     from repro import obs
+    from repro.resilience import run_query_guarded
 
     with obs.collecting() as col:
-        results = execute(plan)
+        res = run_query_guarded(store, source)
     print(col.metrics.render())
     json.dump(col.tracer.to_chrome_trace(), open("trace.json", "w"))
 

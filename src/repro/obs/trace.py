@@ -26,11 +26,11 @@ and both views are rendered from it, once each:
 format — load it at ``chrome://tracing`` or https://ui.perfetto.dev;
 each thread renders as its own timeline row via the ``tid`` field) and
 :func:`render_span_tree` (indented text with per-span self time, for
-``tix trace`` and ``tix profile``).  The exports are **snapshot-safe**:
-a span still open when the export runs (an in-flight query) renders as
-a well-formed partial span whose duration extends to the snapshot
-instant and whose record is flagged ``open`` — never a zero-duration
-event, never an exception.
+``tix trace`` and ``tix query --analyze``).  The exports are
+**snapshot-safe**: a span still open when the export runs (an
+in-flight query) renders as a well-formed partial span whose duration
+extends to the snapshot instant and whose record is flagged ``open`` —
+never a zero-duration event, never an exception.
 
 :meth:`Tracer.detach` removes a finished root span (and its subtree)
 from the tracer's accounting — the distributed-tracing layer hands

@@ -30,7 +30,7 @@ from repro.query.functions import (
 )
 from repro.query.parser import parse_query
 from repro.query.evaluator import evaluate_query, run_query
-from repro.query.compiler import compile_query, explain_query
+from repro.query.compiler import compile_query
 
 __all__ = [
     "Query",
@@ -41,5 +41,4 @@ __all__ = [
     "evaluate_query",
     "run_query",
     "compile_query",
-    "explain_query",
 ]

@@ -52,7 +52,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.access.phrasejoin import PhraseJoin
 from repro.access.termjoin import TermJoin
 from repro.core.trees import STree, snode_from_document
-from repro.engine.base import Operator, execute, explain
+from repro.engine.base import Operator
 from repro.engine.operators import (
     Limit,
     Materialize,
@@ -322,20 +322,3 @@ def _prefix_regions(store: XMLStore, doc_name: str, prefix_steps: tuple,
         at_document_node = False
     return [(doc.doc_id, doc.starts[n], doc.ends[n]) for n in items]
 
-
-def explain_query(store: XMLStore, query: Query,
-                  registry: Optional[FunctionRegistry] = None) -> str:
-    """Compile and render the physical plan (without executing)."""
-    plan = compile_query(store, query, registry)
-    return explain(plan)
-
-
-def run_compiled(store: XMLStore, query: Query,
-                 registry: Optional[FunctionRegistry] = None,
-                 ) -> List[STree]:
-    """Compile and execute, returning ranked scored subtrees."""
-    from repro import obs
-
-    plan = compile_query(store, query, registry)
-    with obs.RECORDER.span("execute"):
-        return execute(plan)

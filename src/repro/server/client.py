@@ -11,7 +11,7 @@ the typed exception a received error envelope stands for
 :class:`PooledClient` multiplexes callers over a bounded pool:
 
 - **health-checked checkout** — a connection idle longer than
-  ``health_check_idle_s`` is pinged before reuse; a stale one is
+  :data:`HEALTH_CHECK_IDLE_S` is pinged before reuse; a stale one is
   discarded and replaced rather than handed to the caller;
 - **retry with decorrelated jitter** — transient transport failures
   (connect refused/reset, peer closed mid-call) retry on a *fresh*
@@ -68,6 +68,9 @@ __all__ = [
 
 #: Transport-level failures worth retrying on a fresh connection.
 _TRANSIENT = (ConnectionError, socket.timeout, OSError)
+
+#: Seconds a pooled connection may sit idle before checkout pings it.
+HEALTH_CHECK_IDLE_S = 30.0
 
 
 class RemoteRow:
@@ -242,8 +245,6 @@ class PooledClient:
         envelope between attempts;
     :param breaker_threshold / breaker_cooldown_s: circuit breaker on
         consecutive *connect* failures;
-    :param health_check_idle_s: ping a pooled connection idle longer
-        than this before reuse;
     :param trace: mint and propagate a trace context per logical call
         (off → frames look exactly like an old client's);
     :param seed: seeds the jitter RNG (chaos-suite reproducibility).
@@ -257,7 +258,6 @@ class PooledClient:
                  retry_max_s: float = 0.25,
                  breaker_threshold: int = 5,
                  breaker_cooldown_s: float = 1.0,
-                 health_check_idle_s: float = 30.0,
                  max_frame_bytes: int = MAX_FRAME_BYTES,
                  trace: bool = True,
                  seed: Optional[int] = None) -> None:
@@ -272,7 +272,6 @@ class PooledClient:
         self.retries = retries
         self.retry_base_s = retry_base_s
         self.retry_max_s = retry_max_s
-        self.health_check_idle_s = health_check_idle_s
         self.max_frame_bytes = max_frame_bytes
         self.breaker = CircuitBreaker(
             threshold=breaker_threshold, cooldown_s=breaker_cooldown_s)
@@ -317,7 +316,7 @@ class PooledClient:
                 conn = self._idle.pop() if self._idle else None
             if conn is None:
                 return self._connect()
-            if monotonic() - conn.last_used <= self.health_check_idle_s:
+            if monotonic() - conn.last_used <= HEALTH_CHECK_IDLE_S:
                 return conn
             if conn.ping(timeout_s=self.connect_timeout_s):
                 return conn

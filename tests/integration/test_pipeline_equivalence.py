@@ -8,7 +8,7 @@ from repro.core.scoring import WeightedCountScorer
 from repro.engine import Sort, TermJoinScan, execute
 from repro.exampledata import example_store
 from repro.query import parse_query, run_query
-from repro.query.compiler import run_compiled
+from repro.query.compiler import compile_query
 from repro.workload import CorpusSpec, generate_corpus
 
 
@@ -28,15 +28,14 @@ class TestCompiledVsEvaluator:
 
     def test_same_scores(self, store):
         ev = sorted(t.score for t in run_query(store, self.QUERY))
-        comp = sorted(
-            t.score for t in run_compiled(store, parse_query(self.QUERY))
-        )
+        plan = compile_query(store, parse_query(self.QUERY))
+        comp = sorted(t.score for t in execute(plan))
         assert comp == pytest.approx(ev)
 
     def test_same_elements(self, store):
         ev = run_query(store, self.QUERY)
         ev_tags = sorted(t.root.children[1].tag for t in ev)
-        comp = run_compiled(store, parse_query(self.QUERY))
+        comp = execute(compile_query(store, parse_query(self.QUERY)))
         comp_tags = sorted(t.root.tag for t in comp)
         assert comp_tags == ev_tags
 

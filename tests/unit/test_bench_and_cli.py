@@ -112,10 +112,11 @@ class TestCLI:
         assert "(est_rows=1)" in out  # 'queries' appears once
 
     def test_explain_analyze(self, tmp_path, capsys):
+        # EXPLAIN ANALYZE comes from the one pipeline: ``query --analyze``
         doc = tmp_path / "a.xml"
         doc.write_text("<a><b>hello queries</b></a>")
         rc = main([
-            "explain", "--doc", f"a.xml={doc}", "-q", self.EXPLAINABLE,
+            "query", "--doc", f"a.xml={doc}", "-q", self.EXPLAINABLE,
             "--analyze",
         ])
         assert rc == 0
@@ -124,19 +125,25 @@ class TestCLI:
         assert "time=" in out
 
     def test_explain_json(self, tmp_path, capsys):
-        import json as _json
-
         doc = tmp_path / "a.xml"
         doc.write_text("<a><b>hello queries</b></a>")
         rc = main([
-            "explain", "--doc", f"a.xml={doc}", "-q", self.EXPLAINABLE,
+            "query", "--doc", f"a.xml={doc}", "-q", self.EXPLAINABLE,
             "--analyze", "--json",
         ])
         assert rc == 0
-        tree = _json.loads(capsys.readouterr().out)
+        tree = json.loads(capsys.readouterr().out)["plan"]
         assert tree["est_rows"] is not None
         assert tree["q_error"] >= 1.0
         assert tree["children"]
+        # ``tix explain --json`` is the same tree before execution
+        assert main([
+            "explain", "--doc", f"a.xml={doc}", "-q", self.EXPLAINABLE,
+            "--json",
+        ]) == 0
+        before = json.loads(capsys.readouterr().out)
+        assert before["est_rows"] == tree["est_rows"]
+        assert before["rows"] == 0          # not executed
 
     def test_stats_serves_from_catalog(self, tmp_path, capsys):
         doc = tmp_path / "a.xml"
@@ -169,7 +176,7 @@ class TestCLI:
         assert "query aborted" in captured.err
         assert "guard.trips.rows: 1" in captured.err
 
-    @pytest.mark.parametrize("command", ["query", "explain", "profile"])
+    @pytest.mark.parametrize("command", ["query", "explain"])
     def test_no_planner_flags(self, command, capsys):
         # one fixed plan per compiled query: nothing to choose or force
         with pytest.raises(SystemExit):
@@ -202,6 +209,37 @@ class TestCLI:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.splitlines()[-1].endswith(message)
         assert not (tmp_path / "audit.jsonl").exists()
+
+    def test_serve_warmup_fills_the_cache_it_serves_from(self, tmp_path,
+                                                         capsys):
+        # ``tix serve -q Q`` used to warm a cache the server never saw,
+        # so the first served copy of a warm query missed.
+        doc = tmp_path / "a.xml"
+        doc.write_text("<a><b>hello queries</b><c>more queries</c></a>")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--doc", f"a.xml={doc}", "-q", self.EXPLAINABLE],
+            cwd=tmp_path, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        try:
+            line = ""
+            while not line.startswith("serving on"):
+                line = proc.stderr.readline()
+                assert line, "server exited before serving"
+            port = line.split()[2].rsplit(":", 1)[1]
+            client = ["client", "--port", port]
+            assert main([*client, "-q", self.EXPLAINABLE]) == 0
+            assert "(3 results" in capsys.readouterr().out
+            assert main([*client, "--stats"]) == 0
+            metrics = json.loads(capsys.readouterr().out)["metrics"]
+            assert metrics["batch.queries"] >= 1
+            assert metrics.get("cache.result.hits", 0) == 1
+        finally:
+            proc.terminate()
+            assert proc.wait(timeout=60) == 0
+            proc.stderr.close()
 
     def test_bench_profile_prints_each_cell(self, capsys):
         assert main(["bench", "table5", "--scale", "0.02", "--runs", "1",

@@ -14,7 +14,6 @@ import pytest
 from repro.analysis import (
     JSON_VERSION,
     default_root,
-    findings_from_payload,
     lint,
     render_human,
     render_json,
@@ -113,24 +112,6 @@ def test_json_report_schema(tmp_path):
     assert finding["path"] == "repro/xmldb/io.py"
     assert finding["line"] >= 1 and finding["col"] >= 1
     assert finding["witness"] == []
-
-
-def test_report_reader_reads_the_current_version_only(tmp_path):
-    root = write_tree(tmp_path, _BAD_TREE)
-    result = lint(root=root, rules=["resource-safety"])
-    current = json.loads(render_json(result))
-    (finding,) = findings_from_payload(current)
-    assert finding.rule == "resource-safety"
-    assert finding.witness == ()
-    # An archived v1 report (no witness field) and a future one are
-    # both rejected with the same typed error.
-    v1 = json.loads(render_json(result))
-    v1["version"] = 1
-    for f in v1["findings"]:
-        del f["witness"]
-    for payload in (v1, {"version": 99, "findings": []}):
-        with pytest.raises(ValueError, match="unsupported"):
-            findings_from_payload(payload)
 
 
 def test_human_report_summary_line(tmp_path):

@@ -67,12 +67,18 @@ def test_no_module_checks_plans_out_of_the_cache():
 
 def test_compile_query_is_called_only_by_the_pipeline():
     # Every answer miss compiles afresh in the pipeline; besides it only
-    # the compiler's explain helpers, ``tix explain`` and the harness
-    # shim compile.
+    # ``tix explain`` (estimates, never executed) and the harness shim
+    # compile.
     assert callers_of("compile_query") == {
-        PIPELINE, os.path.join("query", "compiler.py"), "cli.py",
-        os.path.join("perf", "querycache.py"),
+        PIPELINE, "cli.py", os.path.join("perf", "querycache.py"),
     }
+
+
+def test_no_module_outside_the_pipeline_executes_a_plan():
+    # Plans run only through ``execute_guarded`` in the pipeline, under
+    # its guard, request record and cache; ``engine.execute`` is left
+    # for tests and ablations that drive an operator tree by hand.
+    assert callers_of("execute") == set()
 
 
 def test_query_cache_holds_tiers_and_runs_nothing():

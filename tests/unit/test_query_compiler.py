@@ -5,7 +5,8 @@ import pytest
 
 from repro.errors import QueryCompileError
 from repro.query import parse_query, run_query
-from repro.query.compiler import compile_query, explain_query, run_compiled
+from repro.engine import execute, explain
+from repro.query.compiler import compile_query
 from repro.xmldb.store import XMLStore
 
 
@@ -34,7 +35,7 @@ Threshold $a/@score > 0.5 stop after 3
 
 class TestCompilation:
     def test_compiles_and_explains(self, store):
-        text = explain_query(store, parse_query(COMPILABLE))
+        text = explain(compile_query(store, parse_query(COMPILABLE)))
         assert "termjoin-scan" in text
         assert "structural-filter" in text
         assert "top-k(3)" in text  # Sortby + stop-after fuse to a heap
@@ -42,7 +43,7 @@ class TestCompilation:
     def test_matches_evaluator(self, store):
         ev = run_query(store, COMPILABLE)
         ev_scores = sorted(t.score for t in ev)
-        comp = run_compiled(store, parse_query(COMPILABLE))
+        comp = execute(compile_query(store, parse_query(COMPILABLE)))
         comp_scores = sorted(t.score for t in comp)
         assert ev_scores == pytest.approx(comp_scores)
         assert len(comp) == len(ev)
@@ -55,7 +56,7 @@ class TestCompilation:
         Sortby(score)
         Threshold $a/@score > 0 stop after 10
         '''
-        comp = run_compiled(store, parse_query(query))
+        comp = execute(compile_query(store, parse_query(query)))
         # 'ranking' appears only under the second shelf
         doc = store.document("d.xml")
         for t in comp:
@@ -66,7 +67,7 @@ class TestCompilation:
             assert "shelf" in anc_tags or doc.tags[nid] == "shelf"
 
     def test_materializes_subtrees(self, store):
-        comp = run_compiled(store, parse_query(COMPILABLE))
+        comp = execute(compile_query(store, parse_query(COMPILABLE)))
         assert any(t.n_nodes() > 1 for t in comp)
 
 
@@ -157,22 +158,22 @@ class TestRejections:
 
     def test_multiword_phrase_uses_phrasejoin(self, store):
         # multi-word phrases lower onto PhraseJoin instead of TermJoin
-        text = explain_query(store, parse_query('''
+        text = explain(compile_query(store, parse_query('''
             For $a in document("d.xml")//shelf/descendant-or-self::*
             Score $a using ScoreFooExact($a, {"relational databases"})
             Return $a
             Sortby(score)
-        '''))
+        ''')))
         assert "PhraseJoin" in text
 
     def test_multiword_phrase_results(self, store):
-        comp = run_compiled(store, parse_query('''
+        comp = execute(compile_query(store, parse_query('''
             For $a in document("d.xml")//shelf/descendant-or-self::*
             Score $a using ScoreFooExact($a, {"relational databases"})
             Return $a
             Sortby(score)
             Threshold $a/@score > 0 stop after 5
-        '''))
+        ''')))
         assert comp
         # only the db shelf's subtree contains the phrase
         tags = sorted(t.root.tag for t in comp)
