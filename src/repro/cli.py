@@ -213,7 +213,10 @@ def _query_pipeline(store, source: str, args: argparse.Namespace,
     runs the query under a collector inside a ``query`` root span and
     follows the results with :func:`_render_analysis` (``--json``
     prints the report as JSON instead; ``--trace-out`` writes the
-    spans as a Chrome trace)."""
+    spans as a Chrome trace).  A strict trip under ``--analyze`` prints
+    the metrics to stderr, or with ``--json`` a report on stdout that
+    names the abort (``aborted``, ``n_results`` 0, metrics, trace and
+    store counters)."""
     from contextlib import nullcontext
 
     from repro import obs
@@ -226,6 +229,7 @@ def _query_pipeline(store, source: str, args: argparse.Namespace,
         degrade=args.degrade,
     ) if guarded else NullGuard()
     before = store.counters.snapshot()
+    rc, aborted = 0, None
     with (obs.collecting() if args.analyze
           else nullcontext()) as collector:
         try:
@@ -233,38 +237,44 @@ def _query_pipeline(store, source: str, args: argparse.Namespace,
                 res = run_query_guarded(store, source, guard)
         except QueryAbortedError as exc:
             print(f"query aborted: {exc}", file=sys.stderr)
-            if collector is not None:
-                print(collector.metrics.render(), file=sys.stderr)
-            return 3
+            rc, aborted = 3, str(exc)
         store.counters.publish()
-    if not args.json:
+    if aborted is None and not args.json:
         _print_results(res.results, args.scores, res.truncated, res.reason)
     if collector is None:
-        return 0
+        return rc
     counters = {k: v - before[k]
                 for k, v in store.counters.snapshot().items()}
     if args.json:
-        print(json.dumps({
+        report = {
             "query": source,
-            "compiled": res.plan is not None,
-            "compile_error": res.compile_error or None,
-            "n_results": res.n_results,
-            "truncated": res.truncated,
-            "reason": res.reason,
-            "plan": plan_stats(res.plan) if res.plan is not None else None,
             "metrics": collector.metrics.snapshot(),
             "trace": collector.tracer.to_dict(),
             "store_counters": counters,
-        }, indent=2, sort_keys=True))
-    else:
+        }
+        if aborted is None:
+            report.update(
+                compiled=res.plan is not None,
+                compile_error=res.compile_error or None,
+                n_results=res.n_results,
+                truncated=res.truncated,
+                reason=res.reason,
+                plan=plan_stats(res.plan) if res.plan is not None else None,
+            )
+        else:
+            report.update(aborted=aborted, n_results=0)
+        print(json.dumps(report, indent=2, sort_keys=True))
+    elif aborted is None:
         print()
         print(_render_analysis(res, collector, counters))
+    else:
+        print(collector.metrics.render(), file=sys.stderr)
     if args.trace_out:
         with open(args.trace_out, "w", encoding="utf-8") as f:
             json.dump(collector.tracer.to_chrome_trace(), f, indent=2)
         if not args.json:
             print(f"chrome trace written to {args.trace_out}")
-    return 0
+    return rc
 
 
 def _render_analysis(res, collector, counters) -> str:

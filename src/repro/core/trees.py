@@ -10,8 +10,11 @@ preorder numbering used to rebuild hierarchical relationships among
 arbitrary node subsets (witness-tree construction in selection and
 projection).  :class:`StoredTree` is the compiled engine's row: a scored
 reference to a stored node that builds its :class:`SNode` tree only when
-``root`` is read, and otherwise writes its XML straight from the
-document columns (the column twin of :meth:`SNode.to_xml`).
+``root`` is read, and otherwise answers :meth:`~STree.to_xml` with a
+slice of its document's canonical XML image
+(:meth:`~repro.xmldb.document.Document.image`, written once per
+document in :meth:`SNode.to_xml`'s form), re-writing only the start tag
+when a score is spliced in.
 
 Nodes remember their provenance: ``source = (doc_id, node_id)`` when the
 node mirrors a stored element, or ``None`` for constructed nodes such as
@@ -23,7 +26,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.xmldb.document import Document
-from repro.xmldb.text import escape_attr, escape_text, tokenize_text
+from repro.xmldb.text import attr_string, escape_text, tokenize_text
 
 
 class SNode:
@@ -145,9 +148,7 @@ class SNode:
         attrs = dict(self.attrs)
         if with_scores and self.score is not None:
             attrs["score"] = f"{self.score:g}"
-        attr_str = "".join(
-            f' {k}="{escape_attr(str(v))}"' for k, v in attrs.items()
-        )
+        attr_str = attr_string(attrs)
         if not self.children and not self.words:
             out.append(f"<{self.tag}{attr_str}/>")
             return
@@ -180,44 +181,24 @@ class SNode:
 
 def _stored_to_xml(doc: Document, node_id: int, full: bool,
                    score: Optional[float]) -> str:
-    """Write stored node ``node_id`` from the document columns, byte for
-    byte what :meth:`SNode.to_xml` writes for the tree a
-    :class:`StoredTree` builds: only the node's tag and attributes unless
-    ``full``, else the whole subtree with each element's direct words
-    before its children.  A ``score`` is spliced into the root's
-    attributes the way ``_to_xml`` does it (an existing ``score``
-    attribute keeps its position)."""
-    tags, levels, all_attrs = doc.tags, doc.levels, doc.attrs
-    last = doc.last_descendant(node_id) if full else node_id
-    out: List[str] = []
-    open_ids: List[int] = []
-    for nid in range(node_id, last + 1):
-        level = levels[nid]
-        while open_ids and levels[open_ids[-1]] >= level:
-            out.append(f"</{tags[open_ids.pop()]}>")
-        attrs = all_attrs.get(nid)
-        if score is not None and nid == node_id:
-            attrs = dict(attrs or {})
-            attrs["score"] = f"{score:g}"
-        attr_str = "".join(
-            f' {k}="{escape_attr(str(v))}"' for k, v in attrs.items()
-        ) if attrs else ""
-        tag = tags[nid]
-        words = doc.direct_words(nid) if full else None
-        has_children = full and doc.n_children(nid) > 0
-        if not has_children and not words:
-            out.append(f"<{tag}{attr_str}/>")
-            continue
-        out.append(f"<{tag}{attr_str}>")
-        if words:
-            out.append(escape_text(" ".join(words)))
-        if has_children:
-            open_ids.append(nid)
-        else:
-            out.append(f"</{tag}>")
-    while open_ids:
-        out.append(f"</{tags[open_ids.pop()]}>")
-    return "".join(out)
+    """Slice stored node ``node_id`` out of its document's image
+    (:meth:`~repro.xmldb.document.Document.image`), byte for byte what
+    :meth:`SNode.to_xml` writes for the tree a :class:`StoredTree`
+    builds: only the node's start tag, closed with ``/>``, unless
+    ``full``, else its whole substring.  With a ``score`` only the start
+    tag is written afresh, the score spliced into its attributes the
+    way ``_to_xml`` does it (an existing ``score`` attribute keeps its
+    position)."""
+    text, start, open_end, end = doc.image()
+    if score is None:
+        if full:
+            return text[start[node_id]:end[node_id]]
+        head = text[start[node_id]:open_end[node_id]]
+    else:
+        attrs = dict(doc.attrs.get(node_id) or {})
+        attrs["score"] = f"{score:g}"
+        head = f"<{doc.tags[node_id]}{attr_string(attrs)}"
+    return head + (text[open_end[node_id]:end[node_id]] if full else "/>")
 
 
 def _number_preorder(root: SNode) -> None:
@@ -292,7 +273,8 @@ class StoredTree(STree):
     :meth:`~repro.xmldb.store.XMLStore.remove_document` renumbers
     ``doc.doc_id`` in place.  The :class:`SNode` tree is built on the
     first read of :attr:`root` (idempotently: a racing build publishes
-    an equal tree); until then :meth:`to_xml` writes from the columns."""
+    an equal tree); until then :meth:`to_xml` slices the document's
+    image."""
 
     __slots__ = ("doc", "node_id", "full", "_score", "_source", "_root")
 

@@ -235,7 +235,8 @@ def execute(plan: Operator) -> List[STree]:
 
 def explain(plan: Operator, analyze: bool = False) -> str:
     """Render the plan tree, one operator per line, with row counts from
-    the most recent execution (a formatting of :func:`plan_stats`).
+    the most recent execution (a formatting of :func:`plan_stats`); an
+    operator that never ran shows no row count.
 
     Plans annotated by the estimator additionally show
     ``(est_rows=N)`` per line; with ``analyze=True`` the estimate moves
@@ -254,18 +255,23 @@ def explain(plan: Operator, analyze: bool = False) -> str:
     lines: List[str] = []
 
     def walk(node: Dict[str, Any], depth: int) -> None:
-        est = node["est_rows"]
+        est, rows = node["est_rows"], node["rows"]
         if analyze:
-            parts = [f"time={node['time_ms']:.3f}ms", f"rows={node['rows']}"]
+            parts = [f"time={node['time_ms']:.3f}ms"]
+            if rows is not None:
+                parts.append(f"rows={rows}")
             if est is not None:
                 parts.append(f"est_rows={est:.0f}")
+            if node["q_error"] is not None:
                 parts.append(f"q_error={node['q_error']:.2f}")
             parts.append(f"loops={node['loops']}")
             counters = node["counters"]
             parts += [f"{key}={counters[key]}" for key in sorted(counters)]
             line = f"{node['describe']} [{' '.join(parts)}]"
         else:
-            line = f"{node['describe']} [rows={node['rows']}]"
+            line = node["describe"]
+            if rows is not None:
+                line += f" [rows={rows}]"
             if est is not None:
                 line += f" (est_rows={est:.0f})"
         lines.append("  " * depth + line)
@@ -281,13 +287,16 @@ def _node_stats(op: Operator) -> Dict[str, Any]:
     st = op.stats
     child_ns = sum(c.stats.total_ns for c in op.children)
     est = op.est_rows
+    # A never-opened operator has no actuals (loops count only under a
+    # collector, so the lifecycle state is what tells "never ran").
+    rows = None if op._state is _NEW else op.rows_out
     return {
         "operator": op.name,
         "describe": op.describe(),
-        "rows": op.rows_out,
+        "rows": rows,
         "est_rows": est,
-        "q_error": (qerror(est, op.rows_out)
-                    if est is not None else None),
+        "q_error": (qerror(est, rows)
+                    if est is not None and rows is not None else None),
         "loops": st.loops,
         "time_ms": st.total_ns / 1e6,
         "self_time_ms": max(0, st.total_ns - child_ns) / 1e6,
@@ -303,9 +312,11 @@ def plan_stats(plan: Operator) -> Dict[str, Any]:
     children's inclusive totals (clamped at zero — blocking operators
     that drain a child inside ``_open`` overlap with it).
 
-    ``est_rows``/``q_error`` are ``None`` on plans the estimator never
-    annotated (hand-built trees); otherwise ``q_error`` compares the
-    estimate against this run's actual row count."""
+    ``rows`` is ``None`` on an operator that was never opened (a plan
+    compiled but not run), and so is ``q_error``.  ``est_rows``/
+    ``q_error`` are ``None`` on plans the estimator never annotated
+    (hand-built trees); otherwise ``q_error`` compares the estimate
+    against this run's actual row count."""
     out = _node_stats(plan)
     out["children"] = [plan_stats(c) for c in plan.children]
     return out

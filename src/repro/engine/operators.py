@@ -172,7 +172,7 @@ class Materialize(Operator):
     """Mark each scan row as standing for its full stored subtree
     (keeping the score) — the final 'retrieve from the database and
     return to the user' step of Example 3.1.  No tree is built: the
-    subtree is written from the document columns when the answer is
+    subtree is sliced from the document's image when the answer is
     serialised."""
 
     name = "materialize"

@@ -296,7 +296,8 @@ def plan_top_ops(plan: Any, limit: int = 3) -> List[Dict[str, object]]:
     """The ``limit`` most expensive operators of an executed plan as
     flat ``{operator, rows, est_rows, q_error, time_ms}`` dicts, ordered
     by inclusive time (rows break ties — timings are zero when no
-    collector ran).  ``est_rows``/``q_error`` are ``None`` when the
+    collector ran).  ``rows``/``q_error`` are ``None`` for an operator
+    a guard trip left unopened, and ``est_rows``/``q_error`` when the
     estimator never annotated the plan (schema v2; see
     ``SCHEMA_VERSION``)."""
     from repro.engine.base import plan_nodes
@@ -304,10 +305,10 @@ def plan_top_ops(plan: Any, limit: int = 3) -> List[Dict[str, object]]:
     ranked: List[Any] = []
     for node in plan_nodes(plan):
         time_ms = float(node["time_ms"])
-        rows = int(node["rows"])
+        rows = node["rows"]
         est = node["est_rows"]
         q = node["q_error"]
-        ranked.append((time_ms, rows, {
+        ranked.append((time_ms, rows or 0, {
             "operator": node["describe"],
             "rows": rows,
             "est_rows": round(float(est), 1) if est is not None else None,

@@ -40,7 +40,7 @@ equivalence with the evaluator is on (element, score) sets, which is
 what the tests assert.  Every row from the scan to the plan root is a
 :class:`~repro.core.trees.StoredTree` reference (document, node,
 score); ``Materialize`` marks it as standing for the whole stored
-subtree, whose XML is written from the document columns, and an
+subtree, whose XML is a slice of the document's image, and an
 ``SNode`` tree is built only for a caller that reads ``root``.
 """
 

@@ -25,11 +25,14 @@ serialization and ``alltext``.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
-from repro.xmldb.text import escape_attr, escape_text
+from repro.xmldb.text import attr_string, escape_text
 
 #: Sentinel parent id for document roots.
 NO_PARENT = -1
@@ -86,6 +89,18 @@ class WordOccurrence:
 ContentItem = Union[int, str]
 
 
+class XMLImage(NamedTuple):
+    """A document's canonical XML (:meth:`Document.image`) and where each
+    element sits in it: element ``n`` is ``text[start[n]:end[n]]``, and
+    its start tag runs from ``start[n]`` to ``open_end[n]``, the offset
+    just before the tag's ``>`` or ``/>``."""
+
+    text: str
+    start: array
+    open_end: array
+    end: array
+
+
 class Document:
     """An immutable, columnar, region-encoded XML document.
 
@@ -134,6 +149,8 @@ class Document:
         for nid, parent in enumerate(parents):
             if parent != NO_PARENT:
                 self._children[parent].append(nid)
+        # The canonical XML image, written on first use (see image()).
+        self._image: Optional[XMLImage] = None
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -322,16 +339,60 @@ class Document:
             node_id if node_id is not None else 0, out, indent, 0)
         return "".join(out)
 
+    def image(self) -> XMLImage:
+        """The document's canonical XML image, written on first use.
+
+        Each element is its tag and attributes, then its direct words
+        joined by single spaces, then its child elements: the bytes
+        :meth:`repro.core.trees.SNode.to_xml` writes for the stored tree
+        (unlike :meth:`serialize`, which keeps the source's text
+        segments).  Regions nest, so every element is one substring of
+        the image and a stored answer is a slice of it.  The image is
+        published in one assignment once complete, so two threads that
+        build it at once write equal images and either may win; the
+        content never changes (a store renumbers ``doc_id`` only), so
+        it lives as long as the document."""
+        image = self._image
+        if image is None:
+            image = self._image = self._write_image()
+        return image
+
+    def _write_image(self) -> XMLImage:
+        tags, levels, all_attrs = self.tags, self.levels, self.attrs
+        start, open_end, end = (array("i", [0]) * len(tags) for _ in range(3))
+        out: List[str] = []
+        pos = 0
+        open_ids: List[int] = []
+
+        def close(nid: int) -> None:
+            nonlocal pos
+            out.append(f"</{tags[nid]}>")
+            pos += len(out[-1])
+            end[nid] = pos
+
+        for nid, level in enumerate(levels):
+            while open_ids and levels[open_ids[-1]] >= level:
+                close(open_ids.pop())
+            head = f"<{tags[nid]}{attr_string(all_attrs.get(nid, {}))}"
+            start[nid] = pos
+            open_end[nid] = pos + len(head)
+            words = self.direct_words(nid)
+            if words or self._children[nid]:
+                out.append(head + ">" + escape_text(" ".join(words)))
+                open_ids.append(nid)
+            else:
+                out.append(head + "/>")
+            pos += len(out[-1])
+            end[nid] = pos  # final unless the element is open: close() sets it
+        while open_ids:
+            close(open_ids.pop())
+        return XMLImage("".join(out), start, open_end, end)
+
     def _serialize_into(
         self, nid: int, out: List[str], indent: bool, depth: int
     ) -> None:
         pad = "  " * depth if indent else ""
-        attrs = self.attrs.get(nid)
-        attr_str = ""
-        if attrs:
-            attr_str = "".join(
-                f' {k}="{escape_attr(v)}"' for k, v in attrs.items()
-            )
+        attr_str = attr_string(self.attrs.get(nid, {}))
         items = self.content[nid]
         if not items:
             out.append(f"{pad}<{self.tags[nid]}{attr_str}/>")

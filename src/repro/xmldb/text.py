@@ -9,7 +9,7 @@ query side must use the same function, so it lives here in one place.
 from __future__ import annotations
 
 import re
-from typing import List, Tuple
+from typing import List, Mapping, Tuple
 
 _TERM_RE = re.compile(r"[A-Za-z0-9]+")
 
@@ -54,3 +54,9 @@ def escape_attr(value: str) -> str:
     if '"' in value:
         value = value.replace('"', "&quot;")
     return value
+
+
+def attr_string(attrs: Mapping[str, object]) -> str:
+    """Attributes as written after a tag name: `` k="v"`` each, in
+    order, every value as ``str(v)`` escaped by :func:`escape_attr`."""
+    return "".join(f' {k}="{escape_attr(str(v))}"' for k, v in attrs.items())

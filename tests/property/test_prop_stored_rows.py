@@ -2,20 +2,23 @@
 
 A compiled plan's rows are :class:`~repro.core.trees.StoredTree`
 references ``(document, node, score)``: the scan emits single-node rows,
-``Materialize`` marks them ``full``, and an answer's XML is written from
-the document columns.  Each row must be indistinguishable from the
+``Materialize`` marks them ``full``, and an answer's XML is a slice of
+the document's image.  Each row must be indistinguishable from the
 :class:`~repro.core.trees.STree` the engine used to build for it:
 
-- the column writer returns, for every node and both ``with_scores``
-  values, the bytes ``SNode.to_xml`` writes for that tree — attribute
-  names include ``score`` (the spliced score keeps its position) and
-  values include ``&<>"``;
+- the slice returns, for every node and both ``with_scores`` values, the
+  bytes ``SNode.to_xml`` writes for that tree, and the bytes the
+  per-row column writer it replaced wrote (kept below as
+  :func:`column_writer`) — attribute names include ``score`` (the
+  spliced score keeps its position) and values include ``&<>"``;
 - ``root``, built on first read, has the same preorder tags,
   attributes, words, sources, scores and numbering, and the same
   ``sketch()``, as ``tree_from_document`` with the row's score;
 - ``source`` and the XML of a held row do not change when the store
   renumbers its document after removing an earlier one.
 """
+
+from typing import List, Optional
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +28,9 @@ from repro.engine import Materialize
 from repro.engine.base import Operator, execute
 from repro.resilience import QueryGuard, guarded
 from repro.xmldb.builder import DocumentBuilder
+from repro.xmldb.document import Document
 from repro.xmldb.store import XMLStore
+from repro.xmldb.text import escape_attr, escape_text
 
 from .strategies import build_corpus, mixed_doc_shapes
 
@@ -57,6 +62,43 @@ def build_attr_document(shape, attrs, name="attrs.xml", doc_id=0):
 
     emit(shape)
     return b.finish(name, doc_id)
+
+
+def column_writer(doc: Document, node_id: int, full: bool,
+                  score: Optional[float]) -> str:
+    """The per-row writer the image slice replaced, verbatim: it wrote
+    a stored row from the document columns, walking the subtree."""
+    tags, levels, all_attrs = doc.tags, doc.levels, doc.attrs
+    last = doc.last_descendant(node_id) if full else node_id
+    out: List[str] = []
+    open_ids: List[int] = []
+    for nid in range(node_id, last + 1):
+        level = levels[nid]
+        while open_ids and levels[open_ids[-1]] >= level:
+            out.append(f"</{tags[open_ids.pop()]}>")
+        attrs = all_attrs.get(nid)
+        if score is not None and nid == node_id:
+            attrs = dict(attrs or {})
+            attrs["score"] = f"{score:g}"
+        attr_str = "".join(
+            f' {k}="{escape_attr(str(v))}"' for k, v in attrs.items()
+        ) if attrs else ""
+        tag = tags[nid]
+        words = doc.direct_words(nid) if full else None
+        has_children = full and doc.n_children(nid) > 0
+        if not has_children and not words:
+            out.append(f"<{tag}{attr_str}/>")
+            continue
+        out.append(f"<{tag}{attr_str}>")
+        if words:
+            out.append(escape_text(" ".join(words)))
+        if has_children:
+            open_ids.append(nid)
+        else:
+            out.append(f"</{tag}>")
+    while open_ids:
+        out.append(f"</{tags[open_ids.pop()]}>")
+    return "".join(out)
 
 
 def materialised(doc, node_id, score):
@@ -100,6 +142,23 @@ def test_column_writer_equals_the_tree_writer(shape, attrs, score):
                     == full.to_xml(ws)), (n, ws)
             assert (StoredTree(doc, n, score).to_xml(ws)
                     == single.to_xml(ws)), (n, ws)
+
+
+@given(shape=mixed_doc_shapes,
+       attrs=st.lists(attr_maps, min_size=1, max_size=4), score=scores)
+@settings(max_examples=200, deadline=None)
+def test_slice_equals_the_column_writer(shape, attrs, score):
+    doc = build_attr_document(shape, attrs)
+    for n in range(len(doc)):
+        for full in (False, True):
+            row = StoredTree(doc, n, score, full=full)
+            assert row.to_xml() == column_writer(doc, n, full, None), (
+                n, full)
+            assert row.to_xml(with_scores=True) == column_writer(
+                doc, n, full, score), (n, full)
+    text, start, _, end = doc.image()
+    assert text == column_writer(doc, 0, True, None)
+    assert (start[0], end[0]) == (0, len(text))
 
 
 @given(shape=mixed_doc_shapes,

@@ -143,7 +143,8 @@ class TestCLI:
         ]) == 0
         before = json.loads(capsys.readouterr().out)
         assert before["est_rows"] == tree["est_rows"]
-        assert before["rows"] == 0          # not executed
+        # not executed: no actuals, and no q-error against them
+        assert before["rows"] is None and before["q_error"] is None
 
     def test_stats_serves_from_catalog(self, tmp_path, capsys):
         doc = tmp_path / "a.xml"
@@ -175,6 +176,24 @@ class TestCLI:
         captured = capsys.readouterr()
         assert "query aborted" in captured.err
         assert "guard.trips.rows: 1" in captured.err
+
+    def test_strict_trip_still_prints_the_json_report(self, tmp_path,
+                                                      capsys):
+        # Regression: a strict trip under --analyze --json exited 3 with
+        # an empty stdout, leaving a JSON reader nothing to parse.
+        doc = tmp_path / "a.xml"
+        doc.write_text("<a><b>hello queries</b><c>more queries</c></a>")
+        assert main(["query", "--doc", f"a.xml={doc}", "-q",
+                     self.EXPLAINABLE, "--analyze", "--json",
+                     "--max-rows", "1"]) == 3
+        captured = capsys.readouterr()
+        assert "query aborted" in captured.err
+        report = json.loads(captured.out)
+        assert report["aborted"] == "query exceeded its row budget of 1"
+        assert report["n_results"] == 0
+        assert report["metrics"]["guard.trips.rows"] == 1
+        assert report["trace"]["n_spans"] > 0
+        assert report["store_counters"]["postings_read"] > 0
 
     @pytest.mark.parametrize("command", ["query", "explain"])
     def test_no_planner_flags(self, command, capsys):

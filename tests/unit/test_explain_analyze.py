@@ -47,6 +47,33 @@ class TestExplainAnalyze:
         assert "[rows=" in text
         assert "time=" not in text and "loops=" not in text
 
+    def test_plan_that_never_ran_has_no_actuals(self, store):
+        # Regression: an unexecuted plan read as one that returned 0
+        # rows, with a q-error against an execution that never happened.
+        from repro.query import parse_query
+        from repro.query.compiler import compile_query
+
+        plan = compile_query(store, parse_query(
+            'For $x in document("articles.xml")'
+            '//article/descendant-or-self::* '
+            'Score $x using ScoreFooExact($x, {"search"}) '
+            'Return $x Sortby(score)'))
+        nodes = [plan_stats(plan)]
+        while nodes:
+            node = nodes.pop()
+            assert node["est_rows"] is not None, node["operator"]
+            assert node["rows"] is None and node["q_error"] is None
+            assert node["loops"] == 0
+            nodes += node["children"]
+        text = explain(plan)
+        assert "[rows=" not in text and "(est_rows=" in text
+        assert "rows=" not in explain(plan, analyze=True).replace(
+            "est_rows=", "")
+        execute(plan)
+        ran = plan_stats(plan)
+        assert ran["rows"] >= 1 and ran["q_error"] >= 1.0
+        assert "[rows=" in explain(plan)
+
     def test_analyze_line_format(self, store):
         plan = _plan(store)
         with obs.collecting():

@@ -1,15 +1,20 @@
 """Unit tests for scored trees (SNode/STree) and hierarchy rebuilding."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.core.trees import (
     SNode,
     STree,
+    StoredTree,
     build_minimal_hierarchy,
     snode_from_document,
     tree_from_document,
     tree_from_text,
 )
+from repro.xmldb.document import Document
 from repro.xmldb.parser import parse_document
 
 
@@ -96,6 +101,80 @@ class TestDocumentConversion:
     def test_tree_from_text(self):
         tree = tree_from_text("p", "Hello World")
         assert tree.root.words == ["hello", "world"]
+
+
+class TestStoredImage:
+    XML = ('<a id="&amp;1">t <b score="2">u v</b><c/>'
+           '<d lang="x">w<e>y</e></d></a>')
+
+    def test_rows_are_slices_of_one_image(self):
+        doc = parse_document(self.XML)
+        assert doc._image is None            # not written at load
+        assert StoredTree(doc, 1, full=True).to_xml() == \
+            '<b score="2">u v</b>'
+        assert StoredTree(doc, 1, 0.5).to_xml(with_scores=True) == \
+            '<b score="0.5"/>'
+        assert StoredTree(doc, 0, 1.5, full=True).to_xml(True) == (
+            '<a id="&amp;1" score="1.5">t<b score="2">u v</b><c/>'
+            '<d lang="x">w<e>y</e></d></a>')
+        image = doc.image()
+        assert image is doc.image()
+        assert image.text[image.start[3]:image.open_end[3]] == \
+            '<d lang="x"'
+
+    def test_racing_builds_publish_one_image(self, monkeypatch):
+        # Every thread reaches the writer before any publishes: each
+        # builds its own image, and the document keeps exactly one.
+        doc = parse_document(self.XML)
+        n_threads = 4                        # more than the cores we use
+        all_building = threading.Barrier(n_threads, timeout=10)
+        builds = []
+        write = Document._write_image
+
+        def racing_write(self):
+            all_building.wait()
+            image = write(self)
+            builds.append(image)
+            return image
+
+        monkeypatch.setattr(Document, "_write_image", racing_write)
+        answers = {}
+
+        def serialise(i):
+            answers[i] = [
+                StoredTree(doc, n, 1.25, full=full).to_xml(ws)
+                for n in range(len(doc))
+                for full in (False, True) for ws in (False, True)]
+
+        threads = [threading.Thread(target=serialise, args=(i,))
+                   for i in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(builds) == n_threads
+        assert all(image == builds[0] for image in builds)
+        assert all(answers[i] == answers[0] for i in range(n_threads))
+        held = doc.image()
+        assert len(builds) == n_threads      # published: no more builds
+        assert any(held is image for image in builds)
+        assert held is doc.image()
+
+        def tree_writer(n, full, ws):
+            tree = tree_from_document(doc, n) if full else STree(
+                SNode(doc.tags[n], dict(doc.attrs.get(n, {}))))
+            tree.root.score = 1.25
+            return tree.to_xml(ws)
+
+        assert answers[0] == [
+            tree_writer(n, full, ws) for n in range(len(doc))
+            for full in (False, True) for ws in (False, True)]
 
 
 class TestMinimalHierarchy:
