@@ -22,11 +22,11 @@ histogram read it.
 
 Observability contract: every operator owns an :class:`OpStats`.  Row
 counts and subclass-reported counters are maintained on every run;
-*timings* are taken only while a collector is installed
-(``obs.RECORDER.enabled``), so the disabled path adds a single attribute
-test per ``next()`` call.  ``open``/``close`` additionally emit tracer
-spans, which nest into a span tree mirroring the plan tree.  Spans
-cannot replace :class:`OpStats`: rows, loops and counters must be exact
+``loops`` and the *timings* are taken only while a collector is
+installed (``obs.RECORDER.enabled``), so the disabled path adds a single
+attribute test per ``next()`` call.  ``open``/``close`` additionally
+emit tracer spans, which nest into a span tree mirroring the plan tree.
+Spans cannot replace :class:`OpStats`: rows and counters must be exact
 with no collector installed.
 """
 
@@ -49,8 +49,9 @@ _NEW, _OPEN, _CLOSED = "new", "open", "closed"
 class OpStats:
     """Per-operator execution statistics for one run.
 
-    ``rows_out``/``loops``/``counters`` are exact on every run; the
-    ``*_ns`` timings are populated only when a collector is installed.
+    ``rows_out`` and ``counters`` are exact on every run; ``loops``
+    and the ``*_ns`` timings are populated only when a collector is
+    installed (so ``loops == 0`` does not mean the operator never ran).
     ``next_ns`` is *inclusive* (a parent's ``_next`` usually calls its
     children's ``next`` inside it), like PostgreSQL's EXPLAIN ANALYZE
     "actual time"; :func:`plan_stats` derives exclusive self-time.

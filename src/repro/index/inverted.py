@@ -27,6 +27,14 @@ its own columns and the index keeps them, so the build does not pay (a
 random-access gather per field, about as much again as the scan itself)
 for terms nobody asks about, and a term that is asked about pays once.
 
+**Maintenance.**  The index is built by appending one document at a
+time, and a store change updates it by that document's share:
+:meth:`InvertedIndex.append` costs the new document's words, and
+:meth:`InvertedIndex.remove` costs the removed document's words plus
+the rows after them (one shift, so never more than a rebuild).  A kept
+list the change makes stale is dropped and gathered again on its next
+read; a list already handed out is never changed.
+
 Terms are normalised once, where they enter a lookup, and the derived
 lookups (``document_frequency``, ``idf``, ``element_counts``,
 ``terms_sorted_by_frequency``) exist once, over ``postings`` /
@@ -61,6 +69,7 @@ from repro import obs as _obs
 from repro.errors import UnknownTermError
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.xmldb.document import Document
     from repro.xmldb.store import XMLStore
 
 #: Logical on-disk size of one posting record (four 32-bit fields) —
@@ -184,25 +193,74 @@ class InvertedIndex:
         from repro.resilience import faultinject as _fi
 
         _fi.INJECTOR.fire("index.build", n_documents=store.n_documents)
-        table = PostingColumns()
-        rows: Dict[str, array] = {}
-        base = 0
-        # Documents are scanned in doc_id order and word tables are in
-        # ascending pos, so row ids ascend with (doc, pos) and every
-        # term's rows are born sorted.
+        index = cls(PostingColumns(), {}, n_documents=0)
         for doc in store.documents():
-            terms = doc.word_terms
-            table.doc.extend(array(INT, (doc.doc_id,)) * len(terms))
-            table.pos.extend(doc.word_pos)
-            table.node.extend(doc.word_node)
-            table.offset.extend(doc.word_offset)
-            for row, term in enumerate(terms, base):
-                try:
-                    rows[term].append(row)
-                except KeyError:
-                    rows[term] = array(INT, (row,))
-            base += len(terms)
-        return cls(table, rows, n_documents=store.n_documents)
+            index.append(doc)
+        return index
+
+    def append(self, doc: "Document") -> None:
+        """Add the words of ``doc``, the store's new last document: its
+        rows go after every existing row, so appending costs the
+        document's own words."""
+        table, rows = self._table, self._rows
+        terms = doc.word_terms
+        base = len(table)
+        table.doc.extend(array(INT, (doc.doc_id,)) * len(terms))
+        table.pos.extend(doc.word_pos)
+        table.node.extend(doc.word_node)
+        table.offset.extend(doc.word_offset)
+        # Documents arrive in doc_id order and word tables are in
+        # ascending pos, so row ids ascend with (doc, pos) and every
+        # term's rows stay sorted.
+        for row, term in enumerate(terms, base):
+            try:
+                rows[term].append(row)
+            except KeyError:
+                rows[term] = array(INT, (row,))
+        if self._lists:
+            for term in self._lists.keys() & set(terms):
+                del self._lists[term]
+        self.n_documents += 1
+
+    def remove(self, doc_id: int, doc: "Document") -> None:
+        """Delete the words of ``doc``, stored under ``doc_id``, and
+        renumber the later documents down by one as the store does.
+
+        Costs the document's own words plus the rows after them: the
+        removed range is cut out of the table and of each of its terms'
+        row arrays, and only the rows that follow it are shifted."""
+        table, rows = self._table, self._rows
+        lo = bisect_left(table.doc, doc_id)
+        hi = bisect_left(table.doc, doc_id + 1, lo)
+        n_after = len(table) - hi
+        for col in (table.doc, table.pos, table.node, table.offset):
+            del col[lo:hi]
+        # The doc column after the cut is one constant run per later
+        # document: rewrite each run at its new id.
+        start, col = lo, table.doc
+        for later in range(doc_id + 1, self.n_documents):
+            end = bisect_left(col, later + 1, start)
+            col[start:end] = array(INT, (later - 1,)) * (end - start)
+            start = end
+        width = hi - lo
+        for term in set(doc.word_terms):
+            term_rows = rows[term]
+            i = bisect_left(term_rows, lo)
+            del term_rows[i:bisect_left(term_rows, hi, i)]
+            if not term_rows:
+                del rows[term]
+        if width and n_after:
+            for term_rows in rows.values():
+                i = bisect_left(term_rows, lo)
+                if i < len(term_rows):
+                    term_rows[i:] = array(
+                        INT, [r - width for r in term_rows[i:]])
+        # A kept list is stale if it reaches the removed document or a
+        # renumbered one; the lists handed out are never changed.
+        for term in [t for t, pl in self._lists.items()
+                     if pl.postings.doc[-1] >= doc_id]:
+            del self._lists[term]
+        self.n_documents -= 1
 
     def vocabulary(self) -> KeysView[str]:
         """All indexed terms."""

@@ -12,6 +12,7 @@ Two consumers:
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import List, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -48,13 +49,19 @@ class StructureIndex:
         all_elements: List[ElementRef] = []
         for doc in store.documents():
             parents.append(list(doc.parents))
-            fanouts.append([doc.n_children(n) for n in range(len(doc))])
-            d = doc.doc_id
-            for nid in range(len(doc)):
-                all_elements.append(
-                    (d, doc.starts[nid], doc.ends[nid], doc.levels[nid], nid)
-                )
+            fanouts.append(doc.child_counts())
+            all_elements.extend(zip(repeat(doc.doc_id), doc.starts,
+                                    doc.ends, doc.levels, range(len(doc))))
         return cls(parents, fanouts, all_elements)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, StructureIndex):
+            return NotImplemented
+        return (self._parents == other._parents
+                and self._fanouts == other._fanouts
+                and self._all == other._all)
+
+    __hash__ = None  # type: ignore[assignment]
 
     # ------------------------------------------------------------------
     # O(1) lookups

@@ -120,7 +120,7 @@ CATALOG: Dict[str, Tuple[str, str]] = {
         "observed after execution"),
     "estimate.catalog_rebuilds": (
         "counter",
-        "statistics-catalog builds (at most one per store generation)"),
+        "full builds; document changes update the catalog"),
     # -- resilience ------------------------------------------------------
     "guard.checks": (
         "counter", "query-guard tick checks, published once per guarded run"),

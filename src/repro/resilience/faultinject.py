@@ -53,7 +53,7 @@ FAULT_POINTS: Dict[str, str] = {
     "persist.read_doc": "reading one document file",
     "persist.write_doc": "atomically writing one document file",
     "persist.replace": "the tmp-to-final os.replace",
-    "index.build": "building the inverted index",
+    "index.build": "building or updating the inverted index",
     "store.parse_doc": "parsing one loaded document",
     "server.accept": "accepting one client connection",
     "server.frame_read": "reading one wire-protocol frame",

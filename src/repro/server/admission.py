@@ -22,11 +22,13 @@ the fourth rung (degrade-to-partial) already speaks:
 :class:`StoreGate` provides the serving path's transactional read
 visibility over ``store.generation``: queries run as *readers* pinned
 to the generation observed at entry, document add/remove runs as the
-exclusive *writer* and rebuilds the store's lazy index/structure/stats
-before readers re-enter.  Readers therefore never observe a torn
-corpus (half-renumbered doc ids, an invalidated index mid-merge), and
-each lazy rebuild happens exactly once per generation bump instead of
-racing among reader threads.
+exclusive *writer*.  The mutation itself updates the store's inverted
+index and statistics by the changed document's share; before readers
+re-enter, the writer touches the index, structure index and statistics,
+which builds whatever the mutation dropped (the structure index, which
+is rebuilt rather than maintained, or a structure whose update raised).
+Readers therefore never observe a torn corpus (half-renumbered doc ids,
+an index mid-update), and no build ever races among reader threads.
 """
 
 from __future__ import annotations
@@ -218,9 +220,9 @@ class StoreGate:
     Readers run concurrently; a writer waits for readers to leave and
     excludes everything while it mutates.  Waiting writers block *new*
     readers (no writer starvation).  After the mutation the writer
-    eagerly rebuilds the store's lazy index, structure index, and
-    statistics catalog, so the rebuild cost is paid once per
-    generation bump — never raced among reader threads.
+    touches the store's index, structure index and statistics catalog:
+    the maintained ones are already current, and whatever the mutation
+    dropped is built here, once — never raced among reader threads.
     """
 
     def __init__(self, store: "XMLStore") -> None:
@@ -248,8 +250,8 @@ class StoreGate:
     @contextmanager
     def write(self) -> Iterator["XMLStore"]:
         """Enter as the exclusive writer; yields the store to mutate.
-        On exit the lazy index/structure/stats are rebuilt before any
-        reader re-enters."""
+        On exit any index/structure/stats the mutation dropped is built
+        before a reader re-enters."""
         with self._cond:
             self._writers_waiting += 1
             while self._writing or self._readers > 0:
@@ -260,7 +262,7 @@ class StoreGate:
             yield self.store
         finally:
             try:
-                # Readers must never trigger (and race) these builds.
+                # Readers must never trigger (and race) a build.
                 self.store.index
                 self.store.structure
                 self.store.stats

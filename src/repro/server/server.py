@@ -19,8 +19,9 @@ Robustness properties:
 - **pinned read visibility** — each admitted query executes inside
   :meth:`StoreGate.read`, pinned to the ``store.generation`` it
   entered at; :meth:`add_document` / :meth:`remove_document` take the
-  gate's write side and rebuild the lazy indexes before readers
-  re-enter, so no query ever observes a half-mutated corpus;
+  gate's write side, which updates the inverted index and statistics
+  by the changed document's share and builds anything dropped before
+  readers re-enter, so no query ever observes a half-mutated corpus;
 - **graceful shutdown** — :meth:`close` stops accepting, drains
   in-flight requests (every accepted request is *answered*), cancels
   stragglers through their guards' cooperative tokens, and only then
@@ -204,8 +205,7 @@ class QueryServer:
             if self._accept_thread is not None:
                 return self
             # Build once here so reader threads share finished
-            # structures (StoreGate writers rebuild after every
-            # mutation).
+            # structures (StoreGate writers keep them current).
             self.store.index
             self.store.structure
             self.store.stats
@@ -269,7 +269,7 @@ class QueryServer:
 
     def add_document(self, name: str, source: str) -> "Document":
         """Parse and register a document under exclusive access; the
-        lazy indexes are rebuilt before queries resume."""
+        indexes are brought up to date before queries resume."""
         with self.gate.write() as store:
             return store.load(name, source)
 

@@ -205,6 +205,10 @@ class Document:
         Enhanced TermJoin fetches from an index)."""
         return len(self._children[node_id])
 
+    def child_counts(self) -> List[int]:
+        """``n_children`` of every node, in node-id order."""
+        return list(map(len, self._children))
+
     def ancestors(self, node_id: int) -> List[int]:
         """Ancestor ids from the root down to the parent of ``node_id``.
 

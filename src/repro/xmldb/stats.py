@@ -10,20 +10,42 @@ Three consumers:
   knowing the absolute score distribution;
 - the plan estimator (:mod:`repro.plan.estimate`), which derives
   per-operator cardinality estimates from the term frequencies, the
-  fan-out statistics, and the level histogram.  The store caches one
+  fan-out statistics, and the level histogram.  The store keeps one
   :class:`StoreStatistics` per ``store.generation``
-  (:meth:`repro.xmldb.store.XMLStore.stats`), so estimation never pays
-  the corpus scan twice for the same document set.
+  (:meth:`repro.xmldb.store.XMLStore.stats`): built by one corpus scan
+  on first use, then replaced on every document change by
+  :meth:`StoreStatistics.updated`, which moves the counts by that
+  document's share alone.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple, TYPE_CHECKING
+from typing import (
+    Dict, Iterable, List, Sequence, Tuple, TypeVar, TYPE_CHECKING,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.xmldb.document import Document
     from repro.xmldb.store import XMLStore
+
+K = TypeVar("K")
+
+
+def _shifted(counts: Dict[K, int], keys: Iterable[K],
+             sign: int) -> Dict[K, int]:
+    """A copy of ``counts`` with each of ``keys`` counted ``sign`` more
+    times; a count that reaches zero is deleted, as a fresh build never
+    holds one."""
+    out = dict(counts)
+    for key, n in Counter(keys).items():
+        n = out.get(key, 0) + sign * n
+        if n:
+            out[key] = n
+        else:
+            del out[key]
+    return out
 
 
 @dataclass
@@ -51,27 +73,49 @@ class StoreStatistics:
         term_freq: Counter = Counter()
         tag_counts: Counter = Counter()
         level_counts: Counter = Counter()
+        for doc in store.documents():
+            term_freq.update(doc.word_terms)
+            tag_counts.update(doc.tags)
+            level_counts.update(doc.levels)
+        return cls._with_shape(store, dict(term_freq), dict(tag_counts),
+                               dict(level_counts))
+
+    def updated(self, store: "XMLStore", doc: "Document",
+                added: bool) -> "StoreStatistics":
+        """The catalog of ``store`` just after ``doc`` was added to it
+        (or removed from it), from this one: the counts move by the
+        document's share and the fan-out and depth are re-read from
+        the documents' parent and level columns.  This catalog is left
+        as it is, for any reader still holding it."""
+        sign = 1 if added else -1
+        return self._with_shape(
+            store,
+            _shifted(self.term_frequency, doc.word_terms, sign),
+            _shifted(self.tag_counts, doc.tags, sign),
+            _shifted(self.level_counts, doc.levels, sign),
+        )
+
+    @classmethod
+    def _with_shape(cls, store: "XMLStore", term_freq: Dict[str, int],
+                    tag_counts: Dict[str, int],
+                    level_counts: Dict[int, int]) -> "StoreStatistics":
+        """The catalog holding these counts, with the fan-out and
+        depth aggregates read off ``store``'s documents."""
         max_fanout = 0
         total_children = 0
         internal_nodes = 0
         max_depth = 0
         for doc in store.documents():
-            term_freq.update(doc.word_terms)
-            tag_counts.update(doc.tags)
-            level_counts.update(doc.levels)
-            for nid in range(len(doc)):
-                k = doc.n_children(nid)
-                if k:
-                    internal_nodes += 1
-                    total_children += k
-                    if k > max_fanout:
-                        max_fanout = k
+            fanouts = doc.child_counts()
+            internal_nodes += len(fanouts) - fanouts.count(0)
+            total_children += sum(fanouts)
+            max_fanout = max(max_fanout, max(fanouts, default=0))
             if doc.levels:
                 max_depth = max(max_depth, max(doc.levels))
         return cls(
-            term_frequency=dict(term_freq),
-            tag_counts=dict(tag_counts),
-            level_counts=dict(level_counts),
+            term_frequency=term_freq,
+            tag_counts=tag_counts,
+            level_counts=level_counts,
             n_elements=store.n_elements,
             n_words=store.n_words,
             max_fanout=max_fanout,

@@ -2,11 +2,23 @@
 
 The store is a catalog of named documents with global node addressing
 ``(doc_id, node_id)``, lazily-built indexes (the one inverted term
-index, the parent/child-count and tag index) and derived statistics,
-all dropped together whenever the document set changes.  It also
-carries :class:`AccessCounters`, the logical-I/O accounting used by the
-benchmark harness to report substrate-independent cost measures alongside
-wall-clock time.
+index, the parent/child-count and tag index) and derived statistics.
+Like the indexes of a database, they are maintained rather than rebuilt
+on a write: adding or removing a document updates the inverted index
+and the statistics by that document's share, and drops the structure
+index, which is cheap to rebuild on next use.  A structure whose update
+raises is dropped and rebuilt on next use, never kept half-updated;
+one never built stays unbuilt.
+
+Mutations change shared state in place — the index columns, and the
+``doc_id`` of every live :class:`Document` after a removed one — so they
+must not overlap reads except through
+:class:`~repro.server.admission.StoreGate`, whose writer excludes every
+reader.
+
+The store also carries :class:`AccessCounters`, the logical-I/O
+accounting used by the benchmark harness to report substrate-independent
+cost measures alongside wall-clock time.
 """
 
 from __future__ import annotations
@@ -68,7 +80,8 @@ class AccessCounters:
 
 
 class XMLStore:
-    """A catalog of documents plus lazily-built indexes and statistics."""
+    """A catalog of documents plus lazily-built, maintained indexes and
+    statistics."""
 
     def __init__(self) -> None:
         self._documents: List[Document] = []
@@ -76,7 +89,6 @@ class XMLStore:
         self._inverted: Optional["InvertedIndex"] = None
         self._structure: Optional["StructureIndex"] = None
         self._stats: Optional["StoreStatistics"] = None
-        self._stats_generation = -1
         #: Monotonic corpus-version counter, bumped whenever the document
         #: set changes.  The :mod:`repro.perf` caches key every entry on
         #: it, which makes stale answers unreachable by construction.
@@ -105,7 +117,7 @@ class XMLStore:
             )
         self._documents.append(doc)
         self._by_name[doc.name] = doc.doc_id
-        self._invalidate()
+        self._changed(doc, added=True)
         return doc
 
     def remove_document(self, name_or_id) -> Document:
@@ -115,20 +127,36 @@ class XMLStore:
         ``doc_id == slot`` invariant that global node addressing and the
         index builders rely on), so node addresses from before a removal
         must not be held across it — the generation bump invalidates
-        every cache that might."""
+        every cache that might.  The returned document keeps its old
+        ``doc_id``."""
         doc = self.document(name_or_id)
         del self._documents[doc.doc_id]
         for slot in range(doc.doc_id, len(self._documents)):
             self._documents[slot].doc_id = slot
         self._by_name = {d.name: d.doc_id for d in self._documents}
-        self._invalidate()
+        self._changed(doc, added=False)
         return doc
 
-    def _invalidate(self) -> None:
-        self._inverted = None
-        self._structure = None
-        self._stats = None
+    def _changed(self, doc: Document, added: bool) -> None:
+        """Bump the generation and update what is built by ``doc``'s
+        share.  Each structure is detached while it is updated: if an
+        update raises, the error propagates, and that structure and any
+        not yet updated stay dropped, to be rebuilt whole on next use."""
+        from repro.resilience import faultinject as _fi
+
         self.generation += 1
+        self._structure = None
+        index, stats = self._inverted, self._stats
+        self._inverted = self._stats = None
+        if index is not None:
+            _fi.INJECTOR.fire("index.build", n_documents=self.n_documents)
+            if added:
+                index.append(doc)
+            else:
+                index.remove(doc.doc_id, doc)
+            self._inverted = index
+        if stats is not None:
+            self._stats = stats.updated(self, doc, added)
 
     # ------------------------------------------------------------------
     # Catalog access
@@ -169,7 +197,7 @@ class XMLStore:
         return sum(d.n_words for d in self._documents)
 
     # ------------------------------------------------------------------
-    # Indexes and statistics (lazy)
+    # Indexes and statistics (lazy, then maintained)
     # ------------------------------------------------------------------
 
     @property
@@ -202,18 +230,16 @@ class XMLStore:
         histogram) — the estimation catalog of
         :mod:`repro.plan.estimate`.
 
-        Built at most once per ``store.generation``: the cached copy is
-        keyed on the generation counter explicitly (not just cleared by
-        ``_invalidate``), so per-query estimation and ``tix stats``
-        never repeat the full corpus scan for an unchanged document
-        set.  Rebuilds are counted in ``estimate.catalog_rebuilds``."""
-        if self._stats is None or self._stats_generation != self.generation:
+        Built once, on first use, and then updated by every document
+        change, so per-query estimation and ``tix stats`` never repeat
+        the full corpus scan.  Full builds are counted in
+        ``estimate.catalog_rebuilds``."""
+        if self._stats is None:
             from repro.xmldb.stats import StoreStatistics
 
             rec = _obs.RECORDER
             with rec.span("stats.build"):
                 self._stats = StoreStatistics.build(self)
-            self._stats_generation = self.generation
             if rec.enabled:
                 rec.count("estimate.catalog_rebuilds")
         return self._stats

@@ -1,7 +1,9 @@
 """Chaos tests for persistence: seeded probabilistic faults on every I/O
 point, asserting the save/load paths either succeed (transient faults
 absorbed by retries) or fail with a clean ``PersistError`` — never a raw
-``OSError`` and never a half-written store."""
+``OSError`` and never a half-written store.  The index fault point also
+covers index maintenance: a write that faults never leaves a
+half-updated index."""
 
 import os
 
@@ -9,9 +11,14 @@ import pytest
 
 from repro import obs
 from repro.errors import PersistError
-from repro.exampledata import example_store
+from repro.exampledata import ARTICLES_XML, REVIEWS_XML, example_store
+from repro.index.inverted import InvertedIndex
 from repro.resilience import FaultInjector, FaultSpec, injecting
+from repro.resilience.run import run_query_guarded
+from repro.server import QueryServer
 from repro.xmldb.persist import load_store, load_store_report, save_store
+from repro.xmldb.stats import StoreStatistics
+from repro.xmldb.store import XMLStore
 
 pytestmark = pytest.mark.chaos
 
@@ -148,3 +155,58 @@ class TestDeterminism:
                 store.index.frequency("search")
         # the injector is gone; a fresh build succeeds
         assert store.index.frequency("search") > 0
+
+
+class TestIndexMaintenanceFaults:
+    """A document change updates the built index in place; a fault on
+    that path must leave no half-updated index behind."""
+
+    EXTRA_XML = ("<articles><article><title>search engine internet"
+                 "</title><sec>search search</sec></article></articles>")
+
+    @staticmethod
+    def answers(store):
+        out = []
+        for name in ("articles.xml", "extra.xml"):
+            if name not in store:
+                continue
+            res = run_query_guarded(store, (
+                f'For $x in document("{name}")//article'
+                "/descendant-or-self::* "
+                'Score $x using ScoreFooExact($x, {"search"}, '
+                '{"internet"}) Return $x Sortby(score)'))
+            out.append([t.to_xml(with_scores=True) for t in res.results])
+        return out
+
+    def test_fault_during_gated_add(self, chaos_seed):
+        store = example_store()
+        srv = QueryServer(store, port=0).start()
+        try:
+            spec = FaultSpec("index.build", at_calls=(1,))
+            with injecting([spec], seed=chaos_seed) as injector:
+                with pytest.raises(OSError, match="index.build"):
+                    srv.add_document("extra.xml", self.EXTRA_XML)
+            assert injector.fired == {"index.build": 1}
+            # the document is in, and the gate rebuilt the dropped
+            # index whole: the store answers as one built from scratch
+            sources = {"articles.xml": ARTICLES_XML,
+                       "reviews.xml": REVIEWS_XML,
+                       "extra.xml": self.EXTRA_XML}
+            assert self.answers(store) \
+                == self.answers(XMLStore.from_sources(sources))
+            fresh = InvertedIndex.build(store)
+            assert store.index._table == fresh._table
+            assert store.index._rows == fresh._rows
+            # and later writes maintain it as usual
+            srv.remove_document("articles.xml")
+            srv.add_document("articles.xml", ARTICLES_XML)
+            fresh = InvertedIndex.build(store)
+            assert store.index._table == fresh._table
+            assert store.index._rows == fresh._rows
+            assert store.stats == StoreStatistics.build(store)
+            del sources["articles.xml"]
+            sources["articles.xml"] = ARTICLES_XML
+            assert self.answers(store) \
+                == self.answers(XMLStore.from_sources(sources))
+        finally:
+            srv.close(drain_s=2.0)

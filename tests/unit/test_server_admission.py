@@ -7,7 +7,10 @@ import time
 import pytest
 
 from repro.errors import OverloadedError, ShuttingDownError
+from repro.index.inverted import InvertedIndex
+from repro.index.structure import StructureIndex
 from repro.server.admission import AdmissionController, StoreGate
+from repro.xmldb.stats import StoreStatistics
 from repro.xmldb.store import XMLStore
 
 DOC = "<root><a>alpha</a><a>beta</a></root>"
@@ -195,15 +198,27 @@ class TestStoreGate:
         store = XMLStore()
         store.load("a.xml", DOC)
         gate = StoreGate(store)
-        store.index  # build once
+        index = store.index  # build once
         with gate.write() as st:
             st.load("b.xml", DOC)
-            # mutation invalidated the caches inside the write section
-            assert st._inverted is None and st._stats is None
-        # ... and the gate rebuilt them before any reader re-entered
-        assert store._inverted is not None
-        assert store._structure is not None
-        assert store._stats is not None
+            # the mutation updated the built index in place; the never
+            # built structure index and statistics stayed unbuilt
+            assert st._inverted is index
+            assert st._structure is None and st._stats is None
+        # the gate built those before any reader re-entered, and every
+        # structure equals a from-scratch build of the new corpus
+        self.assert_fresh(store)
+        with gate.write() as st:
+            st.remove_document("a.xml")
+        self.assert_fresh(store)
+
+    @staticmethod
+    def assert_fresh(store):
+        fresh = InvertedIndex.build(store)
+        assert store._inverted._table == fresh._table
+        assert store._inverted._rows == fresh._rows
+        assert store._structure == StructureIndex.build(store)
+        assert store._stats == StoreStatistics.build(store)
 
     def test_write_rebuilds_even_when_body_raises(self):
         store = XMLStore()
