@@ -5,15 +5,13 @@ own PRs introduced.
 engine-specific rules check the operator lifecycle protocol, guard
 ticks in access-method loops, metric-name agreement with
 :mod:`repro.obs.catalog` and ``docs/observability.md``, fault-point
-names against :data:`repro.resilience.faultinject.FAULT_POINTS`, and
-context-managed file handles — plus
-the whole-program concurrency pass
-(:mod:`repro.analysis.concurrency`): lock discipline across the
-concurrent modules, lock-order cycle detection with witness paths,
-the thread-escape race detector, and blocking-call-under-lock.  The
-static pass has a runtime twin, the opt-in lock sanitizer
-(:mod:`repro.analysis.sanitizer`, ``TIX_LOCK_SANITIZER=1``).
-See ``docs/static-analysis.md`` for the rule catalog and the
+names against :data:`repro.resilience.faultinject.FAULT_POINTS`,
+context-managed file handles, and class-local lock discipline (a
+class that owns a lock mutates its state only under it).  Lock
+*order* is checked at runtime, not statically: the two-rank rule of
+:mod:`repro.analysis.sanitizer` (``TIX_LOCK_SANITIZER=1``), which
+the whole test suite runs under in CI.  See
+``docs/static-analysis.md`` for the rule catalog and the
 ``# tix-lint: disable=RULE`` suppression syntax.
 """
 

@@ -34,7 +34,7 @@ import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
-    Dict, FrozenSet, Iterator, List, Optional, Tuple, Type,
+    Dict, FrozenSet, Iterator, List, Optional, Type,
 )
 
 __all__ = [
@@ -79,13 +79,7 @@ ERROR = Severity("error")
 
 @dataclass(frozen=True)
 class Finding:
-    """One diagnostic emitted by a rule.
-
-    ``witness`` is the step-by-step evidence trail for findings whose
-    conclusion spans several program points (a lock-order cycle, a
-    blocking call reached through a call chain).  Single-site rules
-    leave it empty.
-    """
+    """One diagnostic emitted by a rule, anchored to one site."""
 
     rule: str
     severity: str          # "warning" | "error"
@@ -93,7 +87,6 @@ class Finding:
     line: int
     col: int
     message: str
-    witness: Tuple[str, ...] = ()
 
     def sort_key(self) -> tuple:
         return (self.path, self.line, self.col, self.rule)
@@ -106,19 +99,16 @@ class Finding:
             "line": self.line,
             "col": self.col,
             "message": self.message,
-            "witness": list(self.witness),
+            # Report v2 field, kept for its readers; every rule now
+            # anchors at one site, so the trail is always empty.
+            "witness": [],
         }
 
     def render(self) -> str:
-        head = (
+        return (
             f"{self.path}:{self.line}:{self.col}: "
             f"[{self.severity}] {self.rule}: {self.message}"
         )
-        if not self.witness:
-            return head
-        steps = "\n".join(f"    {i + 1}. {step}"
-                          for i, step in enumerate(self.witness))
-        return f"{head}\n{steps}"
 
 
 _SUPPRESS_RE = re.compile(
@@ -304,8 +294,7 @@ class Rule:
 
     def finding(self, module: ModuleInfo, node: Optional[ast.AST],
                 message: str,
-                severity: Optional[Severity] = None,
-                witness: Tuple[str, ...] = ()) -> Finding:
+                severity: Optional[Severity] = None) -> Finding:
         line = getattr(node, "lineno", 1) if node is not None else 1
         col = getattr(node, "col_offset", 0) if node is not None else 0
         return Finding(
@@ -315,7 +304,6 @@ class Rule:
             line=line,
             col=col + 1,
             message=message,
-            witness=witness,
         )
 
     def file_finding(self, path: str, line: int, message: str,

@@ -20,6 +20,10 @@ Version history:
   ``rule``/``severity``/``path``/``line``/``col``/``message``.
 - **2** — findings gain ``witness``, the concurrency rules'
   step-by-step evidence trail (empty list for single-site rules).
+  Those whole-program rules are retired (the runtime lock-rank check,
+  :mod:`repro.analysis.sanitizer`, replaces them), so every rule now
+  anchors at one site and ``witness`` is always ``[]``.  The field
+  stays so that version-2 readers keep working.
 """
 
 from __future__ import annotations

@@ -2,25 +2,19 @@
 with :mod:`repro.analysis.core`'s registry."""
 
 from repro.analysis.rules import (  # noqa: F401  (import-time registration)
-    blocking_under_lock,
     fault_point_drift,
     guard_hook,
     lock_discipline,
-    lock_order,
     metric_drift,
     operator_contract,
     resource_safety,
-    shared_state_race,
 )
 
 __all__ = [
-    "blocking_under_lock",
     "fault_point_drift",
     "guard_hook",
     "lock_discipline",
-    "lock_order",
     "metric_drift",
     "operator_contract",
     "resource_safety",
-    "shared_state_race",
 ]

@@ -1,54 +1,32 @@
-"""Runtime lock sanitizer: the dynamic twin of the static
-concurrency pass.
+"""Runtime lock-rank check (``docs/static-analysis.md``, "Lock ranks").
 
-Opt in with ``TIX_LOCK_SANITIZER=1`` (or :func:`install`):
-``threading.Lock`` and ``threading.RLock`` are replaced by
-instrumented wrappers (``threading.Condition()`` picks the patched
-``RLock`` up automatically), and every acquisition is recorded
-against a per-thread held stack.  The sanitizer then
+Leaf locks are the ones allocated in ``repro/obs/metrics.py`` and
+``repro/obs/trace.py``: code holding one takes no other lock.  Every
+other lock is held alone: code holding it may take leaf locks only.
+RLock re-entry is allowed, and so is ``Condition.wait`` re-taking its
+own lock.  With two ranks and at most one lock of each held, no
+waits-for cycle can form, so nothing polls for deadlocks.
 
-- maintains the *observed* acquisition-order graph and flags
-  inversions — acquiring B after A in one thread and A after B in
-  another is the ABBA deadlock the static ``lock-order`` rule proves
-  impossible only for the chains it can see;
-- accepts the statically computed order via
-  :meth:`LockSanitizer.feed_static_order`, so a runtime acquisition
-  contradicting the lock graph is a violation even the first time it
-  happens;
-- detects *actual* cyclic waits: a blocking acquire polls with a
-  short timeout, and when the waits-for graph (thread → wanted lock
-  → owner thread → ...) closes a cycle the sanitizer raises
-  :class:`DeadlockError` in one participant instead of hanging the
-  suite forever;
-- publishes ``sanitizer.*`` metrics through the observability
-  catalog: acquisitions, order violations, deadlocks, and the number
-  of live instrumented locks.
-
-Lock identities are allocation sites (``qualname:line`` of the code
-that called ``Lock()``), which is the runtime spelling of the static
-``ClassName.attr`` identity.  Wrappers outlive :func:`uninstall` —
-they keep delegating to their real inner lock, just without
-recording.  The wrappers deliberately implement the private
-``_is_owned`` / ``_release_save`` / ``_acquire_restore`` protocol so
-``threading.Condition`` keeps working on a sanitized RLock.
+:func:`install` (or ``TIX_LOCK_SANITIZER=1`` and
+:func:`install_from_env`) patches ``threading.Lock``/``RLock`` to hand
+out a checked lock when the first allocating frame outside
+``threading.py`` is in the ``repro`` package: each ``Condition()`` is
+named by the repro line that built it, and the stdlib's own locks stay
+real.  An acquire that breaks the rule raises :class:`LockRankError`
+before it blocks; it is also recorded in :func:`errors`, since a
+server thread may swallow it.
 """
 
 from __future__ import annotations
 
+import linecache
 import os
 import sys
 import threading
-import weakref
-from dataclasses import dataclass
-from time import monotonic
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, List, Optional, Tuple
 
-from repro import obs as _obs
-
-__all__ = [
-    "ENV_VAR", "DeadlockError", "Violation", "LockSanitizer",
-    "install", "uninstall", "active", "install_from_env",
-]
+__all__ = ["ENV_VAR", "LockRankError", "install", "uninstall", "active",
+           "install_from_env", "held_sites", "errors"]
 
 ENV_VAR = "TIX_LOCK_SANITIZER"
 
@@ -56,439 +34,166 @@ ENV_VAR = "TIX_LOCK_SANITIZER"
 _RealLock = threading.Lock
 _RealRLock = threading.RLock
 
-#: Poll interval for blocking acquires (also the deadlock-detection
-#: latency bound).
-_POLL_S = 0.05
+_REPRO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_LEAF_FILES = {os.path.join(_REPRO, "obs", f) for f in ("metrics.py",
+                                                        "trace.py")}
+_held = threading.local()
+_ERRORS: List["LockRankError"] = []
+_installed = False
 
 
-class DeadlockError(RuntimeError):
-    """Raised in one participant of a detected cyclic wait."""
+class LockRankError(RuntimeError):
+    """An acquire that breaks the two-rank lock rule."""
+
+    def __init__(self, lock: "_CheckedLock", held: "_CheckedLock") -> None:
+        rule = ("code holding a leaf lock takes no other lock" if held.leaf
+                else "code holding a non-leaf lock takes leaf locks only")
+        super().__init__(
+            f"acquiring {lock.site} while holding {held.site}: {rule}")
+        self.lock, self.held = lock.site, held.site
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One recorded ordering violation."""
-
-    kind: str        # "order" | "static-order"
-    lock: str        # identity being acquired
-    held: Tuple[str, ...]
-    thread: str
+def _held_list() -> List["_CheckedLock"]:
+    if not hasattr(_held, "locks"):
+        _held.locks = []
+    return _held.locks
 
 
-def _allocation_site(skip: int) -> str:
-    """``qualname:line`` of the frame ``skip`` levels up."""
-    try:
-        frame = sys._getframe(skip)
-    except ValueError:  # pragma: no cover - shallow stack
-        return "<unknown>"
-    code = frame.f_code
-    qual = getattr(code, "co_qualname", code.co_name)
-    return f"{qual}:{frame.f_lineno}"
+class _CheckedLock:
+    """A real Lock or RLock plus its allocation site and rank.  It also
+    implements the private protocol ``threading.Condition`` uses, so a
+    Condition on it tells its owner from other threads."""
 
+    def __init__(self, inner: Any, site: str, leaf: bool,
+                 reentrant: bool) -> None:
+        self._inner, self.site, self.leaf = inner, site, leaf
+        self._reentrant = reentrant
+        self._owner: Optional[int] = None
+        self._depth = 0
+        self._holders: List[_CheckedLock] = []
 
-class _SanitizedLock:
-    """Instrumented wrapper over a real non-reentrant lock."""
-
-    _reentrant = False
-
-    def __init__(self, san: "LockSanitizer", name: str) -> None:
-        self._san = san
-        self._inner: Any = _RealLock()
-        self._name = name
-        self._owner_tid: Optional[int] = None
-        self._count = 0
-
-    # -- lock protocol ---------------------------------------------------
-
-    def acquire(self, blocking: bool = True,
-                timeout: float = -1) -> bool:
-        return self._san._tracked_acquire(self, blocking, timeout)
+    def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
+        me = threading.get_ident()
+        if _installed and not (self._reentrant and self._owner == me):
+            held = _held_list()
+            if held and (not self.leaf or any(h.leaf for h in held)):
+                _ERRORS.append(LockRankError(self, held[-1]))
+                raise _ERRORS[-1]
+        if not self._inner.acquire(blocking, timeout):
+            return False
+        if self._owner == me:
+            self._depth += 1
+        else:
+            self._taken(1)
+        return True
 
     def release(self) -> None:
-        self._san._tracked_release(self)
+        if self._depth > 1:
+            self._depth -= 1
+        else:
+            self._dropped()
+        self._inner.release()
 
-    def locked(self) -> bool:
-        return self._inner.locked()
-
-    def __enter__(self) -> bool:
-        return self.acquire()
+    __enter__ = acquire
 
     def __exit__(self, *exc: object) -> None:
         self.release()
 
-    def _at_fork_reinit(self) -> None:
-        # The stdlib registers this as an os.fork handler
-        # (concurrent.futures.thread does at import time).
-        self._inner._at_fork_reinit()
-        self._owner_tid = None
-        self._count = 0
-
-    def __repr__(self) -> str:
-        return f"<SanitizedLock {self._name}>"
-
-    # -- raw operations the sanitizer drives -----------------------------
-
-    def _raw_acquire(self, blocking: bool, timeout: float) -> bool:
-        if not blocking:
-            return self._inner.acquire(False)
-        if timeout < 0:
-            return self._inner.acquire(True)
-        return self._inner.acquire(True, timeout)
-
-
-class _SanitizedRLock(_SanitizedLock):
-    """Instrumented wrapper over a real reentrant lock.
-
-    Implements the private protocol ``threading.Condition`` relies
-    on, so ``Condition()`` built on a patched ``RLock()`` works.
-    """
-
-    _reentrant = True
-
-    def __init__(self, san: "LockSanitizer", name: str) -> None:
-        super().__init__(san, name)
-        self._inner = _RealRLock()
-
     def locked(self) -> bool:
-        return self._inner._is_owned()  # type: ignore[attr-defined]
+        return self._owner is not None
+
+    def _taken(self, depth: int) -> None:
+        self._owner, self._depth = threading.get_ident(), depth
+        self._holders = _held_list()  # a Lock may be released elsewhere
+        self._holders.append(self)
+
+    def _dropped(self) -> None:
+        self._owner, self._depth = None, 0
+        if self in self._holders:
+            self._holders.remove(self)
 
     def _is_owned(self) -> bool:
-        return self._inner._is_owned()  # type: ignore[attr-defined]
+        return self._owner == threading.get_ident()
 
-    def _release_save(self) -> object:
-        self._san._note_full_release(self)
-        return self._inner._release_save()  # type: ignore[attr-defined]
+    def _release_save(self) -> Tuple[Any, int]:
+        depth = self._depth
+        self._dropped()
+        if self._reentrant:
+            return self._inner._release_save(), depth
+        self._inner.release()
+        return None, depth
 
-    def _acquire_restore(self, state: object) -> None:
-        self._inner._acquire_restore(state)  # type: ignore[attr-defined]
-        self._san._note_reacquire(self)
+    def _acquire_restore(self, saved: Tuple[Any, int]) -> None:
+        if self._reentrant:
+            self._inner._acquire_restore(saved[0])
+        else:
+            self._inner.acquire()
+        self._taken(saved[1])
+
+    def _at_fork_reinit(self) -> None:
+        self._inner._at_fork_reinit()
+        self._owner, self._depth, self._holders = None, 0, []
 
     def __repr__(self) -> str:
-        return f"<SanitizedRLock {self._name}>"
+        return f"<checked {'leaf ' if self.leaf else ''}lock {self.site}>"
 
 
-class LockSanitizer:
-    """Records per-thread acquisition stacks and checks lock order.
-
-    One instance is installed globally via :func:`install`; tests may
-    also drive an instance directly through the ``_Sanitized*``
-    wrappers it hands out from :meth:`make_lock` / :meth:`make_rlock`.
-    """
-
-    def __init__(self, poll_s: float = _POLL_S) -> None:
-        self.poll_s = poll_s
-        self._state = _RealLock()
-        self._tls = threading.local()
-        #: observed + fed order edges: name -> names acquired after it
-        self._order: Dict[str, Set[str]] = {}
-        #: edges that came from the static lock graph
-        self._static: Set[Tuple[str, str]] = set()
-        #: thread id -> lock it is currently blocked on
-        self._waiting: Dict[int, _SanitizedLock] = {}
-        self._violations: List[Violation] = []
-        self.acquisitions = 0
-        self.deadlocks = 0
-        self._locks: "weakref.WeakSet[_SanitizedLock]" = (
-            weakref.WeakSet())
-        self._enabled = True
-        #: metric deltas awaiting a safe flush point (see
-        #: :meth:`_maybe_flush`): [acquisitions, violations,
-        #: deadlocks, locks-tracked gauge (-1 = unchanged)]
-        self._pending = [0, 0, 0, -1.0]
-
-    # -- factories -------------------------------------------------------
-
-    def make_lock(self, name: Optional[str] = None) -> _SanitizedLock:
-        lock = _SanitizedLock(self, name or _allocation_site(2))
-        self._register(lock)
-        return lock
-
-    def make_rlock(self,
-                   name: Optional[str] = None) -> _SanitizedRLock:
-        lock = _SanitizedRLock(self, name or _allocation_site(2))
-        self._register(lock)
-        return lock
-
-    def _register(self, lock: _SanitizedLock) -> None:
-        with self._state:
-            self._locks.add(lock)
-            self._pending[3] = float(len(self._locks))
-        self._maybe_flush()
-
-    # -- introspection ---------------------------------------------------
-
-    def violations(self) -> List[Violation]:
-        with self._state:
-            return list(self._violations)
-
-    def held_names(self) -> List[str]:
-        return [lock._name for lock in self._held_stack()]
-
-    def order_edges(self) -> Set[Tuple[str, str]]:
-        with self._state:
-            return {
-                (src, dst)
-                for src, dsts in self._order.items() for dst in dsts
-            }
-
-    def feed_static_order(
-        self, edges: Iterable[Tuple[str, str]],
-    ) -> None:
-        """Seed the order graph with statically proven edges (from
-        :func:`repro.analysis.concurrency.lockgraph.lock_graph`), so
-        the first runtime inversion is already a violation."""
-        with self._state:
-            for src, dst in edges:
-                self._order.setdefault(src, set()).add(dst)
-                self._static.add((src, dst))
-
-    # -- per-thread state ------------------------------------------------
-
-    def _held_stack(self) -> List[_SanitizedLock]:
-        stack = getattr(self._tls, "stack", None)
-        if stack is None:
-            stack = []
-            self._tls.stack = stack
-        return stack
-
-    def _busy(self) -> bool:
-        return bool(getattr(self._tls, "busy", False))
-
-    # -- the tracked operations ------------------------------------------
-
-    def _tracked_acquire(self, lock: _SanitizedLock, blocking: bool,
-                         timeout: float) -> bool:
-        if self._busy() or not self._enabled:
-            return lock._raw_acquire(blocking, timeout)
-        tid = threading.get_ident()
-        if lock._reentrant and lock._owner_tid == tid:
-            got = lock._raw_acquire(blocking, timeout)
-            if got:
-                lock._count += 1
-            return got
-        self._check_order(lock)
-        if not blocking or timeout >= 0:
-            got = lock._raw_acquire(blocking, timeout)
-        else:
-            got = self._acquire_with_deadlock_watch(lock, tid)
-        if got:
-            self._note_acquired(lock, tid)
-        return got
-
-    def _acquire_with_deadlock_watch(self, lock: _SanitizedLock,
-                                     tid: int) -> bool:
-        if lock._raw_acquire(True, self.poll_s):
-            return True
-        with self._state:
-            self._waiting[tid] = lock
-        try:
-            while True:
-                if self._wait_cycle(tid):
-                    self._record_deadlock(lock)
-                    raise DeadlockError(
-                        f"cyclic wait detected while acquiring "
-                        f"{lock._name} (held: "
-                        f"{', '.join(self.held_names()) or 'none'})"
-                    )
-                if lock._raw_acquire(True, self.poll_s):
-                    return True
-        finally:
-            with self._state:
-                self._waiting.pop(tid, None)
-
-    def _wait_cycle(self, start_tid: int) -> bool:
-        """Does the waits-for graph close a cycle through
-        ``start_tid``?  (thread → wanted lock → owner thread → ...)"""
-        with self._state:
-            tid = start_tid
-            for _ in range(64):  # bound: cycles are short
-                wanted = self._waiting.get(tid)
-                if wanted is None:
-                    return False
-                owner = wanted._owner_tid
-                if owner is None:
-                    return False
-                if owner == start_tid:
-                    return True
-                tid = owner
-        return False  # pragma: no cover - defensive bound
-
-    def _check_order(self, lock: _SanitizedLock) -> None:
-        held = self._held_stack()
-        if not held:
-            return
-        name = lock._name
-        with self._state:
-            bad = [
-                h._name for h in held
-                if h._name != name
-                and self._reachable(name, h._name)
-            ]
-            if bad:
-                kind = (
-                    "static-order"
-                    if any((name, b) in self._static for b in bad)
-                    else "order"
-                )
-                self._violations.append(Violation(
-                    kind=kind,
-                    lock=name,
-                    held=tuple(h._name for h in held),
-                    thread=threading.current_thread().name,
-                ))
-                self._pending[1] += 1
-            for h in held:
-                if h._name != name:
-                    self._order.setdefault(h._name, set()).add(name)
-
-    def _reachable(self, src: str, dst: str) -> bool:
-        seen = {src}
-        frontier = [src]
-        while frontier:
-            node = frontier.pop()
-            if node == dst:
-                return True
-            for nxt in self._order.get(node, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return False
-
-    def _note_acquired(self, lock: _SanitizedLock, tid: int) -> None:
-        lock._owner_tid = tid
-        lock._count = 1
-        self._held_stack().append(lock)
-        with self._state:
-            self.acquisitions += 1
-            self._pending[0] += 1
-
-    def _tracked_release(self, lock: _SanitizedLock) -> None:
-        if self._busy() or not self._enabled:
-            lock._inner.release()
-            return
-        tid = threading.get_ident()
-        if lock._reentrant and lock._owner_tid == tid:
-            lock._count -= 1
-            if lock._count > 0:
-                lock._inner.release()
-                return
-        lock._owner_tid = None
-        lock._count = 0
-        stack = self._held_stack()
-        if lock in stack:
-            stack.remove(lock)
-        lock._inner.release()
-        if not stack:
-            self._maybe_flush()
-
-    def _note_full_release(self, lock: _SanitizedLock) -> None:
-        """Condition.wait is about to drop the lock entirely."""
-        lock._owner_tid = None
-        lock._count = 0
-        stack = self._held_stack()
-        if lock in stack:
-            stack.remove(lock)
-
-    def _note_reacquire(self, lock: _SanitizedLock) -> None:
-        """Condition.wait got the lock back."""
-        lock._owner_tid = threading.get_ident()
-        lock._count = 1
-        self._held_stack().append(lock)
-
-    def _record_deadlock(self, lock: _SanitizedLock) -> None:
-        with self._state:
-            self.deadlocks += 1
-            self._pending[2] += 1
-
-    # -- metric emission -------------------------------------------------
-    #
-    # The recorder is NEVER called from inside an acquisition: the
-    # metrics registry guards itself with an (instrumented) lock, so
-    # emitting "sanitizer.acquisitions" while holding the registry's
-    # own just-acquired lock would re-enter it — a self-deadlock the
-    # sanitizer exists to catch.  Counts accumulate in ``_pending``
-    # and flush only at safe points: when the calling thread holds no
-    # sanitized locks.  The busy flag keeps the flush's own registry
-    # acquisitions untracked.
-
-    def _maybe_flush(self) -> None:
-        if self._busy() or self._held_stack():
-            return
-        rec = _obs.RECORDER
-        with self._state:
-            acq, vio, dead, gauge = self._pending
-            self._pending = [0, 0, 0, -1.0]
-        if not rec.enabled:
-            return  # deltas are dropped, not queued forever
-        self._tls.busy = True
-        try:
-            if acq:
-                rec.count("sanitizer.acquisitions", acq)
-            if vio:
-                rec.count("sanitizer.order_violations", vio)
-            if dead:
-                rec.count("sanitizer.deadlocks", dead)
-            if gauge >= 0:
-                rec.set_gauge("sanitizer.locks_tracked", gauge)
-        finally:
-            self._tls.busy = False
+def _make(real: Any, reentrant: bool) -> Any:
+    frame = sys._getframe(2)
+    while frame and frame.f_code.co_filename == threading.__file__:
+        frame = frame.f_back
+    if frame is None or not frame.f_code.co_filename.startswith(
+            _REPRO + os.sep):
+        return real()
+    code, line = frame.f_code, frame.f_lineno
+    path = code.co_filename
+    site = (f"{os.path.relpath(path, os.path.dirname(_REPRO))}:{line} in "
+            f"{getattr(code, 'co_qualname', code.co_name)} "
+            f"({linecache.getline(path, line).strip()})")
+    return _CheckedLock(real(), site, path in _LEAF_FILES, reentrant)
 
 
-#: The installed sanitizer, if any.
-_ACTIVE: Optional[LockSanitizer] = None
+def _lock() -> Any:
+    return _make(_RealLock, False)
 
 
-def _registering_lock() -> _SanitizedLock:
-    san = _ACTIVE
-    if san is None:  # pragma: no cover - uninstall race
-        return _RealLock()  # type: ignore[return-value]
-    lock = _SanitizedLock(san, _allocation_site(2))
-    san._register(lock)
-    return lock
+def _rlock() -> Any:
+    return _make(_RealRLock, True)
 
 
-def _registering_rlock() -> _SanitizedRLock:
-    san = _ACTIVE
-    if san is None:  # pragma: no cover - uninstall race
-        return _RealRLock()  # type: ignore[return-value]
-    lock = _SanitizedRLock(san, _allocation_site(2))
-    san._register(lock)
-    return lock
-
-
-def install(san: Optional[LockSanitizer] = None) -> LockSanitizer:
-    """Patch ``threading.Lock`` / ``threading.RLock`` (idempotent).
-
-    Locks created *before* installation stay uninstrumented — install
-    early (the CLI does it before building any engine object when
-    ``TIX_LOCK_SANITIZER=1``)."""
-    global _ACTIVE
-    if _ACTIVE is not None:
-        return _ACTIVE
-    _ACTIVE = san or LockSanitizer()
-    setattr(threading, "Lock", _registering_lock)
-    setattr(threading, "RLock", _registering_rlock)
-    return _ACTIVE
+def install() -> None:
+    """Patch ``threading.Lock``/``RLock`` (idempotent).  Locks
+    allocated before this stay real: install early."""
+    global _installed
+    _installed = True
+    setattr(threading, "Lock", _lock)
+    setattr(threading, "RLock", _rlock)
 
 
 def uninstall() -> None:
-    """Restore the real primitives.  Existing wrappers keep working
-    (they delegate to their inner real locks) but stop recording."""
-    global _ACTIVE
-    if _ACTIVE is None:
-        return
-    _ACTIVE._enabled = False
-    _ACTIVE = None
+    """Restore the real primitives; checked locks stop checking."""
+    global _installed
+    _installed = False
     setattr(threading, "Lock", _RealLock)
     setattr(threading, "RLock", _RealRLock)
 
 
-def active() -> Optional[LockSanitizer]:
-    return _ACTIVE
+def active() -> bool:
+    return _installed
 
 
-def install_from_env() -> Optional[LockSanitizer]:
-    """Install iff ``TIX_LOCK_SANITIZER=1`` in the environment."""
+def install_from_env() -> bool:
+    """Install iff ``TIX_LOCK_SANITIZER=1``; report whether active."""
     if os.environ.get(ENV_VAR, "") == "1":
-        return install()
-    return None
+        install()
+    return _installed
+
+
+def held_sites() -> List[str]:
+    """Sites of the checked locks the calling thread holds, in order."""
+    return [lock.site for lock in _held_list()]
+
+
+def errors() -> List[LockRankError]:
+    """Every :class:`LockRankError` raised since the process started."""
+    return list(_ERRORS)

@@ -1205,8 +1205,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="a saved trace JSON file (e.g. "
                          "`tix trace --server … --id … --json > FILE`)")
     tr.add_argument("--server", metavar="HOST:PORT",
-                    help="fetch from a running server's *query* port "
-                         "over the wire protocol")
+                    help="fetch from the server's port over the wire "
+                         "protocol")
     tr.add_argument("--id", metavar="TRACE_ID",
                     help="one trace's full span tree; without it, the "
                          "in-flight/retained listing")

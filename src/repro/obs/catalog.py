@@ -194,17 +194,6 @@ CATALOG: Dict[str, Tuple[str, str]] = {
     "trace.dropped": (
         "counter",
         "retained traces evicted from the bounded ring under pressure"),
-    # -- runtime lock sanitizer (TIX_LOCK_SANITIZER=1) -------------------
-    "sanitizer.acquisitions": (
-        "counter", "lock acquisitions tracked by the lock sanitizer"),
-    "sanitizer.order_violations": (
-        "counter",
-        "lock acquisitions contradicting the observed or statically "
-        "computed order"),
-    "sanitizer.deadlocks": (
-        "counter", "actual cyclic waits detected (and broken)"),
-    "sanitizer.locks_tracked": (
-        "gauge", "live instrumented locks under the sanitizer"),
 }
 
 

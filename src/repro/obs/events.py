@@ -100,7 +100,7 @@ def query_hash(source: str) -> str:
 # Handed between threads, never written concurrently: only the thread
 # answering the request writes its record; the trace store's readers
 # (snapshots, ``traces`` lookups) see plain attribute reads.
-class QueryEvent:  # tix-lint: disable=shared-state-race
+class QueryEvent:
     """One request's record: identity, timing and fate.
 
     The owner opens it (``with record:`` — the query server around a
@@ -406,9 +406,10 @@ class JsonlSink(NullSink):
             self.emitted += 1
             # Writing under the lock is this sink's contract: one
             # JSON line per event, never interleaved across threads.
-            # tix-lint: disable=blocking-under-lock
+            # It is the one blocking call under a lock that
+            # docs/static-analysis.md ("Lock ranks") names.
             self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-            self._fh.flush()  # tix-lint: disable=blocking-under-lock
+            self._fh.flush()
         rec = _obs.RECORDER
         if rec.enabled:
             rec.count("obs.events.emitted")

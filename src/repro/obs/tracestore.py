@@ -29,10 +29,11 @@ ones that matter:
   pressure, counting ``trace.dropped`` rather than corrupting
   retained trees.
 
-Metric emission happens *outside* the store's lock (the deferred
-safe-point lesson of the lock sanitizer): the store computes what to
-emit under its lock and flushes after release, so the trace path never
-nests the metrics registry's locks inside its own.
+Metric emission happens *outside* the store's lock: the store computes
+what to emit under its lock and flushes after release.  The lock-rank
+rule (``docs/static-analysis.md``, "Lock ranks") would allow it under
+the lock, since the metrics locks are leaf locks, but emitting after
+release keeps the critical section short.
 """
 
 from __future__ import annotations

@@ -209,11 +209,13 @@ class QueryServer:
             self.store.index
             self.store.structure
             self.store.stats
-            self._accept_thread = threading.Thread(
+            thread = self._accept_thread = threading.Thread(
                 target=self._accept_loop, name="tix-query-accept",
                 daemon=True,
             )
-            self._accept_thread.start()
+        # Started after the lock is released: ``Thread.start`` waits on
+        # the new thread's Event, which is a lock of its own.
+        thread.start()
         return self
 
     def close(self, drain_s: float = 5.0,

@@ -4,38 +4,14 @@ The whole suite is deterministic: every fault injector is seeded from
 ``TIX_CHAOS_SEED`` (default 1234), so a failing run replays exactly by
 exporting the same seed.  CI pins the seed; set a different one locally
 to explore other fault schedules.
-
-CI additionally exports ``TIX_LOCK_SANITIZER=1`` for this suite: the
-runtime lock sanitizer instruments every lock the scenarios create,
-so the fault schedules double as a lock-order/deadlock probe.  A
-detected violation or cyclic wait fails the run at teardown.
 """
 
 import os
 
 import pytest
 
-from repro.analysis import sanitizer as _sanitizer
-
 
 @pytest.fixture(scope="session")
 def chaos_seed() -> int:
     return int(os.environ.get("TIX_CHAOS_SEED", "1234"))
 
-
-@pytest.fixture(scope="session", autouse=True)
-def lock_sanitizer():
-    """Install the runtime lock sanitizer for the whole chaos session
-    when ``TIX_LOCK_SANITIZER=1`` (CI does), and assert it observed a
-    clean run."""
-    san = _sanitizer.install_from_env()
-    yield san
-    if san is None:
-        return
-    violations = san.violations()
-    deadlocks = san.deadlocks
-    _sanitizer.uninstall()
-    assert deadlocks == 0, "lock sanitizer detected a cyclic wait"
-    assert violations == [], (
-        f"lock sanitizer observed order violations: {violations}"
-    )

@@ -1,5 +1,13 @@
 """Shared fixtures: the Figure 1 example store, small synthetic corpora,
-and helper factories used across the suite."""
+and helper factories used across the suite.
+
+With ``TIX_LOCK_SANITIZER=1`` (CI exports it for the test, chaos and
+serve-loadtest jobs) the whole session runs under the runtime
+lock-rank check (``docs/static-analysis.md``, "Lock ranks").  It is
+installed here, before any test module allocates a lock, and
+:func:`lock_rank_check` fails the session at teardown if any acquire
+broke the rule, including one that a server thread swallowed.
+"""
 
 from __future__ import annotations
 
@@ -7,10 +15,36 @@ import random
 
 import pytest
 
+from repro.analysis import sanitizer as _sanitizer
 from repro.exampledata import example_store
 from repro.workload import CorpusSpec, generate_corpus
 from repro.xmldb.builder import DocumentBuilder
 from repro.xmldb.store import XMLStore
+
+
+_sanitizer.install_from_env()
+
+
+@pytest.fixture(scope="session", autouse=True)
+def lock_rank_check():
+    yield
+    errors = _sanitizer.errors()
+    assert errors == [], (
+        "lock-rank check: " + "; ".join(str(e) for e in errors)
+    )
+
+
+@pytest.fixture()
+def lock_check(monkeypatch):
+    """The lock-rank check installed for one test, with its errors kept
+    apart from the session's: a test that breaks the rule on purpose
+    must not fail the session."""
+    was_active = _sanitizer.active()
+    _sanitizer.install()
+    monkeypatch.setattr(_sanitizer, "_ERRORS", [])
+    yield _sanitizer
+    if not was_active:
+        _sanitizer.uninstall()
 
 
 def pytest_addoption(parser):

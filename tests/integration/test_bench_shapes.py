@@ -4,6 +4,7 @@ flat, what is linear).  Absolute times are never asserted."""
 
 import pytest
 
+from repro.access.composite import Comp1
 from repro.bench import (
     run_pick_experiment,
     run_table1,
@@ -12,6 +13,7 @@ from repro.bench import (
     run_table4,
     run_table5,
 )
+from repro.core.scoring import ProximityScorer
 from repro.workload import (
     generate_corpus,
     table123_spec,
@@ -85,6 +87,20 @@ class TestTable3Shape:
     def test_comp1_grows_with_term2_frequency(self, result):
         comp1 = result.column("Comp1")
         assert comp1[-1] >= 3 * comp1[0]
+
+    def test_comp1_logical_io_grows_with_term2_frequency(self, store123):
+        # The exact twin of the seconds assertion above: Comp1 fetches
+        # each occurrence's node and walks its ancestors, so its logical
+        # I/O tracks term2's frequency however loaded the machine is.
+        store, rows = store123
+        io = []
+        for row in (rows["table3"][0], rows["table3"][-1]):
+            store.counters.reset()
+            Comp1(store, ProximityScorer(row.terms), True).run(
+                list(row.terms))
+            c = store.counters
+            io.append(c.nodes_fetched + c.navigations + c.index_lookups)
+        assert io[-1] >= 3 * io[0], io
 
     def test_enhanced_beats_composites(self, result):
         for row in result.rows:

@@ -547,7 +547,8 @@ class TestLockDiscipline:
         result = run_lint(tmp_path, files, self.RULE)
         assert result.findings == []
 
-    def test_outside_perf_not_governed(self, tmp_path):
+    def test_outside_perf_is_governed(self, tmp_path):
+        # Every lock-owning class is checked, wherever it lives.
         files = {
             "repro/core/cache.py": """
                 import threading
@@ -562,7 +563,8 @@ class TestLockDiscipline:
             """,
         }
         result = run_lint(tmp_path, files, self.RULE)
-        assert result.findings == []
+        assert len(result.findings) == 1
+        assert "Cache.get mutates self.hits" in result.findings[0].message
 
 
 # ----------------------------------------------------------------------

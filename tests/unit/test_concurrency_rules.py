@@ -1,18 +1,25 @@
-"""Good/bad fixtures for the concurrency analysis pass: the lock
-graph builder and the ``lock-order`` / ``shared-state-race`` /
-``blocking-under-lock`` rules (plus the generalized
-``lock-discipline``).
+"""The concurrency rules: two lock ranks, checked where each lock is
+taken at runtime, and the class-local ``lock-discipline`` lint rule.
 
-Fixture trees live under the concurrent module prefixes
-(``repro/perf``, ``repro/server``, ``repro/obs``) because that is the
-rules' scanning scope.  Each bad fixture has a conforming twin, and
-suppression comments are exercised per rule.
+The runtime half replaces the whole-program lock graph: lock order,
+self-deadlock and a blocking wait under another lock are all one
+comparison against the calling thread's held locks
+(``repro.analysis.sanitizer``).  The static half keeps what the
+runtime check cannot see: a lock-owning class writing its state
+outside its lock.  Lint fixture trees live anywhere under ``repro/``;
+every class that owns a lock is in scope.
 """
 
 import textwrap
 
-from repro.analysis import build_project, lint
-from repro.analysis.concurrency import lock_graph
+import pytest
+
+from repro import obs
+from repro.analysis import lint
+from repro.analysis.sanitizer import LockRankError
+from repro.errors import OverloadedError
+from repro.perf.lru import LRUCache
+from repro.server.admission import AdmissionController
 
 _REGISTRIES = {
     "repro/obs/catalog.py": "CATALOG = {}\n",
@@ -29,98 +36,91 @@ def run_lint(tmp_path, files, rules):
     return lint(root=root, rules=rules)
 
 
-def build(tmp_path, files):
-    root = tmp_path / "src"
-    for rel, text in files.items():
-        path = root / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(textwrap.dedent(text), encoding="utf-8")
-    return build_project(root)
-
-
 def messages(result):
     return [f"{f.path}:{f.line} {f.message}" for f in result.findings]
 
 
 # ----------------------------------------------------------------------
-# lock graph builder
+# lock order, at runtime
 # ----------------------------------------------------------------------
 
-_TWO_LOCK_CLASSES = {
-    "repro/perf/pair.py": """
-        import threading
-
-        class A:
-            def __init__(self, b):
-                self._lock = threading.Lock()
-                self.b: "B" = b
-
-            def use(self):
-                with self._lock:
-                    self.b.poke()
-
-        class B:
-            def __init__(self):
-                self._lock = threading.Lock()
-
-            def poke(self):
-                with self._lock:
+class TestLockOrder:
+    def test_abba_cycle_is_reported_with_witness(self, lock_check):
+        # The first half of an ABBA pair already breaks the rule: no
+        # second thread, and no second order, is needed to report it.
+        cache, admission = LRUCache(4)._lock, AdmissionController()._cond
+        with cache:
+            with pytest.raises(LockRankError) as info:
+                with admission:
                     pass
-    """,
-}
+        # The error names both locks by their allocation sites.
+        assert info.value.held.startswith("repro/perf/lru.py:")
+        assert info.value.lock.startswith("repro/server/admission.py:")
+        assert "self._lock = threading.Lock()" in str(info.value)
+
+    def test_dag_is_clean(self, lock_check):
+        # AdmissionController records its metrics while holding _cond:
+        # non-leaf before leaf, the one nesting the rule allows.
+        adm = AdmissionController()
+        with obs.collecting() as col:
+            adm.release(adm.admit())
+        assert col.metrics.snapshot()["server.admitted"] == 1
+        assert lock_check.errors() == []
+
+    def test_self_deadlock_on_nonreentrant_lock(self, lock_check):
+        lock = LRUCache(4)._lock
+        with lock:
+            # Raised instead of hanging forever on the held Lock.
+            with pytest.raises(LockRankError):
+                lock.acquire()
+
+    def test_rlock_reacquire_is_fine(self, lock_check):
+        cond = AdmissionController()._cond
+        with cond:
+            with cond:
+                pass
+        assert lock_check.errors() == []
 
 
-class TestLockGraph:
-    def test_identities_and_edges(self, tmp_path):
-        files = dict(_TWO_LOCK_CLASSES)
-        files["repro/perf/use.py"] = """
-            import threading
-            from repro.perf.pair import A, B
+# ----------------------------------------------------------------------
+# waiting under a lock, at runtime
+# ----------------------------------------------------------------------
 
-            def run():
-                a = A(B())
-                a.use()
-        """
-        project = build(tmp_path, files)
-        graph = lock_graph(project)
-        assert graph.locks == {
-            "A._lock": "lock", "B._lock": "lock",
-        }
-        edge = graph.edges[("A._lock", "B._lock")]
-        assert edge.src == "A._lock" and edge.dst == "B._lock"
-        # The witness trail names both acquisition sites.
-        assert any("A.use acquires A._lock" in s for s in edge.witness)
-        assert any("B.poke acquires B._lock" in s
-                   for s in edge.witness)
+class TestBlockingUnderLock:
+    def test_wait_on_only_held_condition_is_exempt(self, lock_check):
+        adm = AdmissionController(max_inflight=1, queue_timeout_s=0.01)
+        ticket = adm.admit()
+        # The queued request waits on _cond, held alone, and times out.
+        with pytest.raises(OverloadedError):
+            adm.admit()
+        adm.release(ticket)
+        assert lock_check.errors() == []
 
-    def test_entry_held_for_locked_private_helper(self, tmp_path):
-        project = build(tmp_path, {
-            "repro/perf/helper.py": """
-                import threading
+    def test_wait_while_holding_another_lock_is_reported(
+            self, lock_check):
+        cache, adm = LRUCache(4), AdmissionController()
+        with cache._lock:
+            with pytest.raises(LockRankError):
+                adm.admit()
+        assert adm._inflight == 0
+        assert len(lock_check.errors()) == 1
 
-                class C:
-                    def __init__(self):
-                        self._lock = threading.Lock()
-                        self.n = 0
 
-                    def bump(self):
-                        with self._lock:
-                            self._inc()
+# ----------------------------------------------------------------------
+# shared state: lock-discipline's domain
+# ----------------------------------------------------------------------
 
-                    def _inc(self):
-                        self.n += 1
-            """,
-        })
-        graph = lock_graph(project)
-        assert graph.entry_held[("C", "_inc")] == {"C._lock"}
-
-    def test_thread_roots_mark_shared_classes(self, tmp_path):
-        project = build(tmp_path, {
-            "repro/perf/escape.py": """
+class TestSharedStateRace:
+    def test_lock_owning_class_is_lock_disciplines_domain(
+            self, tmp_path):
+        files = {
+            **_REGISTRIES,
+            "repro/server/escape.py": """
                 import threading
 
                 class Tally:
                     def __init__(self):
+                        self._lock = threading.Lock()
                         self.n = 0
 
                     def bump(self):
@@ -131,412 +131,20 @@ class TestLockGraph:
                         self.tally = Tally()
 
                     def start(self):
-                        t = threading.Thread(target=self._loop)
+                        t = threading.Thread(target=self.tally.bump)
                         t.start()
-
-                    def _loop(self):
-                        self.tally.bump()
-
-                    def total(self):
-                        return self.tally.bump()
             """,
-        })
-        graph = lock_graph(project)
-        assert "Tally" in graph.shared
-        assert any(r.startswith("thread:")
-                   for r in graph.shared["Tally"])
+        }
+        result = run_lint(tmp_path, files, ["lock-discipline"])
+        assert messages(result) == [
+            "repro/server/escape.py:10 Tally.bump mutates self.n "
+            "outside `with self._lock:` — a data race across the "
+            "threads sharing this object",
+        ]
 
 
 # ----------------------------------------------------------------------
-# lock-order
-# ----------------------------------------------------------------------
-
-# ``backward`` takes the locks in the same global order as
-# ``forward`` (A then B) — a DAG, no finding.
-_DAG = {
-    **_REGISTRIES,
-    "repro/perf/abba.py": """
-        import threading
-
-        class A:
-            def __init__(self, b):
-                self._lock = threading.Lock()
-                self.b: "B" = b
-
-            def forward(self):
-                with self._lock:
-                    self.b.deep()
-
-            def tail(self):
-                pass
-
-        class B:
-            def __init__(self, a):
-                self._lock = threading.Lock()
-                self.a: "A" = a
-
-            def deep(self):
-                with self._lock:
-                    pass
-
-        def wire(a: A, b: B):
-            a.forward()
-    """,
-}
-
-
-class TestLockOrder:
-    RULES = ["lock-order"]
-
-    def test_abba_cycle_is_reported_with_witness(self, tmp_path):
-        files = {
-            **_REGISTRIES,
-            "repro/perf/abba.py": """
-                import threading
-
-                class A:
-                    def __init__(self, b):
-                        self._lock = threading.Lock()
-                        self.b: "B" = b
-
-                    def forward(self):
-                        with self._lock:
-                            self.b.deep()
-
-                class B:
-                    def __init__(self, a):
-                        self._lock = threading.Lock()
-                        self.a: "A" = a
-
-                    def deep(self):
-                        with self._lock:
-                            pass
-
-                    def backward(self):
-                        with self._lock:
-                            with self.a._lock:
-                                pass
-                """,
-        }
-        result = run_lint(tmp_path, files, self.RULES)
-        assert len(result.findings) == 1
-        finding = result.findings[0]
-        assert finding.rule == "lock-order"
-        assert finding.severity == "error"
-        assert "A._lock" in finding.message
-        assert "B._lock" in finding.message
-        assert finding.witness  # full path shipped with the finding
-        assert any("acquires" in step for step in finding.witness)
-
-    def test_dag_is_clean(self, tmp_path):
-        result = run_lint(tmp_path, _DAG, self.RULES)
-        assert result.findings == [], messages(result)
-
-    def test_self_deadlock_on_nonreentrant_lock(self, tmp_path):
-        files = {
-            **_REGISTRIES,
-            "repro/perf/selfdead.py": """
-                import threading
-
-                class C:
-                    def __init__(self):
-                        self._lock = threading.Lock()
-
-                    def outer(self):
-                        with self._lock:
-                            self._inner()
-
-                    def _inner(self):
-                        with self._lock:
-                            pass
-            """,
-        }
-        result = run_lint(tmp_path, files, self.RULES)
-        assert len(result.findings) == 1
-        assert "re-acquisition" in result.findings[0].message
-
-    def test_rlock_reacquire_is_fine(self, tmp_path):
-        files = {
-            **_REGISTRIES,
-            "repro/perf/selfdead.py": """
-                import threading
-
-                class C:
-                    def __init__(self):
-                        self._lock = threading.RLock()
-
-                    def outer(self):
-                        with self._lock:
-                            self._inner()
-
-                    def _inner(self):
-                        with self._lock:
-                            pass
-            """,
-        }
-        result = run_lint(tmp_path, files, self.RULES)
-        assert result.findings == [], messages(result)
-
-
-# ----------------------------------------------------------------------
-# shared-state-race
-# ----------------------------------------------------------------------
-
-_ESCAPED = {
-    **_REGISTRIES,
-    "repro/server/escape.py": """
-        import threading
-
-        class Tally:
-            def __init__(self):
-                self.n = 0
-
-            def bump(self):
-                self.n += 1
-
-        class Runner:
-            def __init__(self):
-                self.tally = Tally()
-                self._lock = threading.Lock()
-
-            def start(self):
-                t = threading.Thread(target=self._loop)
-                t.start()
-
-            def _loop(self):
-                self.tally.bump()
-
-            def total(self):
-                self.tally.bump()
-                return self.tally.n
-    """,
-}
-
-_CONFINED = {
-    **_REGISTRIES,
-    "repro/server/escape.py": """
-        class Tally:
-            def __init__(self):
-                self.n = 0
-
-            def bump(self):
-                self.n += 1
-
-        def summarize(items):
-            t = Tally()
-            for _ in items:
-                t.bump()
-            return t.n
-    """,
-}
-
-
-class TestSharedStateRace:
-    RULES = ["shared-state-race"]
-
-    def test_escaped_attribute_write_is_reported(self, tmp_path):
-        result = run_lint(tmp_path, _ESCAPED, self.RULES)
-        assert len(result.findings) == 1
-        finding = result.findings[0]
-        assert finding.rule == "shared-state-race"
-        assert "Tally.bump writes self.n" in finding.message
-        assert finding.witness  # names the roots that reach it
-
-    def test_confined_class_is_clean(self, tmp_path):
-        result = run_lint(tmp_path, _CONFINED, self.RULES)
-        assert result.findings == [], messages(result)
-
-    def test_lock_owning_class_is_lock_disciplines_domain(
-            self, tmp_path):
-        files = dict(_ESCAPED)
-        files["repro/server/escape.py"] = files[
-            "repro/server/escape.py"
-        ].replace(
-            "def __init__(self):\n                self.n = 0",
-            "def __init__(self):\n"
-            "                import threading\n"
-            "                self._lock = threading.Lock()\n"
-            "                self.n = 0",
-        )
-        result = run_lint(tmp_path, files, self.RULES)
-        assert result.findings == [], messages(result)
-
-    def test_class_level_suppression(self, tmp_path):
-        files = dict(_ESCAPED)
-        files["repro/server/escape.py"] = files[
-            "repro/server/escape.py"
-        ].replace(
-            "class Tally:",
-            "class Tally:  # tix-lint: disable=shared-state-race",
-        )
-        result = run_lint(tmp_path, files, self.RULES)
-        assert result.findings == [], messages(result)
-
-    def test_threading_local_subclass_is_exempt(self, tmp_path):
-        files = {
-            **_REGISTRIES,
-            "repro/server/tls.py": """
-                import threading
-
-                class PerThread(threading.local):
-                    def poke(self):
-                        self.n = 1
-
-                class Runner:
-                    def __init__(self):
-                        self.state = PerThread()
-
-                    def start(self):
-                        t = threading.Thread(target=self._loop)
-                        t.start()
-
-                    def _loop(self):
-                        self.state.poke()
-
-                    def read(self):
-                        self.state.poke()
-            """,
-        }
-        result = run_lint(tmp_path, files, self.RULES)
-        assert result.findings == [], messages(result)
-
-
-# ----------------------------------------------------------------------
-# blocking-under-lock
-# ----------------------------------------------------------------------
-
-_BLOCKING = {
-    **_REGISTRIES,
-    "repro/obs/sink.py": """
-        import threading
-        import time
-
-        class Sink:
-            def __init__(self):
-                self._lock = threading.Lock()
-                self.n = 0
-
-            def emit(self):
-                with self._lock:
-                    self.n += 1
-                    time.sleep(0.1)
-    """,
-}
-
-_NON_BLOCKING = {
-    **_REGISTRIES,
-    "repro/obs/sink.py": """
-        import threading
-        import time
-
-        class Sink:
-            def __init__(self):
-                self._lock = threading.Lock()
-                self.n = 0
-
-            def emit(self):
-                with self._lock:
-                    self.n += 1
-                time.sleep(0.1)
-    """,
-}
-
-
-class TestBlockingUnderLock:
-    RULES = ["blocking-under-lock"]
-
-    def test_sleep_under_lock_is_reported(self, tmp_path):
-        result = run_lint(tmp_path, _BLOCKING, self.RULES)
-        assert len(result.findings) == 1
-        finding = result.findings[0]
-        assert finding.severity == "warning"
-        assert "time.sleep()" in finding.message
-        assert "Sink._lock" in finding.message
-        assert finding.witness
-
-    def test_sleep_outside_lock_is_clean(self, tmp_path):
-        result = run_lint(tmp_path, _NON_BLOCKING, self.RULES)
-        assert result.findings == [], messages(result)
-
-    def test_blocking_reached_through_helper(self, tmp_path):
-        files = {
-            **_REGISTRIES,
-            "repro/obs/sink.py": """
-                import threading
-                import time
-
-                class Sink:
-                    def __init__(self):
-                        self._lock = threading.Lock()
-
-                    def emit(self):
-                        with self._lock:
-                            self._write()
-
-                    def _write(self):
-                        time.sleep(0.1)
-            """,
-        }
-        result = run_lint(tmp_path, files, self.RULES)
-        assert len(result.findings) == 1
-        # Anchored at the sleep, witness shows the acquiring caller.
-        assert any("Sink.emit acquires" in s
-                   for s in result.findings[0].witness)
-
-    def test_wait_on_only_held_condition_is_exempt(self, tmp_path):
-        files = {
-            **_REGISTRIES,
-            "repro/server/adm.py": """
-                import threading
-
-                class Gate:
-                    def __init__(self):
-                        self._cond = threading.Condition()
-
-                    def block(self):
-                        with self._cond:
-                            self._cond.wait(0.1)
-            """,
-        }
-        result = run_lint(tmp_path, files, self.RULES)
-        assert result.findings == [], messages(result)
-
-    def test_wait_while_holding_another_lock_is_reported(
-            self, tmp_path):
-        files = {
-            **_REGISTRIES,
-            "repro/server/adm.py": """
-                import threading
-
-                class Gate:
-                    def __init__(self):
-                        self._lock = threading.Lock()
-                        self._cond = threading.Condition()
-
-                    def block(self):
-                        with self._lock:
-                            with self._cond:
-                                self._cond.wait(0.1)
-            """,
-        }
-        result = run_lint(tmp_path, files, self.RULES)
-        assert len(result.findings) == 1
-        assert "Gate._lock" in result.findings[0].message
-
-    def test_suppression_on_call_line(self, tmp_path):
-        files = dict(_BLOCKING)
-        files["repro/obs/sink.py"] = files["repro/obs/sink.py"].replace(
-            "time.sleep(0.1)",
-            "time.sleep(0.1)  "
-            "# tix-lint: disable=blocking-under-lock",
-        )
-        result = run_lint(tmp_path, files, self.RULES)
-        assert result.findings == [], messages(result)
-        assert len(result.suppressed) == 1
-
-
-# ----------------------------------------------------------------------
-# generalized lock-discipline
+# class-local lock-discipline
 # ----------------------------------------------------------------------
 
 class TestGeneralizedLockDiscipline:
@@ -603,6 +211,33 @@ class TestGeneralizedLockDiscipline:
         result = run_lint(tmp_path, files, self.RULES)
         assert result.findings == [], messages(result)
 
+    def test_private_helper_called_once_without_lock_is_checked(
+            self, tmp_path):
+        files = {
+            **_REGISTRIES,
+            "repro/perf/state.py": """
+                import threading
+
+                class S:
+                    def __init__(self):
+                        self._lock = threading.Lock()
+                        self.n = 0
+
+                    def bump(self):
+                        with self._lock:
+                            self._inc()
+
+                    def reset(self):
+                        self._inc()
+
+                    def _inc(self):
+                        self.n += 1
+            """,
+        }
+        result = run_lint(tmp_path, files, self.RULES)
+        assert len(result.findings) == 1
+        assert "S._inc mutates self.n" in result.findings[0].message
+
     def test_event_mutator_is_exempt(self, tmp_path):
         files = {
             **_REGISTRIES,
@@ -620,3 +255,18 @@ class TestGeneralizedLockDiscipline:
         }
         result = run_lint(tmp_path, files, self.RULES)
         assert result.findings == [], messages(result)
+
+
+def test_thread_allocated_in_repro_is_started_outside_locks(lock_check):
+    # Thread.start waits on the new thread's Event, a checked lock when
+    # the Thread is built in repro code: the query server therefore
+    # starts its accept thread after releasing its own lock.
+    from repro.server.server import QueryServer
+    from repro.xmldb.store import XMLStore
+
+    server = QueryServer(XMLStore(), port=0).start()
+    try:
+        assert server._accept_thread.is_alive()
+    finally:
+        assert server.close()
+    assert lock_check.errors() == []

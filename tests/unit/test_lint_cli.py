@@ -23,15 +23,12 @@ from repro.analysis import (
 from repro.cli import main
 
 EXPECTED_RULES = {
-    "blocking-under-lock",
     "fault-point-drift",
     "guard-hook",
     "lock-discipline",
-    "lock-order",
     "metric-drift",
     "operator-contract",
     "resource-safety",
-    "shared-state-race",
 }
 
 

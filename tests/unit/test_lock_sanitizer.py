@@ -1,37 +1,48 @@
-"""Runtime lock sanitizer: wrapper semantics, order-inversion
-detection, static-order seeding, live deadlock breaking, Condition
-compatibility, env-var gating, and metric emission.
+"""Runtime lock-rank check: wrapper semantics, the two ranks, Condition
+compatibility, which allocations are checked, and env-var gating.
 
-Every test that installs the global patch uninstalls it again —
-leaking a patched ``threading.Lock`` would poison the rest of the
-suite.
+Only locks allocated by code in the ``repro`` package are checked, so
+the tests take their locks from real repro objects: ``LRUCache`` and
+``AdmissionController``/``StoreGate`` for non-leaf locks, the metrics
+for leaf locks.  The ``lock_check`` fixture (``tests/conftest.py``)
+installs the check and keeps the errors these tests provoke out of
+the session's teardown assertion.
 """
 
+import queue
 import threading
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analysis import sanitizer
-from repro.analysis.sanitizer import (
-    DeadlockError,
-    LockSanitizer,
-    _RealLock,
-    _RealRLock,
-)
+from repro.analysis.sanitizer import LockRankError, _RealLock, _RealRLock
+from repro.obs.metrics import Counter, Gauge
+from repro.perf.lru import LRUCache
+from repro.server.admission import AdmissionController, StoreGate
+from repro.xmldb.store import XMLStore
+
+
+def _plain():
+    return LRUCache(4)._lock
+
+
+def _cond():
+    return AdmissionController()._cond
 
 
 @pytest.fixture
-def san():
-    return LockSanitizer(poll_s=0.01)
-
-
-@pytest.fixture
-def installed(monkeypatch):
-    monkeypatch.setattr(sanitizer, "_ACTIVE", None)
-    monkeypatch.setattr(threading, "Lock", _RealLock)
-    monkeypatch.setattr(threading, "RLock", _RealRLock)
-    yield
+def fresh(monkeypatch):
+    """No check installed; the previous state is restored after."""
+    was_active = sanitizer.active()
     sanitizer.uninstall()
+    monkeypatch.setattr(sanitizer, "_ERRORS", [])
+    yield
+    if was_active:
+        sanitizer.install()
+    else:
+        sanitizer.uninstall()
 
 
 # ----------------------------------------------------------------------
@@ -39,18 +50,17 @@ def installed(monkeypatch):
 # ----------------------------------------------------------------------
 
 class TestWrappers:
-    def test_lock_protocol(self, san):
-        lock = san.make_lock("a")
+    def test_lock_protocol(self, lock_check):
+        lock = _plain()
         assert not lock.locked()
         with lock:
             assert lock.locked()
-            assert san.held_names() == ["a"]
+            assert lock_check.held_sites() == [lock.site]
         assert not lock.locked()
-        assert san.held_names() == []
-        assert san.acquisitions == 1
+        assert lock_check.held_sites() == []
 
-    def test_nonblocking_acquire_failure(self, san):
-        lock = san.make_lock("a")
+    def test_nonblocking_acquire_failure(self, lock_check):
+        lock = _plain()
         lock.acquire()
         try:
             in_other = []
@@ -62,16 +72,17 @@ class TestWrappers:
         finally:
             lock.release()
 
-    def test_rlock_is_reentrant(self, san):
-        rlock = san.make_rlock("r")
+    def test_rlock_is_reentrant(self, lock_check):
+        rlock = _cond()._lock  # a Condition's own RLock
         with rlock:
             with rlock:
-                assert san.held_names() == ["r"]
+                assert lock_check.held_sites() == [rlock.site]
             assert rlock.locked()
         assert not rlock.locked()
+        assert lock_check.errors() == []
 
-    def test_condition_on_sanitized_rlock(self, san):
-        cond = threading.Condition(san.make_rlock("c"))
+    def test_condition_on_sanitized_rlock(self, lock_check):
+        cond = _cond()
         done = []
 
         def waiter():
@@ -86,107 +97,129 @@ class TestWrappers:
             cond.notify()
         t.join(5.0)
         assert not t.is_alive()
-        # wait() fully released and reacquired: nothing leaks into
-        # this thread's held stack.
-        assert san.held_names() == []
+        # wait() released and re-took the lock: nothing leaks into
+        # this thread's held list.
+        assert lock_check.held_sites() == []
+        assert lock_check.errors() == []
 
 
 # ----------------------------------------------------------------------
-# order checking
+# the two ranks
+# ----------------------------------------------------------------------
+
+class TestRanks:
+    def test_two_conditions_nested_raise(self, lock_check):
+        admission = AdmissionController()._cond
+        gate = StoreGate(XMLStore())._cond
+        with admission:
+            with pytest.raises(LockRankError) as info:
+                with gate:
+                    pass
+        message = str(info.value)
+        assert "repro/server/admission.py" in message
+        assert info.value.lock != info.value.held
+        assert len(lock_check.errors()) == 1
+
+    def test_nonleaf_under_nonleaf_raises_on_first_occurrence(
+            self, lock_check):
+        a, b = _plain(), _cond()
+        with a:
+            with pytest.raises(LockRankError) as info:
+                b.acquire()
+        assert "repro/perf/lru.py" in info.value.held
+        assert "repro/server/admission.py" in info.value.lock
+        assert not b._lock.locked()  # raised before it blocked
+        assert lock_check.held_sites() == []
+
+    def test_leaf_under_leaf_raises(self, lock_check):
+        counter, gauge = Counter("c"), Gauge("g")
+        assert counter._lock.leaf and gauge._lock.leaf
+        with counter._lock:
+            with pytest.raises(LockRankError, match="leaf lock takes no"):
+                gauge.set(1)
+
+    def test_nonleaf_then_metrics_lock_passes(self, lock_check):
+        counter = Counter("c")
+        with _plain():
+            counter.inc()
+            counter.inc()
+        assert counter.value == 2
+        assert lock_check.errors() == []
+
+    def test_condition_wait_on_lock_held_alone_passes(self, lock_check):
+        cond = _cond()
+        with cond:
+            assert cond.wait(0.01) is False
+            assert lock_check.held_sites() == [cond._lock.site]
+        assert lock_check.errors() == []
+
+    def test_stdlib_allocated_lock_is_not_instrumented(self, lock_check):
+        # Run the allocations in a frame whose code lives in the repro
+        # package: a direct Lock() there is checked, but the Queue's
+        # mutex is allocated by queue.py and stays real.
+        repro_file = str(Path(repro.__file__).parent / "perf" / "lru.py")
+        ns = {"queue": queue, "threading": threading}
+        exec(compile("q = queue.Queue(); lock = threading.Lock()",
+                     repro_file, "exec"), ns)
+        assert isinstance(ns["lock"], sanitizer._CheckedLock)
+        assert not isinstance(ns["q"].mutex, sanitizer._CheckedLock)
+
+
+# ----------------------------------------------------------------------
+# order: what used to need a graph is one comparison per acquire
 # ----------------------------------------------------------------------
 
 class TestOrdering:
-    def test_consistent_order_is_clean(self, san):
-        a, b = san.make_lock("a"), san.make_lock("b")
+    def test_consistent_order_is_clean(self, lock_check):
+        a, counter = _plain(), Counter("c")
         for _ in range(2):
             with a:
+                counter.inc()
+        assert lock_check.errors() == []
+
+    def test_inversion_is_a_violation(self, lock_check):
+        a, b = _plain(), _cond()
+        with a:
+            with pytest.raises(LockRankError):
                 with b:
                     pass
-        assert san.violations() == []
-        assert ("a", "b") in san.order_edges()
-
-    def test_inversion_is_a_violation(self, san):
-        a, b = san.make_lock("a"), san.make_lock("b")
-        with a:
-            with b:
-                pass
         with b:
-            with a:
-                pass
-        (v,) = san.violations()
-        assert v.kind == "order"
-        assert v.lock == "a"
-        assert v.held == ("b",)
-
-    def test_static_order_makes_first_inversion_a_violation(self, san):
-        san.feed_static_order([("a", "b")])
-        a, b = san.make_lock("a"), san.make_lock("b")
-        # No prior runtime observation needed: the static graph
-        # already proves a → b, so b → a is instantly wrong.
-        with b:
-            with a:
-                pass
-        (v,) = san.violations()
-        assert v.kind == "static-order"
-
-    def test_three_lock_transitive_inversion(self, san):
-        a, b, c = (san.make_lock(n) for n in "abc")
-        with a:
-            with b:
-                pass
-        with b:
-            with c:
-                pass
-        with c:
-            with a:
-                pass  # a is reachable from c via b
-        (v,) = san.violations()
-        assert v.lock == "a" and v.held == ("c",)
+            with pytest.raises(LockRankError):
+                with a:
+                    pass
+        assert len(lock_check.errors()) == 2
 
 
 # ----------------------------------------------------------------------
-# deadlock detection
+# deadlock: an ABBA wait raises before either thread blocks
 # ----------------------------------------------------------------------
 
 class TestDeadlock:
-    def test_real_abba_deadlock_is_broken(self, san):
-        a, b = san.make_lock("a"), san.make_lock("b")
+    def test_real_abba_deadlock_is_broken(self, lock_check):
+        a, b = _plain(), _cond()
         barrier = threading.Barrier(2, timeout=5.0)
         errors = []
 
-        def one():
-            with a:
+        def take(first, second):
+            with first:
                 barrier.wait()
                 try:
-                    with b:
+                    with second:
                         pass
-                except DeadlockError as exc:
+                except LockRankError as exc:
                     errors.append(exc)
 
-        def two():
-            with b:
-                barrier.wait()
-                try:
-                    with a:
-                        pass
-                except DeadlockError as exc:
-                    errors.append(exc)
+        threads = [threading.Thread(target=take, args=(a, b)),
+                   threading.Thread(target=take, args=(b, a))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10.0)
+        assert not any(t.is_alive() for t in threads)
+        assert len(errors) == 2
 
-        t1 = threading.Thread(target=one)
-        t2 = threading.Thread(target=two)
-        t1.start()
-        t2.start()
-        t1.join(10.0)
-        t2.join(10.0)
-        # Neither thread hangs: at least one got DeadlockError and
-        # released its lock, letting the other finish.
-        assert not t1.is_alive() and not t2.is_alive()
-        assert len(errors) >= 1
-        assert san.deadlocks >= 1
-        assert "cyclic wait" in str(errors[0])
-
-    def test_plain_contention_is_not_a_deadlock(self, san):
-        lock = san.make_lock("a")
+    def test_plain_contention_is_not_a_deadlock(self, lock_check):
+        lock = _plain()
         hits = []
 
         def worker():
@@ -199,7 +232,7 @@ class TestDeadlock:
         for t in threads:
             t.join(5.0)
         assert len(hits) == 4
-        assert san.deadlocks == 0
+        assert lock_check.errors() == []
 
 
 # ----------------------------------------------------------------------
@@ -207,77 +240,46 @@ class TestDeadlock:
 # ----------------------------------------------------------------------
 
 class TestInstall:
-    def test_install_patches_and_uninstall_restores(self, installed):
-        san = sanitizer.install()
-        assert sanitizer.active() is san
-        lock = threading.Lock()
-        assert isinstance(lock, sanitizer._SanitizedLock)
-        with lock:
-            assert san.held_names()  # allocation-site identity
-        cond = threading.Condition()  # picks up the patched RLock
-        with cond:
-            pass
+    def test_install_patches_and_uninstall_restores(self, fresh):
+        assert _plain().__class__ is type(_RealLock())
+        sanitizer.install()
+        assert sanitizer.active()
+        a, b = _plain(), _cond()
+        assert isinstance(a, sanitizer._CheckedLock)
         sanitizer.uninstall()
-        assert sanitizer.active() is None
+        assert not sanitizer.active()
         assert threading.Lock is _RealLock
         assert threading.RLock is _RealRLock
-        # Orphan wrappers keep working, silently.
-        with lock:
-            pass
-        assert san.held_names() == []
+        # Checked locks outlive uninstall and pass straight through.
+        with a:
+            with b:
+                pass
+        assert sanitizer.errors() == []
 
-    def test_install_is_idempotent(self, installed):
-        first = sanitizer.install()
-        assert sanitizer.install() is first
-
-    def test_allocation_site_names_are_distinct(self, installed):
+    def test_install_is_idempotent(self, fresh):
         sanitizer.install()
-        lock_a = threading.Lock()
-        lock_b = threading.Lock()
-        # Same call site qualname, different lines.
-        assert lock_a._name != lock_b._name
-        assert "test_allocation_site_names_are_distinct" in lock_a._name
-
-    def test_env_gate_off(self, installed, monkeypatch):
-        monkeypatch.delenv(sanitizer.ENV_VAR, raising=False)
-        assert sanitizer.install_from_env() is None
+        patched = threading.Lock
+        sanitizer.install()
+        assert threading.Lock is patched
+        sanitizer.uninstall()
         assert threading.Lock is _RealLock
 
-    def test_env_gate_on(self, installed, monkeypatch):
+    def test_allocation_site_names_are_distinct(self, lock_check):
+        admission = AdmissionController()._cond._lock
+        gate = StoreGate(XMLStore())._cond._lock
+        # Both are Condition()'s RLock: named by the repro line that
+        # built the Condition, not by threading.py.
+        assert admission.site != gate.site
+        for site in (admission.site, gate.site):
+            assert site.startswith("repro/server/admission.py:")
+            assert "self._cond = threading.Condition()" in site
+
+    def test_env_gate_off(self, fresh, monkeypatch):
+        monkeypatch.delenv(sanitizer.ENV_VAR, raising=False)
+        assert sanitizer.install_from_env() is False
+        assert threading.Lock is _RealLock
+
+    def test_env_gate_on(self, fresh, monkeypatch):
         monkeypatch.setenv(sanitizer.ENV_VAR, "1")
-        san = sanitizer.install_from_env()
-        assert san is not None
-        assert sanitizer.active() is san
-
-
-# ----------------------------------------------------------------------
-# metrics
-# ----------------------------------------------------------------------
-
-class TestMetrics:
-    def test_sanitizer_metrics_flow_through_recorder(self, san):
-        from repro import obs
-
-        with obs.collecting() as col:
-            a, b = san.make_lock("a"), san.make_lock("b")
-            with a:
-                with b:
-                    pass
-            with b:
-                with a:
-                    pass
-        snap = col.metrics.snapshot()
-        assert snap["sanitizer.acquisitions"] == 4
-        assert snap["sanitizer.order_violations"] == 1
-        assert snap["sanitizer.locks_tracked"] == 2
-
-    def test_metric_names_are_cataloged(self):
-        from repro.obs.catalog import CATALOG
-
-        for name in (
-            "sanitizer.acquisitions",
-            "sanitizer.order_violations",
-            "sanitizer.deadlocks",
-            "sanitizer.locks_tracked",
-        ):
-            assert name in CATALOG
+        assert sanitizer.install_from_env() is True
+        assert sanitizer.active()
