@@ -105,12 +105,6 @@ class ShuttingDownError(ServerError):
     shutdown.  In-flight requests are answered; new work is refused."""
 
 
-class CircuitOpenError(ServerError):
-    """Raised by the pooled client when its circuit breaker is open:
-    consecutive connect failures exceeded the threshold, so calls fail
-    fast until the cooldown elapses."""
-
-
 class PersistError(TIXError):
     """Raised by store persistence on any I/O, format, or integrity
     failure.  Wraps raw ``OSError``/``json.JSONDecodeError``/``KeyError``

@@ -173,11 +173,9 @@ CATALOG: Dict[str, Tuple[str, str]] = {
         "overload"),
     "server.errors.*": (
         "counter", "typed error responses per wire error code"),
-    "client.requests": ("counter", "pooled-client logical calls"),
+    "client.requests": ("counter", "client logical calls"),
     "client.errors": (
-        "counter", "pooled-client calls that failed after retries"),
-    "client.breaker_opens": (
-        "counter", "circuit-breaker open transitions in the client"),
+        "counter", "client calls that failed after retries"),
     # -- distributed tracing (trace store) -------------------------------
     "trace.started": (
         "counter",

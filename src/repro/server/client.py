@@ -1,5 +1,5 @@
-"""Pooled wire-protocol client: health-checked checkout, jittered
-retries, circuit breaker.
+"""Wire-protocol client: one connection, reconnected under one jittered
+retry policy.
 
 :class:`Connection` is one socket speaking the frame protocol —
 ``call()`` writes a request, reads the matching response, and raises
@@ -8,48 +8,44 @@ the typed exception a received error envelope stands for
 ``TIMEOUT`` re-raises locally as
 :class:`~repro.errors.QueryTimeoutError`.
 
-:class:`PooledClient` multiplexes callers over a bounded pool:
+:class:`PooledClient` owns one :class:`Connection`, opened on first
+use.  A transport or framing failure (``OSError`` /
+:class:`~repro.errors.ProtocolError`) drops it.  A transport failure
+(connect refused or reset, peer closed mid-call, a server that evicted
+the idle connection) is retried on a fresh connection by
+:func:`repro.resilience.faultinject.retry` in jittered mode:
+:data:`ATTEMPTS` calls in all, each backoff drawn between
+:data:`RETRY_BASE_S` and three times the previous one and capped at
+:data:`RETRY_MAX_S`, so a fleet of recovering clients does not
+stampede the server in lock-step.  Queries are read-only, which is
+what makes the retry safe.  Seedable (``seed=``) for the chaos suite.
 
-- **health-checked checkout** — a connection idle longer than
-  :data:`HEALTH_CHECK_IDLE_S` is pinged before reuse; a stale one is
-  discarded and replaced rather than handed to the caller;
-- **retry with decorrelated jitter** — transient transport failures
-  (connect refused/reset, peer closed mid-call) retry on a *fresh*
-  connection with :func:`repro.resilience.faultinject.retry` in
-  jittered mode, so a fleet of recovering clients does not stampede
-  the server in lock-step.  Queries are read-only, which is what makes
-  the retry safe.  Seedable (``seed=``) for the chaos suite;
-- **circuit breaker** — ``breaker_threshold`` *consecutive* connect
-  failures open the circuit: calls fail fast with
-  :class:`~repro.errors.CircuitOpenError` (no connect attempt, no
-  timeout wait) until ``breaker_cooldown_s`` elapses, then one
-  half-open probe decides between closing it and re-opening.
+The client is **single-threaded**: it holds no lock, so one thread
+drives it at a time.  Concurrent callers each take their own client,
+as :func:`repro.server.loadtest.run_loadtest` does per worker.
 
 Typed server rejections (``OVERLOADED``, ``SHUTTING_DOWN``) are *not*
-retried here — the server explicitly asked the caller to back off, and
-hammering it defeats admission control.  Callers see the typed
-exception and decide.
+retried: the server asked the caller to back off, and the caller sees
+the typed exception and decides.
 
 **Distributed tracing**: every logical call mints a
-:class:`~repro.obs.tracestore.TraceContext` (``trace=False`` turns it
-off, making frames indistinguishable from an old client's) and carries
-it on each attempt with an ascending retry counter — a retry storm
-shows up server-side as one trace id with attempts 0, 1, 2 … instead
-of unrelated traces.  The server echoes the ``trace_id`` it served
-under (:attr:`RemoteResult.trace_id`), which is the join key into its
+:class:`~repro.obs.tracestore.TraceContext` and carries it on each
+attempt with an ascending retry counter — a retry storm shows up
+server-side as one trace id with attempts 0, 1, 2 … instead of
+unrelated traces.  The server echoes the ``trace_id`` it served under
+(:attr:`RemoteResult.trace_id`), which is the join key into its
 retained-trace store (``tix trace --server``).
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 import socket
-import threading
-from time import monotonic
 from typing import Any, Dict, List, Optional
 
 from repro import obs as _obs
-from repro.errors import CircuitOpenError, ProtocolError, TIXError
+from repro.errors import ProtocolError, TIXError
 from repro.obs.tracestore import TraceContext
 from repro.resilience.faultinject import retry
 from repro.server.protocol import (
@@ -61,16 +57,17 @@ from repro.server.protocol import (
     write_frame,
 )
 
-__all__ = [
-    "RemoteRow", "RemoteResult", "Connection", "CircuitBreaker",
-    "PooledClient",
-]
+__all__ = ["RemoteRow", "RemoteResult", "Connection", "PooledClient"]
 
-#: Transport-level failures worth retrying on a fresh connection.
-_TRANSIENT = (ConnectionError, socket.timeout, OSError)
+#: Calls per logical request: the first try plus two retries.
+ATTEMPTS = 3
 
-#: Seconds a pooled connection may sit idle before checkout pings it.
-HEALTH_CHECK_IDLE_S = 30.0
+#: Decorrelated-jitter backoff envelope between attempts, in seconds.
+RETRY_BASE_S = 0.01
+RETRY_MAX_S = 0.25
+
+#: TCP connect deadline, in seconds.
+CONNECT_TIMEOUT_S = 5.0
 
 
 class RemoteRow:
@@ -116,37 +113,28 @@ class Connection:
     """One client socket speaking the frame protocol."""
 
     def __init__(self, sock: socket.socket,
-                 call_timeout_s: Optional[float] = 30.0,
-                 max_frame_bytes: int = MAX_FRAME_BYTES) -> None:
+                 call_timeout_s: Optional[float] = 30.0) -> None:
         self._sock = sock
         self._call_timeout_s = call_timeout_s
-        self._max_frame_bytes = max_frame_bytes
         self._ids = itertools.count(1)
-        #: monotonic timestamp of the last completed call (health check)
-        self.last_used = monotonic()
 
     @classmethod
     def connect(cls, host: str, port: int, *,
-                connect_timeout_s: float = 5.0,
-                call_timeout_s: Optional[float] = 30.0,
-                max_frame_bytes: int = MAX_FRAME_BYTES) -> "Connection":
+                call_timeout_s: Optional[float] = 30.0) -> "Connection":
         sock = socket.create_connection(
-            (host, port), timeout=connect_timeout_s)
+            (host, port), timeout=CONNECT_TIMEOUT_S)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return cls(sock, call_timeout_s=call_timeout_s,
-                   max_frame_bytes=max_frame_bytes)
+        return cls(sock, call_timeout_s=call_timeout_s)
 
-    def call(self, op: str, *, timeout_s: Optional[float] = None,
-             **fields: Any) -> Dict[str, Any]:
+    def call(self, op: str, **fields: Any) -> Dict[str, Any]:
         """One request/response round trip.  Raises the typed exception
         for an error envelope; transport errors propagate as
         ``OSError``/:class:`~repro.errors.ProtocolError`."""
         rid = next(self._ids)
-        self._sock.settimeout(
-            timeout_s if timeout_s is not None else self._call_timeout_s)
+        self._sock.settimeout(self._call_timeout_s)
         write_frame(self._sock, request(op, rid, **fields),
-                    self._max_frame_bytes)
-        resp = read_frame(self._sock, self._max_frame_bytes)
+                    MAX_FRAME_BYTES)
+        resp = read_frame(self._sock, MAX_FRAME_BYTES)
         if resp is None:
             raise ConnectionError(
                 "server closed the connection before answering"
@@ -156,16 +144,7 @@ class Connection:
             raise ProtocolError(
                 f"response id {got!r} does not match request id {rid}"
             )
-        self.last_used = monotonic()
         return raise_for_error(resp)
-
-    def ping(self, timeout_s: Optional[float] = None) -> bool:
-        """Liveness round trip; ``False`` on any failure."""
-        try:
-            resp = self.call("ping", timeout_s=timeout_s)
-        except (TIXError, OSError):
-            return False
-        return bool(resp.get("pong"))
 
     def close(self) -> None:
         try:
@@ -174,204 +153,75 @@ class Connection:
             pass
 
 
-class CircuitBreaker:
-    """Open after ``threshold`` consecutive failures; half-open one
-    probe after ``cooldown_s``; close again on success."""
-
-    def __init__(self, threshold: int = 5,
-                 cooldown_s: float = 1.0) -> None:
-        if threshold < 1:
-            raise ValueError("threshold must be >= 1")
-        self.threshold = threshold
-        self.cooldown_s = cooldown_s
-        self._lock = threading.Lock()
-        self._failures = 0
-        self._opened_at: Optional[float] = None
-        self._probing = False
-        self.opens = 0
-
-    @property
-    def state(self) -> str:
-        with self._lock:
-            if self._opened_at is None:
-                return "closed"
-            if monotonic() - self._opened_at >= self.cooldown_s:
-                return "half-open"
-            return "open"
-
-    def allow(self) -> bool:
-        """May a connect attempt proceed right now?  In half-open
-        state exactly one probe is let through per cooldown lapse."""
-        with self._lock:
-            if self._opened_at is None:
-                return True
-            if monotonic() - self._opened_at < self.cooldown_s:
-                return False
-            if self._probing:
-                return False
-            self._probing = True
-            return True
-
-    def record_success(self) -> None:
-        with self._lock:
-            self._failures = 0
-            self._opened_at = None
-            self._probing = False
-
-    def record_failure(self) -> None:
-        rec = _obs.RECORDER
-        with self._lock:
-            self._failures += 1
-            self._probing = False
-            if self._failures >= self.threshold:
-                if self._opened_at is None:
-                    self.opens += 1
-                    if rec.enabled:
-                        rec.count("client.breaker_opens")
-                self._opened_at = monotonic()
-
-
 class PooledClient:
-    """Bounded connection pool over one server (module docstring).
+    """One reconnecting connection to one server; single-threaded.
 
-    :param size: pooled connections kept idle (checkout never blocks —
-        beyond ``size`` concurrent callers, extra connections are
-        opened and closed instead of pooled);
-    :param connect_timeout_s: TCP connect deadline;
     :param call_timeout_s: per-call response deadline;
-    :param retries: total attempts for a call hitting transient
-        transport failures;
-    :param retry_base_s / retry_max_s: decorrelated-jitter backoff
-        envelope between attempts;
-    :param breaker_threshold / breaker_cooldown_s: circuit breaker on
-        consecutive *connect* failures;
-    :param trace: mint and propagate a trace context per logical call
-        (off → frames look exactly like an old client's);
-    :param seed: seeds the jitter RNG (chaos-suite reproducibility).
+    :param seed: seeds the jitter RNG (chaos-suite reproducibility);
+    :param size: accepts only ``1``.  The frozen benchmark harness
+        (``benchmarks/stack/workloads.py``) constructs
+        ``PooledClient(host, port, size=1)``; the keyword stays for
+        that call alone and goes when the client is renamed.
     """
 
-    def __init__(self, host: str, port: int, *, size: int = 4,
-                 connect_timeout_s: float = 5.0,
+    def __init__(self, host: str, port: int, *,
                  call_timeout_s: Optional[float] = 30.0,
-                 retries: int = 3,
-                 retry_base_s: float = 0.01,
-                 retry_max_s: float = 0.25,
-                 breaker_threshold: int = 5,
-                 breaker_cooldown_s: float = 1.0,
-                 max_frame_bytes: int = MAX_FRAME_BYTES,
-                 trace: bool = True,
-                 seed: Optional[int] = None) -> None:
-        import random
-
-        self.trace = trace
+                 seed: Optional[int] = None,
+                 size: int = 1) -> None:
+        if size != 1:
+            raise ValueError(
+                f"PooledClient holds one connection; size must be 1, "
+                f"got {size!r}")
         self.host = host
         self.port = port
-        self.size = size
-        self.connect_timeout_s = connect_timeout_s
         self.call_timeout_s = call_timeout_s
-        self.retries = retries
-        self.retry_base_s = retry_base_s
-        self.retry_max_s = retry_max_s
-        self.max_frame_bytes = max_frame_bytes
-        self.breaker = CircuitBreaker(
-            threshold=breaker_threshold, cooldown_s=breaker_cooldown_s)
         self._rng = random.Random(seed)
-        self._lock = threading.Lock()
-        self._idle: List[Connection] = []
+        self._conn: Optional[Connection] = None
         self._closed = False
 
-    # -- pool mechanics --------------------------------------------------
-
-    def _connect(self) -> Connection:
-        """Open a fresh connection through the circuit breaker."""
-        if not self.breaker.allow():
-            raise CircuitOpenError(
-                f"circuit open for {self.host}:{self.port} after "
-                f"{self.breaker.threshold} consecutive connect failures"
-            )
-        try:
-            conn = Connection.connect(
-                self.host, self.port,
-                connect_timeout_s=self.connect_timeout_s,
-                call_timeout_s=self.call_timeout_s,
-                max_frame_bytes=self.max_frame_bytes,
-            )
-        except BaseException:
-            # *Every* failed attempt — OSError or not — must hand the
-            # half-open probe token back via record_failure, or
-            # ``_probing`` stays True forever and the breaker wedges
-            # open with no thread allowed to probe again.
-            self.breaker.record_failure()
-            raise
-        self.breaker.record_success()
-        return conn
-
-    def _checkout(self) -> Connection:
-        """A healthy connection: pooled (pinged when idle too long) or
-        freshly opened."""
-        while True:
-            with self._lock:
-                if self._closed:
-                    raise ConnectionError("client pool is closed")
-                conn = self._idle.pop() if self._idle else None
-            if conn is None:
-                return self._connect()
-            if monotonic() - conn.last_used <= HEALTH_CHECK_IDLE_S:
-                return conn
-            if conn.ping(timeout_s=self.connect_timeout_s):
-                return conn
-            conn.close()  # stale: discard and keep looking
-
-    def _checkin(self, conn: Connection) -> None:
-        with self._lock:
-            if not self._closed and len(self._idle) < self.size:
-                self._idle.append(conn)
-                return
-        conn.close()
-
-    # -- calls -----------------------------------------------------------
+    def _drop(self) -> None:
+        conn, self._conn = self._conn, None
+        if conn is not None:
+            conn.close()
 
     def _call(self, op: str, **fields: Any) -> Dict[str, Any]:
-        """One logical call, retried across fresh connections on
-        transient transport failure (jittered, seedable backoff).
-        Typed server errors (incl. OVERLOADED) are never retried.
-
-        With tracing on, one :class:`TraceContext` is minted per
-        *logical* call and re-sent on every retry with an incremented
-        ``attempt`` counter, so the server sees the retries as one
-        causal story."""
+        """One logical call, retried on a fresh connection after a
+        transport failure; typed server errors are never retried.  Its
+        one :class:`TraceContext` is re-sent on every retry with an
+        incremented ``attempt``, so the server sees one causal story."""
+        if self._closed:
+            raise ConnectionError("client is closed")
         rec = _obs.RECORDER
         if rec.enabled:
             rec.count("client.requests")
-        ctx = TraceContext.mint() if self.trace else None
+        ctx = TraceContext.mint()
 
         def attempt() -> Dict[str, Any]:
-            if ctx is not None:
-                fields[TRACE_FIELD] = ctx.to_wire()
-                ctx.attempt += 1  # next retry, if any, is attempt N+1
-            conn = self._checkout()
+            fields[TRACE_FIELD] = ctx.to_wire()
+            ctx.attempt += 1  # next retry, if any, is attempt N+1
+            if self._conn is None:
+                self._conn = Connection.connect(
+                    self.host, self.port,
+                    call_timeout_s=self.call_timeout_s)
             try:
-                resp = conn.call(op, **fields)
-            except (ProtocolError, OSError):
-                # Transport/framing failure: this socket is unusable.
-                conn.close()
+                return self._conn.call(op, **fields)
+            except BaseException as exc:
+                # A typed server answer leaves the connection in step;
+                # a transport or framing failure (or an interrupt
+                # mid-frame) leaves it unusable.
+                if (not isinstance(exc, TIXError)
+                        or isinstance(exc, ProtocolError)):
+                    self._drop()
                 raise
-            except TIXError:
-                # Typed server error: the connection itself is fine.
-                self._checkin(conn)
-                raise
-            self._checkin(conn)
-            return resp
 
         try:
             result = retry(
                 attempt,
-                attempts=self.retries,
-                base_delay=self.retry_base_s,
-                retryable=_TRANSIENT,
-                non_retryable=(CircuitOpenError,),
+                attempts=ATTEMPTS,
+                base_delay=RETRY_BASE_S,
+                retryable=(OSError,),
                 jitter=True,
-                max_delay=self.retry_max_s,
+                max_delay=RETRY_MAX_S,
                 rng=self._rng,
             )
         except (TIXError, OSError):
@@ -441,11 +291,9 @@ class PooledClient:
         return traces if isinstance(traces, dict) else {}
 
     def close(self) -> None:
-        with self._lock:
-            self._closed = True
-            idle, self._idle = self._idle, []
-        for conn in idle:
-            conn.close()
+        """Close the connection; a later call raises at once."""
+        self._closed = True
+        self._drop()
 
     def __enter__(self) -> "PooledClient":
         return self

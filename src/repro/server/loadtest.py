@@ -2,8 +2,9 @@
 
 ``run_loadtest`` mirrors :func:`repro.perf.batch.execute_batch` on the
 other side of the wire: a ``ThreadPoolExecutor`` fleet where each
-worker owns its own :class:`~repro.server.client.PooledClient` and
-sends requests round-robin over the query set.  Every outcome is
+worker owns its own single-connection
+:class:`~repro.server.client.PooledClient` and sends requests
+round-robin over the query set.  Every outcome is
 categorized — complete, truncated/degraded partial, typed rejection
 (``OVERLOADED`` / ``SHUTTING_DOWN``), typed engine error, or transport
 error — so a run against an overloaded server shows the overload
@@ -186,13 +187,12 @@ def run_loadtest(host: str, port: int, sources: Sequence[str], *,
                  max_rows: Optional[int] = None,
                  degrade: bool = True,
                  call_timeout_s: float = 30.0,
-                 retries: int = 3,
                  seed: int = 0) -> LoadtestReport:
     """Send ``total`` requests (round-robin over ``sources``) from
-    ``clients`` concurrent workers, each with its own pooled client.
+    ``clients`` concurrent workers, each with its own client.
 
-    Workers reuse their pooled connections across requests, so the
-    server sees ``clients`` long-lived connections with pipelined
+    Each worker reuses its client's one connection across requests, so
+    the server sees ``clients`` long-lived connections with pipelined
     request pressure — the shape admission control exists for.
     """
     sources = list(sources)
@@ -203,17 +203,17 @@ def run_loadtest(host: str, port: int, sources: Sequence[str], *,
         LoadtestOutcome(index=i, source=sources[i % len(sources)])
         for i in range(total)
     ]
-    pools = [
-        PooledClient(host, port, size=1, call_timeout_s=call_timeout_s,
-                     retries=retries, seed=seed + worker)
+    fleet = [
+        PooledClient(host, port, call_timeout_s=call_timeout_s,
+                     seed=seed + worker)
         for worker in range(clients)
     ]
     def worker_loop(worker: int) -> None:
         # Strided slice: worker w owns outcomes w, w+clients, … and
-        # drives them sequentially over its own pooled client, so the
+        # drives them sequentially over its own client, so the
         # server sees exactly `clients` concurrent request streams.
         for o in outcomes[worker::clients]:
-            _run_one(pools[worker], o, timeout_ms=timeout_ms,
+            _run_one(fleet[worker], o, timeout_ms=timeout_ms,
                      max_rows=max_rows, degrade=degrade)
 
     t0 = perf_counter()
@@ -225,8 +225,8 @@ def run_loadtest(host: str, port: int, sources: Sequence[str], *,
             for fut in futures:
                 fut.result()
     finally:
-        for p in pools:
-            p.close()
+        for client in fleet:
+            client.close()
     return LoadtestReport(
         outcomes=outcomes,
         wall_ms=(perf_counter() - t0) * 1000.0,

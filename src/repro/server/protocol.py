@@ -60,7 +60,6 @@ import struct
 from typing import Any, Dict, Optional, Type
 
 from repro.errors import (
-    CircuitOpenError,
     DocumentNotFoundError,
     OverloadedError,
     PatternError,
@@ -110,7 +109,6 @@ ERROR_CODES: Dict[Type[BaseException], str] = {
     DocumentNotFoundError: "NOT_FOUND",
     OverloadedError: "OVERLOADED",
     ShuttingDownError: "SHUTTING_DOWN",
-    CircuitOpenError: "CIRCUIT_OPEN",
     ProtocolError: "BAD_FRAME",
     TIXError: "ENGINE",
 }

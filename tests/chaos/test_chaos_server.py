@@ -42,8 +42,7 @@ class TestFrameFaults:
         ]
         try:
             with injecting(specs, seed=chaos_seed) as injector:
-                cl = PooledClient(srv.host, srv.port, retries=3,
-                                  retry_base_s=0.001, retry_max_s=0.01,
+                cl = PooledClient(srv.host, srv.port,
                                   call_timeout_s=5.0, seed=chaos_seed)
                 for _ in range(25):
                     t0 = time.monotonic()
@@ -75,9 +74,7 @@ class TestFrameFaults:
             with injecting(
                     [FaultSpec("server.accept", probability=0.5)],
                     seed=chaos_seed):
-                with PooledClient(srv.host, srv.port, retries=4,
-                                  retry_base_s=0.001,
-                                  connect_timeout_s=1.0,
+                with PooledClient(srv.host, srv.port,
                                   call_timeout_s=5.0,
                                   seed=chaos_seed) as cl:
                     ok = sum(
@@ -178,7 +175,7 @@ class TestKillMidQuery:
         lock = threading.Lock()
 
         def worker(i):
-            cl = PooledClient(srv.host, srv.port, retries=1,
+            cl = PooledClient(srv.host, srv.port,
                               call_timeout_s=5.0, seed=i)
             try:
                 res = cl.query(QUERY, degrade=True)

@@ -5,6 +5,7 @@ flat, what is linear).  Absolute times are never asserted."""
 import pytest
 
 from repro.access.composite import Comp1
+from repro.access.termjoin import EnhancedTermJoin, TermJoin
 from repro.bench import (
     run_pick_experiment,
     run_table1,
@@ -75,6 +76,26 @@ class TestTable2Shape:
             termjoin = row[result.columns.index("TermJoin")]
             enhanced = row[result.columns.index("EnhTermJoin")]
             assert enhanced < termjoin
+
+    def test_enhanced_logical_io_below_base_termjoin(self, store123):
+        # The work-counter twin of the seconds assertion above: Enhanced
+        # TermJoin answers from the index alone (no node fetch, no
+        # navigation), so its logical I/O stays below TermJoin's
+        # however loaded the machine is.
+        store, rows = store123
+        for row in (rows["table1"][7], rows["table1"][10]):
+            io = {}
+            for cls in (TermJoin, EnhancedTermJoin):
+                store.counters.reset()
+                cls(store, ProximityScorer(row.terms), True).run(
+                    list(row.terms))
+                c = store.counters
+                io[cls] = (c.nodes_fetched, c.navigations,
+                           c.nodes_fetched + c.navigations
+                           + c.index_lookups)
+            assert io[EnhancedTermJoin][:2] == (0, 0), row.label
+            assert io[EnhancedTermJoin][2] < io[TermJoin][2], (
+                row.label, io)
 
 
 class TestTable3Shape:

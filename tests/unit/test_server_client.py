@@ -1,6 +1,6 @@
-"""End-to-end tests of the query server and pooled client over real
-sockets: typed error round trips, guard budgets across the wire, the
-overload ladder, draining shutdown, pool reuse, and the breaker."""
+"""End-to-end tests of the query server and client over real sockets:
+typed error round trips, guard budgets across the wire, the overload
+ladder, draining shutdown, connection reuse and reconnects."""
 
 import socket
 import struct
@@ -11,7 +11,6 @@ import pytest
 
 from repro import obs
 from repro.errors import (
-    CircuitOpenError,
     OverloadedError,
     ProtocolError,
     QuerySyntaxError,
@@ -22,7 +21,6 @@ from repro.exampledata import example_store
 from repro.query import run_query
 from repro.resilience.run import GuardedResult
 from repro.server import (
-    CircuitBreaker,
     Connection,
     PooledClient,
     QueryServer,
@@ -118,19 +116,23 @@ class TestQueryRoundTrip:
         assert stats["metrics"] == {}
         assert stats["uptime_s"] >= 0
 
-    def test_sequential_calls_reuse_the_pooled_connection(
-            self, server, client):
+    def test_sequential_calls_reuse_the_pooled_connection(self):
         col = obs.Collector()
-        obs.install(col)
+        obs.install(col)  # before start: the accept loop reads it once
+        srv = QueryServer(example_store(), port=0)
         try:
-            for _ in range(3):
-                assert client.query(QUERY).n_results > 0
+            srv.start()
+            with PooledClient(srv.host, srv.port,
+                              call_timeout_s=10.0) as client:
+                for _ in range(3):
+                    assert client.query(QUERY).n_results > 0
             snapshot = col.metrics.snapshot()
             # one TCP connection total, three requests over it
-            assert snapshot.get("server.connections", 0) <= 1
+            assert snapshot.get("server.connections", 0) == 1
             assert snapshot.get("server.requests.query", 0) == 3
         finally:
             obs.uninstall()
+            srv.close(drain_s=1.0)
 
 
 class TestBadRequests:
@@ -275,8 +277,7 @@ class TestOverloadLadder:
         runner = _GatedRunner()  # never released: must be cancelled
         srv = QueryServer(example_store(), port=0, runner=runner)
         srv.start()
-        cl = PooledClient(srv.host, srv.port, call_timeout_s=10.0,
-                          retries=1)
+        cl = PooledClient(srv.host, srv.port, call_timeout_s=10.0)
         outcome = []
 
         def call():
@@ -353,113 +354,70 @@ def client_query(cl, **kw):
 
 
 class TestPoolAndBreaker:
-    def test_breaker_opens_after_consecutive_connect_failures(self):
-        # grab a port with nothing listening on it
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
-        cl = PooledClient("127.0.0.1", port, retries=1,
-                          breaker_threshold=2, breaker_cooldown_s=30.0,
-                          connect_timeout_s=0.2)
-        try:
-            for _ in range(2):
-                with pytest.raises(OSError):
-                    cl.query(QUERY)
-            assert cl.breaker.state == "open"
-            t0 = time.monotonic()
-            with pytest.raises(CircuitOpenError):
-                cl.query(QUERY)
-            # fail-fast: no connect attempt, no timeout wait
-            assert time.monotonic() - t0 < 0.2
-        finally:
-            cl.close()
-
-    def test_breaker_half_open_probe_closes_on_success(self, server):
-        breaker = CircuitBreaker(threshold=1, cooldown_s=0.05)
-        breaker.record_failure()
-        assert breaker.state == "open"
-        assert not breaker.allow()
-        time.sleep(0.1)
-        assert breaker.state == "half-open"
-        assert breaker.allow()      # exactly one probe
-        assert not breaker.allow()  # the second is refused
-        breaker.record_success()
-        assert breaker.state == "closed"
-        assert breaker.allow()
+    """The client's one connection: reuse, reconnect, close, and the
+    frozen benchmark harness's calls."""
 
     def test_client_retries_transient_failure_on_fresh_connection(
             self, server):
-        cl = PooledClient(server.host, server.port, retries=3,
-                          retry_base_s=0.001, call_timeout_s=10.0,
+        cl = PooledClient(server.host, server.port, call_timeout_s=10.0,
                           seed=7)
         try:
             first = cl.query(QUERY)
             assert first.n_results > 0
-            # poison the pooled socket: the server never sees a valid
+            # poison the client's socket: the server never sees a valid
             # frame on it again, so the next call's first attempt dies
             # and the retry must succeed on a fresh connection
-            with cl._lock:
-                assert cl._idle
-                cl._idle[0]._sock.close()
+            assert cl._conn is not None
+            cl._conn._sock.close()
             second = cl.query(QUERY)
             assert second.n_results == first.n_results
         finally:
             cl.close()
 
-    def test_non_oserror_probe_failure_does_not_wedge_breaker(
-            self, monkeypatch):
-        # Regression: a non-OSError escaping Connection.connect during
-        # the half-open probe must hand the probe token back.  Before
-        # the BaseException handler in _connect, ``_probing`` stayed
-        # True forever and no thread was ever allowed to probe again.
-        cl = PooledClient("127.0.0.1", 1, retries=1,
-                          breaker_threshold=1, breaker_cooldown_s=0.05)
-        monkeypatch.setattr(
-            Connection, "connect",
-            staticmethod(lambda *a, **kw: (_ for _ in ()).throw(
-                RuntimeError("boom"))))
+    def test_closed_client_fails_without_retrying(self, server):
+        cl = PooledClient(server.host, server.port, call_timeout_s=10.0)
+        assert cl.stats()["draining"] is False
+        cl.close()
+        col = obs.Collector()
+        obs.install(col)
         try:
-            with pytest.raises(RuntimeError):
-                cl._connect()
-            assert cl.breaker.state == "open"
-            time.sleep(0.1)
-            assert cl.breaker.state == "half-open"
-            with pytest.raises(RuntimeError):
-                cl._connect()  # the probe itself fails non-OSError
-            time.sleep(0.1)
-            # The breaker still grants a probe after each cooldown —
-            # it has not wedged.
-            assert cl.breaker.allow()
+            with pytest.raises(ConnectionError, match="closed"):
+                cl.stats()
+            snapshot = col.metrics.snapshot()
+            assert snapshot.get("resilience.retries", 0) == 0
+            assert snapshot.get("resilience.retry_giveups", 0) == 0
         finally:
-            cl.breaker.record_failure()  # return the probe token
-            cl.close()
+            obs.uninstall()
+        assert cl.ping() is False
 
-    def test_half_open_grants_exactly_one_probe_under_contention(self):
-        breaker = CircuitBreaker(threshold=1, cooldown_s=0.02)
-        for _ in range(20):
-            breaker.record_failure()
-            time.sleep(0.04)
-            assert breaker.state == "half-open"
-            grants = []
-            barrier = threading.Barrier(8)
+    def test_reconnects_after_the_server_evicts_an_idle_connection(self):
+        col = obs.Collector()
+        obs.install(col)  # before start: the accept loop reads it once
+        srv = QueryServer(example_store(), port=0, idle_timeout_s=0.2)
+        try:
+            srv.start()
+            with PooledClient(srv.host, srv.port, call_timeout_s=10.0,
+                              seed=5) as cl:
+                first = cl.query(QUERY)
+                time.sleep(0.6)  # the server closes the idle connection
+                second = cl.query(QUERY)
+            assert second.n_results == first.n_results > 0
+            snapshot = col.metrics.snapshot()
+            assert snapshot.get("resilience.retries", 0) == 1
+            assert snapshot.get("server.connections", 0) == 2
+        finally:
+            obs.uninstall()
+            srv.close(drain_s=1.0)
 
-            def contender():
-                barrier.wait()
-                if breaker.allow():
-                    grants.append(threading.get_ident())
-
-            threads = [threading.Thread(target=contender)
-                       for _ in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(5.0)
-            # The unlocked read-modify-write on ``_probing`` would let
-            # several contenders through here.
-            assert len(grants) == 1
-        breaker.record_success()
-        assert breaker.state == "closed"
+    def test_frozen_harness_calls(self, server):
+        # benchmarks/stack/workloads.py: construct with size=1, query,
+        # read the admission stats, close, then close again on exit.
+        with PooledClient("127.0.0.1", server.port, size=1) as client:
+            assert client.query(QUERY).n_results > 0
+            assert client.stats()["admitted"] >= 1
+            client.close()
+        with pytest.raises(ValueError, match="size"):
+            PooledClient("127.0.0.1", server.port, size=2)
 
     def test_connection_rejects_mismatched_response_id(self):
         ours, theirs = socket.socketpair()

@@ -8,7 +8,6 @@ import struct
 import pytest
 
 from repro.errors import (
-    CircuitOpenError,
     DocumentNotFoundError,
     OverloadedError,
     PlanError,
@@ -17,6 +16,7 @@ from repro.errors import (
     QuerySyntaxError,
     QueryTimeoutError,
     ResourceExhaustedError,
+    ServerError,
     ShuttingDownError,
     TIXError,
 )
@@ -117,7 +117,7 @@ class TestErrorTaxonomy:
         (DocumentNotFoundError("d"), "NOT_FOUND"),
         (OverloadedError("o"), "OVERLOADED"),
         (ShuttingDownError("sd"), "SHUTTING_DOWN"),
-        (CircuitOpenError("co"), "CIRCUIT_OPEN"),
+        (ServerError("se"), "ENGINE"),
         (ProtocolError("pf"), "BAD_FRAME"),
         (TIXError("e"), "ENGINE"),
         (ValueError("v"), "INTERNAL"),

@@ -136,7 +136,7 @@ class TestMixedVersionProtocol:
         th = threading.Thread(target=old_server, daemon=True)
         th.start()
         try:
-            with PooledClient("127.0.0.1", port, retries=1,
+            with PooledClient("127.0.0.1", port,
                               call_timeout_s=5.0) as cl:
                 res = cl.query(QUERY)
             assert res.trace_id == ""
@@ -146,14 +146,6 @@ class TestMixedVersionProtocol:
         finally:
             th.join(timeout=5.0)
             listener.close()
-
-    def test_client_can_disable_tracing(self, server):
-        with PooledClient(server.host, server.port, trace=False,
-                          call_timeout_s=10.0) as cl:
-            res = cl.query(QUERY)
-        # The server still mints a local root and echoes it.
-        assert len(res.trace_id) == 16
-        assert server.trace_store.get(res.trace_id).parent_span_id == ""
 
     def test_trace_fields_helpers_round_trip(self):
         assert trace_fields(None) == {}
