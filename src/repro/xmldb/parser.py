@@ -1,18 +1,22 @@
-"""XML parser: token stream → region-encoded :class:`Document`.
+"""XML parser: CPython's expat drives the region-numbering builder.
 
-The parser enforces well-formedness (single root, matching tags, no text
-outside the root) and delegates numbering to the shared
-:class:`~repro.xmldb.builder.DocumentBuilder`.
+Expat enforces well-formedness (one root, matching tags, no text outside
+the root, XML 1.0 characters and references); numbering is delegated to
+the shared :class:`~repro.xmldb.builder.DocumentBuilder`.  Each run of
+character data becomes one ``builder.text`` segment; a run ends at an
+element tag, a comment, a processing instruction, or a CDATA boundary.
+Entity declarations and references to undeclared entities are refused,
+so only the five predefined entities and character references expand.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List
+from xml.parsers import expat
 
 from repro.errors import XMLParseError
 from repro.xmldb.builder import DocumentBuilder
 from repro.xmldb.document import Document
-from repro.xmldb.tokenizer import TokenType, XMLTokenizer
 
 
 def parse_document(source: str, name: str = "document.xml",
@@ -23,54 +27,49 @@ def parse_document(source: str, name: str = "document.xml",
     line/column information.
     """
     builder = DocumentBuilder()
-    open_tags: List[str] = []
-    seen_root = False
+    run: List[str] = []
+    parser = expat.ParserCreate()
 
-    for token in XMLTokenizer(source).tokens():
-        if token.type is TokenType.START_TAG:
-            tag, attrs, self_closing = token.value  # type: ignore[misc]
-            if not open_tags and seen_root:
-                raise XMLParseError(
-                    "multiple root elements", token.line, token.column
-                )
-            seen_root = True
-            builder.start_element(tag, attrs or None)
-            if self_closing:
-                builder.end_element()
-            else:
-                open_tags.append(tag)
-        elif token.type is TokenType.END_TAG:
-            if not open_tags:
-                raise XMLParseError(
-                    f"unexpected closing tag </{token.value}>",
-                    token.line, token.column,
-                )
-            expected = open_tags.pop()
-            if token.value != expected:
-                raise XMLParseError(
-                    f"mismatched closing tag </{token.value}>, "
-                    f"expected </{expected}>",
-                    token.line, token.column,
-                )
-            builder.end_element()
-        elif token.type is TokenType.TEXT:
-            text = token.value  # type: ignore[assignment]
-            if open_tags:
-                builder.text(text)  # type: ignore[arg-type]
-            elif str(text).strip():
-                raise XMLParseError(
-                    "text content outside the root element",
-                    token.line, token.column,
-                )
-        else:  # EOF
-            if open_tags:
-                raise XMLParseError(
-                    f"unclosed element <{open_tags[-1]}> at end of input",
-                    token.line, token.column,
-                )
+    def end_run(*_: object) -> None:
+        if run:
+            builder.text("".join(run))
+            run.clear()
 
-    if not seen_root:
-        raise XMLParseError("no root element found")
+    def start(tag: str, attrs: Dict[str, str]) -> None:
+        end_run()
+        builder.start_element(tag, attrs)
+
+    def end(_tag: str) -> None:
+        end_run()
+        builder.end_element()
+
+    def refuse(entity: str, *_: object) -> None:
+        raise XMLParseError(f"entity {entity!r} is not allowed",
+                            parser.CurrentLineNumber,
+                            parser.CurrentColumnNumber + 1)
+
+    parser.buffer_text = True
+    parser.specified_attributes = True  # DTD attribute defaults stay out
+    parser.SetParamEntityParsing(expat.XML_PARAM_ENTITY_PARSING_NEVER)
+    parser.CharacterDataHandler = run.append
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.CommentHandler = end_run
+    parser.ProcessingInstructionHandler = end_run
+    parser.StartCdataSectionHandler = end_run
+    parser.EndCdataSectionHandler = end_run
+    parser.EntityDeclHandler = refuse
+    parser.SkippedEntityHandler = refuse
+    try:
+        parser.Parse(source, True)
+    except expat.ExpatError as e:
+        raise XMLParseError(expat.errors.messages[e.code], e.lineno,
+                            e.offset + 1) from None
+    except UnicodeEncodeError as e:  # a lone surrogate cannot be encoded
+        line = source.count("\n", 0, e.start) + 1
+        raise XMLParseError(
+            "surrogate code point is not a character", line,
+            e.start - source.rfind("\n", 0, e.start)) from None
     return builder.finish(name, doc_id)
 
 

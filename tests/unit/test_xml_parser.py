@@ -1,10 +1,12 @@
-"""Unit tests for the XML tokenizer and parser."""
+"""Unit tests for the expat-driven XML parser."""
+
+import time
 
 import pytest
 
 from repro.errors import XMLParseError
 from repro.xmldb.parser import parse_document, parse_fragment
-from repro.xmldb.tokenizer import decode_entities
+from repro.xmldb.store import XMLStore
 
 
 class TestBasicParsing:
@@ -71,7 +73,8 @@ class TestMarkupForms:
         assert doc.direct_text(0) == "fish & chips <now>"
 
     def test_numeric_character_references(self):
-        assert decode_entities("&#65;&#x42;") == "AB"
+        doc = parse_document("<a>&#65;&#x42;</a>")
+        assert doc.direct_text(0) == "AB"
 
     def test_entities_in_attributes(self):
         doc = parse_document('<a t="a &amp; b"/>')
@@ -91,6 +94,15 @@ class TestErrors:
         "<a>&nosuch;</a>",          # unknown entity
         "",                         # empty
         "<a><!-- unterminated",     # unterminated comment
+        "<a>&#x110000;</a>",        # reference above U+10FFFF
+        "<a>&#0;</a>",              # reference to NUL
+        "<a>&#xD800;</a>",          # reference to a surrogate
+        "<a>AT&T</a>",              # bare ampersand
+        "<a>x]]>y</a>",             # ']]>' in text
+        "<a>&#65</a>",              # reference without ';'
+        '<a x="1"y="2"/>',          # no space between attributes
+        "<a>\x01</a>",              # control character
+        "<a>\ud800</a>",            # lone surrogate in the str
     ])
     def test_malformed_raises(self, source):
         with pytest.raises(XMLParseError):
@@ -100,6 +112,92 @@ class TestErrors:
         with pytest.raises(XMLParseError) as exc:
             parse_document("<a>\n<b></c></a>")
         assert exc.value.line == 2
+
+    def test_lone_surrogate_position(self):
+        with pytest.raises(XMLParseError) as exc:
+            parse_document("<a>\n  \udfff</a>")
+        assert (exc.value.line, exc.value.column) == (2, 3)
+
+    def test_store_refuses_what_it_could_not_persist(self):
+        store = XMLStore()
+        store.load("ok.xml", "<a>x</a>")
+        generation = store.generation
+        with pytest.raises(XMLParseError):
+            store.load("s.xml", "<a>x &#xD800; y</a>")
+        assert len(list(store.documents())) == 1
+        assert store.generation == generation
+
+
+class TestEntities:
+    def test_entity_declaration_refused(self):
+        with pytest.raises(XMLParseError, match="'e' is not allowed"):
+            parse_document('<!DOCTYPE a [<!ENTITY e "x">]><a>&e;</a>')
+
+    def test_unused_entity_declaration_refused(self):
+        with pytest.raises(XMLParseError):
+            parse_document('<!DOCTYPE a [<!ENTITY e SYSTEM "e.xml">]><a/>')
+
+    def test_skipped_entity_under_external_dtd_refused(self):
+        # expat skips an undeclared entity when an external subset might
+        # declare it; the parser refuses it as it refuses any unknown one
+        with pytest.raises(XMLParseError, match="'foo' is not allowed"):
+            parse_document('<!DOCTYPE a SYSTEM "x.dtd"><a>x&foo;y</a>')
+
+    def test_billion_laughs_refused_at_the_first_declaration(self):
+        decls = ['<!ENTITY l0 "lol">'] + [
+            f'<!ENTITY l{i} "{f"&l{i - 1};" * 10}">' for i in range(1, 10)]
+        source = ("<!DOCTYPE a [\n" + "\n".join(decls) + "\n]>\n"
+                  "<a>&l9;</a>")
+        began = time.perf_counter()
+        with pytest.raises(XMLParseError) as exc:
+            parse_document(source)
+        assert time.perf_counter() - began < 1.0
+        assert "'l0'" in str(exc.value) and exc.value.line == 2
+
+
+class TestAcceptedXML:
+    def test_comment_splits_text(self):
+        doc = parse_document("<a>a<!--c-->b</a>")
+        assert doc.content[0] == ["a", "b"]
+        assert doc.direct_words(0) == ["a", "b"]
+
+    @pytest.mark.parametrize("marker", ["<?pi x?>", "<![CDATA[ ]]>"])
+    def test_pi_and_cdata_end_a_text_run(self, marker):
+        doc = parse_document(f"<a>x{marker}y</a>")
+        assert doc.direct_words(0) == ["x", "y"]
+
+    def test_entities_and_line_breaks_join_one_run(self):
+        doc = parse_document("<a>x&amp;\ny&#65;z</a>")
+        assert doc.content[0] == ["x&\nyAz"]
+
+    def test_long_text_is_one_segment(self):
+        text = "word " * 5000
+        assert parse_document(f"<a>{text}</a>").content[0] == [text]
+
+    def test_empty_cdata_leaves_no_segment(self):
+        assert parse_document("<a><![CDATA[]]></a>").content[0] == []
+
+    def test_whitespace_outside_root_ignored(self):
+        doc = parse_document("\n  <a>x</a>\n\t")
+        assert doc.content[0] == ["x"]
+
+    def test_line_ends_normalised(self):
+        doc = parse_document("<a>x\r\ny\rz</a>")
+        assert doc.direct_text(0) == "x\ny\nz"
+
+    def test_attribute_whitespace_normalised(self):
+        doc = parse_document('<a t="x\ty\nz"/>')
+        assert doc.attr(0, "t") == "x y z"
+
+    def test_non_ascii_names_and_bom_accepted(self):
+        doc = parse_document("\ufeff<\u00e9 \u00e0='1'/>")
+        assert doc.tags == ["\u00e9"]
+        assert doc.attr(0, "\u00e0") == "1"
+
+    def test_dtd_attribute_defaults_not_added(self):
+        doc = parse_document(
+            '<!DOCTYPE a [<!ATTLIST a x CDATA "d">]><a/>')
+        assert doc.attrs == {}
 
 
 class TestRegionNumbering:
