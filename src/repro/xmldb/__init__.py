@@ -6,8 +6,8 @@ This package is the "database" underneath the TIX algebra.  It provides:
   ``(start, end, level)`` keys drawn from a single document-order counter
   that words also consume, so term positions nest inside element regions
   exactly as the structural-join literature assumes;
-- a from-scratch XML tokenizer and parser (:mod:`repro.xmldb.tokenizer`,
-  :mod:`repro.xmldb.parser`);
+- an XML parser (:mod:`repro.xmldb.parser`): CPython's expat drives the
+  document builder, and entity declarations are refused;
 - an in-memory columnar :class:`~repro.xmldb.document.Document` with
   navigation primitives (parent, children, ancestors, descendants, subtree
   text) and serialization;
