@@ -30,11 +30,27 @@ def test_xml_parser_total(text):
 ))
 @settings(max_examples=200)
 def test_xml_parser_markup_heavy_fuzz(text):
-    """Markup-dense fuzz input exercises the tokenizer's error paths."""
+    """Markup-dense fuzz input exercises the parser's error paths."""
     try:
         parse_document(text)
     except XMLParseError:
         pass
+
+
+@given(st.integers(min_value=0, max_value=0x11FFFF), st.booleans())
+@settings(max_examples=300)
+def test_character_reference_parses_or_raises(n, hexadecimal):
+    """A reference to any code point, in or out of XML's Char range,
+    raises XMLParseError or gives a document whose serialization
+    encodes as UTF-8 and re-parses to the same words."""
+    ref = f"&#x{n:x};" if hexadecimal else f"&#{n};"
+    try:
+        doc = parse_document(f"<a>{ref}</a>")
+    except XMLParseError:
+        return
+    image = doc.serialize()
+    image.encode("utf-8")
+    assert parse_document(image).word_terms == doc.word_terms
 
 
 @given(st.text(max_size=200))
