@@ -129,13 +129,14 @@ class TestErrors:
 
 
 class TestEntities:
-    def test_entity_declaration_refused(self):
+    @pytest.mark.parametrize("decl", [
+        '<!ENTITY e "x">',
+        '<!ENTITY e SYSTEM "e.xml">',
+        '<!ENTITY % e "x">',         # parameter entity
+    ])
+    def test_entity_declaration_refused(self, decl):
         with pytest.raises(XMLParseError, match="'e' is not allowed"):
-            parse_document('<!DOCTYPE a [<!ENTITY e "x">]><a>&e;</a>')
-
-    def test_unused_entity_declaration_refused(self):
-        with pytest.raises(XMLParseError):
-            parse_document('<!DOCTYPE a [<!ENTITY e SYSTEM "e.xml">]><a/>')
+            parse_document(f"<!DOCTYPE a [{decl}]><a>&amp;</a>")
 
     def test_skipped_entity_under_external_dtd_refused(self):
         # expat skips an undeclared entity when an external subset might
