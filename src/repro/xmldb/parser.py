@@ -70,6 +70,10 @@ def parse_document(source: str, name: str = "document.xml",
         raise XMLParseError(
             "surrogate code point is not a character", line,
             e.start - source.rfind("\n", 0, e.start)) from None
+    finally:
+        # refuse() holds the parser: unhook it so the parser is freed at
+        # once, not left in a reference cycle for the collector
+        parser.EntityDeclHandler = parser.SkippedEntityHandler = None
     return builder.finish(name, doc_id)
 
 

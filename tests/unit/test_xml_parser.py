@@ -1,6 +1,8 @@
 """Unit tests for the expat-driven XML parser."""
 
+import gc
 import time
+from xml.parsers import expat
 
 import pytest
 
@@ -44,6 +46,24 @@ class TestBasicParsing:
         doc = parse_document("<a><b/><c>t</c></a>")
         assert doc.tags == ["a", "b", "c"]
         assert doc.parents == [-1, 0, 0]
+
+    @pytest.mark.parametrize("source", ["<a>x</a>", "<a>&#0;</a>"])
+    def test_parser_freed_without_the_cycle_collector(self, source):
+        def live_parsers():
+            return sum(isinstance(o, expat.XMLParserType)
+                       for o in gc.get_objects())
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = live_parsers()
+            try:
+                parse_document(source)
+            except XMLParseError:
+                pass
+            assert live_parsers() == before
+        finally:
+            gc.enable()
 
 
 class TestMarkupForms:
